@@ -19,9 +19,9 @@ GO ?= go
 # its bounded-memory sketches and export sinks live in.
 COVER_MIN ?= 85
 
-.PHONY: ci vet lint build test race cover bench bench-allocs bench-promote bench-scaling soak soak-short
+.PHONY: ci vet lint build test race cover bench bench-allocs bench-promote bench-scaling bench-smoke soak soak-short
 
-ci: vet lint build test race cover bench bench-allocs soak-short
+ci: vet lint build test race cover bench bench-allocs bench-smoke soak-short
 
 vet:
 	$(GO) vet ./...
@@ -92,8 +92,18 @@ bench-scaling:
 	BENCH_SCALING_GATE=1 SCALING_FLOOR=$(SCALING_FLOOR) \
 		$(GO) test -run TestScalingEfficiencyGate -count=1 -v -timeout 10m .
 
+# Smoke test of the repository benchmark (bench/ is a module of its own,
+# so `go test ./...` never sees it): all five workloads at a tiny scale,
+# each pass hashed against CorrelateTrace — over loopback for the wire
+# workloads — and judged by groundtruth. The cheapest end-to-end guard on
+# the ingest front's ordering.
+bench-smoke:
+	cd bench && $(GO) test .
+
 # Promote a downloaded CI bench run into the checked-in baseline: the
-# hosted bench job uploads BENCH_pipeline.json + bench.txt as the
+# hosted bench job runs TestPipelineSpeedupTrajectory with
+# BENCH_PIPELINE_OUT=BENCH_pipeline.json (unset, the test measures and
+# asserts but writes nothing) and uploads that file + bench.txt as the
 # "bench" artifact; unpack it and point BENCH_ARTIFACT at the directory.
 # benchpromote validates the matrix and folds the -benchmem allocs/op
 # figures from bench.txt into the session_push entries before rewriting

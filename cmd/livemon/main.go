@@ -216,7 +216,27 @@ func serveCollector(addr, hostSpec string, opts core.Options, monitor *live.Moni
 	fmt.Printf("collected %d items from %d agents; %d causal paths; correlation %v\n",
 		applied, len(hosts), monitor.Stats().Ingested, res.CorrelationTime.Round(time.Millisecond))
 	report(res, monitor, opts.Workers)
+	printFront(ingest.Stats())
 	return nil
+}
+
+// printFront reports the ingest's ordering front beside the lag table:
+// how many records it had to hold to restore cross-host timestamp order,
+// and on whom — the first place a slow or silent agent shows.
+func printFront(st core.IngestStats) {
+	waiting := "nothing waiting"
+	if st.Bounding != "" {
+		waiting = "oldest held record waiting on " + st.Bounding
+	}
+	fmt.Printf("\ningest ordering front: %d records held (peak %d), %s\n", st.Held, st.PeakHeld, waiting)
+	fmt.Printf("  %-12s %8s %16s %s\n", "host", "held", "newest_received", "stream")
+	for _, h := range st.Hosts {
+		stream := "open"
+		if h.Ended {
+			stream = "closed"
+		}
+		fmt.Printf("  %-12s %8d %16v %s\n", h.Host, h.Held, h.Bound, stream)
+	}
 }
 
 // replay is the original in-process mode: read the logs, push in arrival

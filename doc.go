@@ -115,6 +115,24 @@
 // Session.Tick exposes: the non-blocking cadence a live ingest front
 // uses so applying and correlating overlap.
 //
+// Stage 1's partition is online, which makes the order it is fed part
+// of its cost. A RECEIVE that arrives before its SEND cannot be told
+// from one whose SEND was never traced, so flow.Incremental files it
+// where a later SEND will find it and the components fuse: a bad order
+// is answered by over-merging, which is sound (never a split) but, fed
+// three independently batching agents, fuses a whole run into one
+// component that seals only at Close — no parallelism, no streaming.
+// The order, unlike the answer, can be fixed: core.Ingest, the front
+// that comes before stage 1 in a networked deployment, holds each
+// host's items in a FIFO and applies the globally oldest one only once
+// every other open host has shown a timestamp at or past it (ties: host
+// name, then per-host order), so stage 1 sees the timestamp merge an
+// in-process replay pushes. A host with a seal horizon bounds its peers
+// by at most that horizon (the sender-liveness floor the watermark
+// already presumes); without one its peers wait for it to speak or
+// close. Cross-host clock skew is the caveat: the merge is as good as
+// the clocks, and whatever disorder remains still over-merges.
+//
 // The rings are the handoff, chosen over channels for batch
 // amortization: one mutex acquisition moves a run of sealed components
 // (ring.PushBatch) or finished results (ring.PopBatch) instead of one
@@ -190,7 +208,8 @@
 //	    │   seq/ack, reconnect         │   exactly-once apply
 //	    │                              ▼
 //	    │                          core.Ingest (serialized front)
-//	    │                              │ bounded op queue
+//	    │                              │ bounded op queue, then per-host
+//	    │                              │ FIFOs merged by timestamp
 //	    │                              ▼
 //	    └── backpressure ◄──────── core.Session ──> live.Monitor
 //
@@ -209,7 +228,21 @@
 // which the sequence protocol preserves exactly — a networked run drains
 // an OnGraph stream byte-identical to an in-process replay of the same
 // logs (TestNetworkedEquivalence), no matter how connections interleave,
-// bounce, or resume. Agent death degrades, never corrupts: with seal
+// bounce, or resume. What the interleaving does decide is how well the
+// run streams: the online partition over-merges whenever a RECEIVE
+// reaches it before its SEND, and agents that batch independently make
+// that the common case. core.Ingest therefore restores the cross-host
+// timestamp order before applying (see "The two-stage session front"):
+// it holds what has arrived, per host, and releases the oldest item once
+// every other open host has passed it, so a networked run partitions
+// into the same components as the in-process replay (Result.Shards is
+// asserted equal) and seals and emits continuously instead of at Close.
+// The price is that a CLOSE ack now means "received and ordered" — the
+// stream is sealed in the session once every peer has passed its end —
+// and that a silent host holds its peers' records: for its seal horizon
+// when it has one, until it closes otherwise. Ingest.Stats names the
+// host the merge is waiting on; livemon prints it beside the per-host
+// lag table. Agent death degrades, never corrupts: with seal
 // horizons configured, a dead host's components force-seal
 // (Result.ForcedSeals), its staleness shows in Monitor.HostLags (the
 // Delivered column is raw transport progress, fed by
@@ -252,8 +285,11 @@
 // ingest goroutine applies batch records individually with the same
 // drain cadence as single pushes, so a batched stream's output stays
 // byte-identical to its unbatched equivalent. Errors remain sticky per
-// host; the first failure silences the rest of that host's records
-// within the batch and leaves other hosts untouched.
+// host; the first failure, detected when the ingest goroutine receives
+// the batch, rejects the rest of that host's records within it and
+// leaves other hosts untouched. The ordering front holds a batch by
+// reference — sub-slices of the caller's slice, no per-record copy —
+// until its last record has been applied.
 //
 // # Export & live analytics
 //
@@ -316,8 +352,10 @@
 // into pooled records (activity.NewRecord), the session copies whatever
 // it keeps at apply time, and IngestOptions.Release — wired to
 // activity.ReleaseRecord in the networked deployment — returns each
-// batch record to the pool once the ingest goroutine is done with it,
-// applied or skipped. A PushBatch caller owns neither the slice nor the
-// records after the call succeeds; single-record Push callers keep
-// ownership of theirs.
+// batch record to the pool exactly once, when the ingest goroutine is
+// done with it: applied (possibly many operations after it arrived — the
+// ordering front holds it until its peers catch up), rejected at
+// receipt, or flushed by Close. A PushBatch caller owns neither the
+// slice nor the records after the call succeeds; single-record Push
+// callers keep ownership of theirs (Ingest.Push copies).
 package repro

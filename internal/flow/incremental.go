@@ -23,7 +23,12 @@ import (
 // therefore joins such a RECEIVE to both its connection and the context's
 // current epoch. That can only *coarsen* components relative to the batch
 // partition — extra unions never remove closure links — so per-component
-// correlation stays exact; shards are merely sometimes larger.
+// correlation stays exact; shards are merely sometimes larger. How much
+// larger is decided by the order of the Add calls: fed the cross-host
+// timestamp merge, a RECEIVE rarely precedes its SEND and components stay
+// request-sized; fed independently batched host streams in arrival order,
+// nearly everything fuses. Restoring that order is the feeder's job —
+// core.Ingest does it for the networked path (see its type comment).
 //
 // Determinism: for a fixed sequence of Add calls the assignments, merges
 // and final roots are fully deterministic. Add is not safe for concurrent

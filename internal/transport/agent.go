@@ -75,7 +75,7 @@ func (cfg *AgentConfig) fill() error {
 // order — hold your own order if you have one); a manager goroutine owns
 // the connection, batches, resends after reconnects, and trims the queue
 // as acks arrive. Close flushes everything and performs the CLOSE
-// handshake; only then is the host's stream sealed at the collector.
+// handshake; only then is the host's stream complete at the collector.
 type Agent struct {
 	cfg AgentConfig
 
@@ -173,7 +173,8 @@ func (a *Agent) kickWriter() {
 }
 
 // Close flushes every queued item, performs the CLOSE handshake, and
-// waits until the collector confirms the stream fully applied and sealed.
+// waits until the collector confirms the stream fully received (its
+// sink's CloseHost returned; see Collector.handle for what that promises).
 func (a *Agent) Close() error {
 	a.mu.Lock()
 	if err := a.deadErr(); err != nil {

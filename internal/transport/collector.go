@@ -57,7 +57,7 @@ type CollectorConfig struct {
 type HostStatus struct {
 	Host        string
 	Connected   bool
-	Closed      bool          // clean CLOSE applied
+	Closed      bool          // clean CLOSE accepted by the sink (see the frameClose case)
 	LastSeq     uint64        // highest applied item sequence
 	LastTs      time.Duration // newest applied record/heartbeat timestamp
 	Disconnects int           // connections lost without a clean CLOSE
@@ -277,6 +277,12 @@ func (c *Collector) handle(conn net.Conn) {
 				return
 			}
 		case frameClose:
+			// The ack below means what the sink's CloseHost means. With
+			// core.Ingest: every item of the stream is received and ordered
+			// behind its peers'; the session seals the stream once every
+			// other open host has passed its end (or at Ingest.Close) — the
+			// sink must not wait for those peers here, their agents may be
+			// closing one after another behind this one.
 			if err := c.sink.CloseHost(host); err != nil {
 				c.refuse(conn, err.Error())
 				return

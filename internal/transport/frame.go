@@ -13,7 +13,7 @@
 //	agent → collector   BATCH   firstSeq + items (records, heartbeats)
 //	collector → agent   ACK     after each batch
 //	agent → collector   CLOSE   clean end of the host's stream
-//	collector → agent   CLOSE   close acknowledged (stream fully applied)
+//	collector → agent   CLOSE   close acknowledged (stream fully received)
 //	collector → agent   ERROR   terminal: message, connection drops
 //
 // Items — records and heartbeats — carry per-agent monotone sequence

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"net"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -122,6 +123,28 @@ func offlineFingerprints(t *testing.T, tr *trace) []string {
 	}
 	s.Close()
 	return fps
+}
+
+// offlineShards is how many flow components the same records partition
+// into when a session is pushed the cross-host timestamp merge — the
+// order core.Ingest restores on the wire, whatever the agents' batching,
+// bounces and restarts did to the arrival order.
+func offlineShards(t *testing.T, tr *trace) int {
+	t.Helper()
+	var merged []*activity.Activity
+	for _, h := range tr.hosts {
+		merged = append(merged, tr.perHost[h]...)
+	}
+	// genTrace's timestamps are globally unique: no tie-break needed.
+	sort.Slice(merged, func(i, j int) bool { return merged[i].Timestamp < merged[j].Timestamp })
+	s, err := core.NewSession(tr.opts(nil), tr.hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PushBatch(merged); err != nil {
+		t.Fatal(err)
+	}
+	return s.Close().Shards
 }
 
 // startCollector wires listener → collector → serialized ingest → session
@@ -257,8 +280,11 @@ func TestNetworkedEquivalence(t *testing.T) {
 	}
 	col.Shutdown()
 	ln.Close()
-	in.Close()
+	res := in.Close()
 
+	if wantShards := offlineShards(t, tr); res.Shards != wantShards {
+		t.Errorf("networked run partitioned into %d components, in-order replay %d", res.Shards, wantShards)
+	}
 	if len(fps) != len(want) {
 		t.Fatalf("networked run emitted %d graphs, offline %d", len(fps), len(want))
 	}
@@ -447,8 +473,11 @@ func TestTransportSoak(t *testing.T) {
 	}
 	col.Shutdown()
 	ln.Close()
-	in.Close()
+	res := in.Close()
 
+	if wantShards := offlineShards(t, tr); res.Shards != wantShards {
+		t.Errorf("soak partitioned into %d components, in-order replay %d", res.Shards, wantShards)
+	}
 	if len(fps) != len(want) {
 		t.Fatalf("soak emitted %d graphs, offline %d", len(fps), len(want))
 	}

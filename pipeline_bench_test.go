@@ -215,18 +215,19 @@ func BenchmarkMonitorIngestSketched(b *testing.B) {
 }
 
 // TestPipelineSpeedupTrajectory measures the sharded correlator against
-// the sequential pass across RUBiS scales and worker counts, and records
-// the trajectory in BENCH_pipeline.json. On a multi-core machine the
-// sharded pipeline must beat sequential wall-clock at scale >= 0.1; on a
-// single-CPU machine there is no parallelism to win with (the pipeline
-// pays partition + merge overhead and gets no concurrent shard
-// execution), so the comparison is recorded but not asserted.
+// the sequential pass across RUBiS scales and worker counts, and — when
+// BENCH_PIPELINE_OUT names a file — records the trajectory there (the
+// hosted bench job sets it to BENCH_pipeline.json). On a multi-core
+// machine the sharded pipeline must beat sequential wall-clock at scale
+// >= 0.1; on a single-CPU machine there is no parallelism to win with
+// (the pipeline pays partition + merge overhead and gets no concurrent
+// shard execution), so the comparison is measured but not asserted.
 func TestPipelineSpeedupTrajectory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("speedup trajectory is not measured in -short mode")
 	}
 	if raceEnabled {
-		t.Skip("race-instrumented timings are 5-20x off; not overwriting BENCH_pipeline.json")
+		t.Skip("race-instrumented timings are 5-20x off; not worth recording")
 	}
 
 	report := benchReport{
@@ -428,8 +429,12 @@ func TestPipelineSpeedupTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile("BENCH_pipeline.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
+	// Writing is opt-in: a plain `go test ./...` measures and asserts but
+	// leaves the checked-in baseline (and the tree) alone.
+	if out := os.Getenv("BENCH_PIPELINE_OUT"); out != "" {
+		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	if multiCore {
@@ -456,6 +461,6 @@ func TestPipelineSpeedupTrajectory(t *testing.T) {
 				runtime.NumCPU(), bestPar, seq)
 		}
 	} else {
-		t.Logf("single-CPU host: skipping the multi-core speedup assertion (results recorded in BENCH_pipeline.json)")
+		t.Logf("single-CPU host: skipping the multi-core speedup assertion")
 	}
 }
