@@ -50,7 +50,6 @@ func run() error {
 		outliers  = flag.Int("outliers", 0, "show the N slowest requests and their dominant component")
 		lint      = flag.Bool("lint", false, "check the trace for integrity problems before correlating")
 		shardBy   = flag.String("shardby", "flow", "flow-component partition policy: flow (request epochs) or context (whole context lifetimes)")
-		batch     = flag.Int("batch", 0, "retained for compatibility; the streaming engine dispatches flow components individually, so this is validated but ignored")
 	)
 	shared := cli.RegisterCorrelator(flag.CommandLine)
 	pprofAddr := cli.RegisterPprof(flag.CommandLine)
@@ -60,9 +59,6 @@ func run() error {
 	}
 	if *window <= 0 {
 		return cli.Usagef("-window must be > 0 (got %v)", *window)
-	}
-	if *batch < 0 {
-		return cli.Usagef("-batch must be >= 0 (got %d)", *batch)
 	}
 	if *dumpN < 0 {
 		return cli.Usagef("-dump must be >= 0 (got %d)", *dumpN)
@@ -89,7 +85,6 @@ func run() error {
 		EntryPorts:      ports,
 		PaperExactNoise: *paperMode,
 		ShardBy:         mode,
-		BatchSize:       *batch,
 	}
 	exports, err := shared.Apply(&opts)
 	if err != nil {

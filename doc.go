@@ -79,10 +79,10 @@
 //	        unmodified sequential ranker+engine pass over each sealed
 //	        component — the shard key guarantees independence, so the
 //	        paper's algorithm itself is untouched.
-//	emit ──> the watermark emitter releases finished CAGs in
-//	        deterministic END-timestamp order, holding back any graph
-//	        that a still-open stream or still-pending component could
-//	        yet precede.
+//	emit ──> the watermark emitter keeps finished CAGs in a min-heap
+//	        and pops them in deterministic END-timestamp order while
+//	        they end below the watermark, holding back any graph that a
+//	        still-open stream or a resident BEGIN could yet precede.
 //
 // # The two-stage session front
 //
@@ -147,7 +147,11 @@
 // pass is deterministic per component); emission *order* is fixed by
 // the END-timestamp watermark, which counts sealed-but-in-flight
 // components as pending and so never releases a graph that unfinished
-// work could precede. The pipeline's only freedom is scheduling — which
+// work could precede. The watermark is the oldest BEGIN buffered in any
+// resident component, capped by each open host's push bound: a graph's
+// END follows its root BEGIN on the same entry-tier context, so a
+// component holding no BEGIN — a never-idle §5.3.3 noise connection,
+// say — can yield no graph on its own and holds nothing back. The pipeline's only freedom is scheduling — which
 // worker correlates which shard, and when results land in the collector
 // — and the watermark makes scheduling unobservable: a Tick cadence
 // shifts when a graph is released, never what it contains or its order,
@@ -165,7 +169,9 @@
 // quiet open streams bound the watermark by their own horizon, and the
 // flow partition's bookkeeping for dispatched components is tombstoned
 // then pruned, so a forever-open Session's memory tracks recently-active
-// components. A straggler that violates the horizon's sender-liveness
+// components. With the BEGIN-bounded watermark, graphs leave on the Drain
+// cadence rather than at Close; a never-idle component's own buffer is
+// still resident until it idles or its hosts close. A straggler that violates the horizon's sender-liveness
 // bound becomes a late link (Result.LateLinks): detached onto a fresh
 // component — possibly splitting its request's CAG — never resurrecting
 // a freed shard.

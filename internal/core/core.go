@@ -102,11 +102,6 @@ type Options struct {
 	// components; see ShardMode.
 	ShardBy ShardMode
 
-	// BatchSize is retained for configuration compatibility; the
-	// streaming engine dispatches components individually. Negative
-	// values are rejected.
-	BatchSize int
-
 	// SealAfter, when positive, turns the session into a continuous
 	// correlator: a flow component whose newest activity is more than
 	// SealAfter older than the newest timestamp pushed anywhere (activity
@@ -158,9 +153,6 @@ type Options struct {
 func (o *Options) validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("core: Workers must be >= 0 (got %d); use ResolveWorkers for CLI-style flags", o.Workers)
-	}
-	if o.BatchSize < 0 {
-		return fmt.Errorf("core: BatchSize must be >= 0 (got %d)", o.BatchSize)
 	}
 	if o.SealAfter < 0 {
 		return fmt.Errorf("core: SealAfter must be >= 0 (got %v)", o.SealAfter)

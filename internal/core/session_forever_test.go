@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/activity"
 	"repro/internal/cag"
+	"repro/internal/rubis"
 )
 
 // foreverOpts is the continuous-mode fixture: two declared hosts, one of
@@ -300,5 +301,59 @@ func TestSessionForcedSealLateLink(t *testing.T) {
 	// a lone END on a fresh component and yields none.
 	if len(out.Graphs) != 8 {
 		t.Fatalf("graphs = %d, want 8", len(out.Graphs))
+	}
+}
+
+// TestSessionContinuousReplayEmitsBeforeClose is replay-cont scaled down:
+// a noise trace pushed in merged timestamp order into a session with
+// SealAfter=1s and two workers, drained every 256 pushes. Noise
+// connections never idle and carry no BEGIN, so they must not hold the
+// watermark: nearly every graph reaches the sink before Close. The
+// released stream must equal, graph for graph, a close-only run of the
+// same session.
+func TestSessionContinuousReplayEmitsBeforeClose(t *testing.T) {
+	cfg := rubis.DefaultConfig(120)
+	cfg.Scale = 0.05
+	cfg.Noise = true
+	res, err := rubis.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := arrivalOrder(res.Trace)
+	run := func(drainEvery int) (stream []string, beforeClose int) {
+		opts := options(res)
+		opts.SealAfter = time.Second
+		opts.Workers = 2
+		opts.OnGraph = func(g *cag.Graph) { stream = append(stream, fingerprint(g)) }
+		sess, err := NewSession(opts, hostsOf(res))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range trace {
+			if err := sess.Push(a); err != nil {
+				t.Fatal(err)
+			}
+			if drainEvery > 0 && (i+1)%drainEvery == 0 {
+				sess.Drain()
+			}
+		}
+		beforeClose = len(stream)
+		sess.Close()
+		return stream, beforeClose
+	}
+	got, before := run(256)
+	want, _ := run(0)
+	if len(got) == 0 || len(got) != len(want) {
+		t.Fatalf("continuous run emitted %d graphs, close-only run %d", len(got), len(want))
+	}
+	frac := float64(before) / float64(len(got))
+	t.Logf("%d of %d graphs (%.3f) reached the sink before Close", before, len(got), frac)
+	if frac < 0.95 {
+		t.Fatalf("only %d of %d graphs (%.3f) reached the sink before Close, want >= 0.95", before, len(got), frac)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("graph %d differs from the close-only run:\n%s\nwant:\n%s", i, got[i], want[i])
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -40,10 +39,11 @@ import (
 //	         horizon of the hosts that could still extend it.
 //	workers ──> each sealed component runs the unmodified sequential
 //	         ranker+engine pass (Correlator.drive), no shared state.
-//	Drain/Close ──> the watermark emitter releases finished CAGs in
-//	         deterministic END-timestamp order, holding back any graph
-//	         that a still-open stream or still-pending component could
-//	         yet precede.
+//	Drain/Close ──> the watermark emitter pops finished CAGs off a
+//	         min-heap in END-timestamp order while they end below the
+//	         watermark: the oldest BEGIN resident in any component, and
+//	         each open host's push bound. A BEGIN-less component (a
+//	         never-idle noise connection) holds nothing back.
 //
 // The result is byte-identical to the historical sequential correlator
 // for the same per-host input order on well-formed traces
@@ -126,9 +126,8 @@ type streamSession struct {
 	colBuf     []sessShardResult // received, awaiting stage-1 absorption
 	colScratch []sessShardResult // harvest's swap buffer
 
-	finished []taggedGraph // correlated, held back by the watermark
-	unsorted bool          // finished gained graphs since the last sort
-	emitted  []*cag.Graph  // released (when not streaming via OnGraph/Sinks)
+	finished graphHeap    // correlated, held back by the watermark
+	emitted  []*cag.Graph // released (when not streaming via OnGraph/Sinks)
 
 	// deliver is the fused emission chain (Options.OnGraph + every
 	// registered sink), nil when the session accumulates into emitted.
@@ -216,16 +215,16 @@ type hostRun struct {
 
 // sessComponent is one growing flow component of the online partition.
 type sessComponent struct {
-	id      int // creation order: deterministic ordering fallback
-	minTs   time.Duration
-	maxTs   time.Duration // newest member: the staleness measure
-	size    int
-	runs    []hostRun      // buffered records, one run per contributing host
-	contrib []activity.Sym // declared hosts that may still extend it
-	sealed  bool
-	forced  bool  // sealed by a horizon, not by host closure
-	late    bool  // received a straggler that late-linked off a sealed shard
-	root    int32 // current union-find root
+	id       int           // creation order: deterministic ordering fallback
+	minBegin time.Duration // oldest buffered BEGIN (noBound if none): the watermark bound
+	maxTs    time.Duration // newest member: the staleness measure
+	size     int
+	runs     []hostRun      // buffered records, one run per contributing host
+	contrib  []activity.Sym // declared hosts that may still extend it
+	sealed   bool
+	forced   bool  // sealed by a horizon, not by host closure
+	late     bool  // received a straggler that late-linked off a sealed shard
+	root     int32 // current union-find root
 
 	// runs0 and contrib0 are inline backing storage: most components
 	// touch one or two hosts, so the slices usually never leave the
@@ -234,8 +233,12 @@ type sessComponent struct {
 	contrib0 [4]activity.Sym
 }
 
+// noBound is the minBegin of a component holding no BEGIN, and the
+// watermark when nothing bounds it.
+const noBound = time.Duration(math.MaxInt64)
+
 func newSessComponent(id int, ts time.Duration, root int32) *sessComponent {
-	c := &sessComponent{id: id, minTs: ts, maxTs: ts, root: root}
+	c := &sessComponent{id: id, minBegin: noBound, maxTs: ts, root: root}
 	c.runs = c.runs0[:0]
 	c.contrib = c.contrib0[:0]
 	return c
@@ -276,35 +279,66 @@ type sessShardResult struct {
 // shard) for the watermark emitter.
 type taggedGraph struct {
 	g    *cag.Graph
+	end  time.Duration // g.End().Timestamp, cached for heap comparisons
 	comp int
 	pos  int
 }
 
-// sortTagged restores the sequential emission order: global
-// END-timestamp order. Ties reproduce the sequential ranker's behaviour
-// too: equal-timestamp ENDs on different hosts are delivered in sorted
-// host order (Rule 2 keeps the first queue on a tie; queues are built in
+// releasesBefore is the sequential emission order: global END-timestamp
+// order. Ties reproduce the sequential ranker's behaviour too:
+// equal-timestamp ENDs on different hosts are delivered in sorted host
+// name order (Rule 2 keeps the first queue on a tie; queues are built in
 // sorted host order), and within one host in log order, which record IDs
 // preserve (every trace producer assigns IDs in per-host log order).
 // Component/position order is the final fallback for ID-less hand-built
 // traces.
-func sortTagged(tagged []taggedGraph) {
-	sort.Slice(tagged, func(i, j int) bool {
-		ei, ej := tagged[i].g.End(), tagged[j].g.End()
-		if ei.Timestamp != ej.Timestamp {
-			return ei.Timestamp < ej.Timestamp
+func releasesBefore(x, y *taggedGraph) bool {
+	if x.end != y.end {
+		return x.end < y.end
+	}
+	ex, ey := x.g.End(), y.g.End()
+	if ex.Ctx.Host != ey.Ctx.Host {
+		return ex.Ctx.Host < ey.Ctx.Host
+	}
+	if a, b := ex.Records[0].ID, ey.Records[0].ID; a != b {
+		return a < b
+	}
+	if x.comp != y.comp {
+		return x.comp < y.comp
+	}
+	return x.pos < y.pos
+}
+
+// graphHeap is a binary min-heap of finished graphs under releasesBefore.
+// It is written out rather than built on container/heap, whose any-typed
+// Push/Pop would box every element.
+type graphHeap []taggedGraph
+
+func (h *graphHeap) push(t taggedGraph) {
+	*h = append(*h, t)
+	q := *h
+	for i, p := len(q)-1, (len(q)-2)/2; i > 0 && releasesBefore(&q[i], &q[p]); i, p = p, (p-1)/2 {
+		q[i], q[p] = q[p], q[i]
+	}
+}
+
+// pop removes and returns the first graph in release order; h must be
+// non-empty.
+func (h *graphHeap) pop() taggedGraph {
+	q := *h
+	top, n := q[0], len(q)-1
+	q[0], q[n] = q[n], taggedGraph{}
+	q, *h = q[:n], q[:n]
+	for i, m := 0, 1; m < n; i, m = m, 2*m+1 {
+		if m+1 < n && releasesBefore(&q[m+1], &q[m]) {
+			m++
 		}
-		if ei.Ctx.Host != ej.Ctx.Host {
-			return ei.Ctx.Host < ej.Ctx.Host
+		if !releasesBefore(&q[m], &q[i]) {
+			break
 		}
-		if a, b := ei.Records[0].ID, ej.Records[0].ID; a != b {
-			return a < b
-		}
-		if tagged[i].comp != tagged[j].comp {
-			return tagged[i].comp < tagged[j].comp
-		}
-		return tagged[i].pos < tagged[j].pos
-	})
+		q[i], q[m] = q[m], q[i]
+	}
+	return top
 }
 
 func newStreamSession(opts Options, hosts []string) *streamSession {
@@ -615,15 +649,11 @@ func (s *streamSession) ingest(cp *activity.Activity, h *sessHost) {
 		c.late = true
 	}
 	c.appendRec(cp.CtxK.Host, pushRec{a: cp, seq: h.seq})
-	if cp.Timestamp < c.minTs {
-		c.minTs = cp.Timestamp
+	if cp.Type == activity.Begin {
+		c.minBegin = min(c.minBegin, cp.Timestamp)
 	}
-	if cp.Timestamp > c.maxTs {
-		c.maxTs = cp.Timestamp
-	}
-	if cp.Timestamp > s.maxTs {
-		s.maxTs = cp.Timestamp
-	}
+	c.maxTs = max(c.maxTs, cp.Timestamp)
+	s.maxTs = max(s.maxTs, cp.Timestamp)
 	c.size++
 	c.noteHost(cp.CtxK.Host)
 	s.noteEndpoint(c, cp.ChanK.SrcIP)
@@ -734,15 +764,9 @@ func (s *streamSession) fuse(a, b *sessComponent, root int32) *sessComponent {
 	for _, h := range b.contrib {
 		a.noteHost(h)
 	}
-	if b.minTs < a.minTs {
-		a.minTs = b.minTs
-	}
-	if b.maxTs > a.maxTs {
-		a.maxTs = b.maxTs
-	}
-	if b.id < a.id {
-		a.id = b.id
-	}
+	a.minBegin = min(a.minBegin, b.minBegin)
+	a.maxTs = max(a.maxTs, b.maxTs)
+	a.id = min(a.id, b.id)
 	if b.late {
 		a.late = true
 	}
@@ -955,10 +979,7 @@ func (s *streamSession) absorb(r sessShardResult) {
 		if r.comp.forced || r.comp.late {
 			g.SetProvenance(r.comp.forced, r.comp.late)
 		}
-		s.finished = append(s.finished, taggedGraph{g: g, comp: r.comp.id, pos: pos})
-	}
-	if len(r.graphs) > 0 {
-		s.unsorted = true
+		s.finished.push(taggedGraph{g: g, end: g.End().Timestamp, comp: r.comp.id, pos: pos})
 	}
 	if s.comps[r.comp.root] == r.comp {
 		delete(s.comps, r.comp.root)
@@ -966,28 +987,27 @@ func (s *streamSession) absorb(r sessShardResult) {
 }
 
 // watermark returns the END-timestamp bound below which no future graph
-// can appear: a pending component's future graphs end at or after its
-// earliest member, and an open host can only push at or after its last
-// local timestamp (a host that never pushed nor heartbeated bounds
-// nothing, so nothing may be released). bounded is false when no
-// component is pending and no host is open — everything may go.
+// can appear; it is noBound when no BEGIN is resident and no host is
+// open — everything may go. Every CAG's root is a BEGIN and its END is
+// stamped after it by the same entry-tier context, and the engine gives
+// both vertices their first record's timestamp, so END ≥ root BEGIN. A
+// future graph's BEGIN is either buffered in a resident component
+// (sealed-but-in-flight ones stay in comps until absorbed), so its END ≥
+// that component's minBegin, or not yet pushed, so its END ≥ its host's
+// bound. A BEGIN-less component bounds nothing: if it later fuses with
+// one holding a BEGIN, that one covers it.
 //
-// With a seal horizon an open host's bound is raised to its own
-// sender-liveness floor maxTs−horizon(host): a quiet-but-open stream is
-// presumed to hold nothing older than its horizon, so it no longer
-// blocks emission forever. A push violating that presumption is the same
-// late-link event the forced seal accepts, and can regress the emitted
-// order (surfaced downstream via live.Monitor.OutOfOrder).
-func (s *streamSession) watermark() (time.Duration, bool) {
-	var wm time.Duration
-	bounded := false
-	note := func(t time.Duration) {
-		if !bounded || t < wm {
-			wm, bounded = t, true
-		}
-	}
+// An open host can only push at or after its last local timestamp (one
+// that never pushed nor heartbeated bounds nothing, so nothing may be
+// released). With a seal horizon that bound is raised to the host's
+// sender-liveness floor maxTs−horizon(host), so a quiet-but-open stream
+// no longer blocks emission forever. A push violating that presumption is
+// the same late-link event the forced seal accepts, and can regress the
+// emitted order (surfaced downstream via live.Monitor.OutOfOrder).
+func (s *streamSession) watermark() time.Duration {
+	wm := noBound
 	for _, c := range s.comps {
-		note(c.minTs)
+		wm = min(wm, c.minBegin)
 	}
 	for _, h := range s.hosts {
 		if !h.open {
@@ -998,68 +1018,40 @@ func (s *streamSession) watermark() (time.Duration, bool) {
 			b = h.last
 		}
 		if h.horizon > 0 {
-			if floor := s.maxTs - h.horizon; floor > b {
-				b = floor
-			}
+			b = max(b, s.maxTs-h.horizon)
 		}
-		note(b)
+		wm = min(wm, b)
 	}
-	return wm, bounded
+	return wm
 }
 
-// emit releases finished graphs in deterministic END-timestamp order up
-// to (strictly below) the watermark; all=true releases everything.
-// Strict inequality makes cross-batch ties impossible: any graph arriving
-// later comes from a component whose minimum timestamp was at or above
-// every watermark used before, so the released stream is globally sorted.
+// emit pops finished graphs off the heap in release order while their END
+// lies strictly below the watermark; all=true releases everything. Strict
+// inequality makes cross-batch ties impossible: any graph arriving later
+// has an END at or above every watermark used before, so the released
+// stream is globally sorted.
 func (s *streamSession) emit(all bool) {
 	if len(s.finished) == 0 {
 		return
 	}
-	// A released prefix leaves the remainder sorted, so an idle Drain
-	// (no shard absorbed since) skips the re-sort of the held backlog.
-	if s.unsorted {
-		sortTagged(s.finished)
-		s.unsorted = false
-	}
-	cut := len(s.finished)
+	wm := noBound
 	if !all {
-		wm, bounded := s.watermark()
-		if bounded {
-			cut = sort.Search(len(s.finished), func(i int) bool {
-				return s.finished[i].g.End().Timestamp >= wm
-			})
-		}
+		wm = s.watermark()
 	}
-	if cut == 0 {
-		return
-	}
-	for _, t := range s.finished[:cut] {
+	for len(s.finished) > 0 && (wm == noBound || s.finished[0].end < wm) {
+		g := s.finished.pop().g
 		if s.deliver != nil {
-			s.deliver(t.g)
+			s.deliver(g)
 		} else {
-			s.emitted = append(s.emitted, t.g)
+			s.emitted = append(s.emitted, g)
 		}
 	}
-	s.finished = append(s.finished[:0:0], s.finished[cut:]...)
 }
 
 // Drain implements sessionImpl: force-seal stale components (continuous
 // mode), finish every decidable (sealed) component, and release what the
 // watermark permits.
-func (s *streamSession) Drain() int {
-	start := time.Now()
-	s.sealStale()
-	s.settle()
-	if s.continuous {
-		s.inc.PruneBefore(s.maxTs)
-	}
-	s.emit(false)
-	s.workTime += time.Since(start)
-	n := s.uncounted
-	s.uncounted = 0
-	return n
-}
+func (s *streamSession) Drain() int { return s.step(true) }
 
 // Tick implements sessionImpl: the pipelined, non-blocking Drain. It
 // makes the same deterministic seal decisions (sealStale at the same
@@ -1067,13 +1059,21 @@ func (s *streamSession) Drain() int {
 // the pool has already finished instead of waiting for the in-flight
 // ones — the caller keeps pushing while workers chew. Emission stays
 // safe: a sealed-but-in-flight component is still in the comps map, so
-// its earliest timestamp bounds the watermark and nothing that could
-// precede its graphs is released. The final output is byte-identical to
+// its oldest BEGIN bounds the watermark and nothing that could precede
+// its graphs is released. The final output is byte-identical to
 // a Drain cadence; only the moment each graph is released shifts later.
-func (s *streamSession) Tick() int {
+func (s *streamSession) Tick() int { return s.step(false) }
+
+// step is Drain (wait=true: settle every in-flight shard) or Tick
+// (harvest only what has already finished).
+func (s *streamSession) step(wait bool) int {
 	start := time.Now()
 	s.sealStale()
-	s.harvest()
+	if wait {
+		s.settle()
+	} else {
+		s.harvest()
+	}
 	if s.continuous {
 		s.inc.PruneBefore(s.maxTs)
 	}
