@@ -52,11 +52,11 @@ cover:
 bench:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
-# Allocation regression gates for the streaming-engine hot path. Each
-# BenchmarkSessionPush variant has its own budget: the measured figure on
-# the reference box plus ~25-30% headroom for machine variance — an
-# accidental per-record allocation costs ~37k allocs/op here and blows
-# either budget immediately.
+# Allocation regression gates for the streaming-engine hot path and the
+# export sinks' encode. Each BenchmarkSessionPush variant has its own
+# budget: the measured figure on the reference box plus ~25-30% headroom
+# for machine variance — an accidental per-record allocation costs ~37k
+# allocs/op here and blows either budget immediately.
 #
 #   seq-close-driven: ~54k measured on the ring-buffered pipeline (down
 #   from 178,250 before dense interned identities, ~68k before the
@@ -68,8 +68,22 @@ ALLOCS_BUDGET ?= 65000
 #   worker-pool reuse + flow key recycling, and ~139k when every sealed
 #   component rebuilt its ranker and engine.
 ALLOCS_BUDGET_CONTINUOUS ?= 77500
+#   export-sinks (BenchmarkExportSinks: one RUBiS graph through the OTLP
+#   exporter and the DumpWriter): 0 measured with the append writers, 715
+#   with the span tree + encoding/json and the fmt dump. One allocation per
+#   span or attribute would cost ~15-100 allocs/op.
+ALLOCS_BUDGET_EXPORT ?= 4
 
 bench-allocs:
+	@$(GO) test -run '^$$' -bench '^BenchmarkExportSinks$$' -benchmem -benchtime=2000x ./internal/export \
+	| awk -v budget=$(ALLOCS_BUDGET_EXPORT) ' \
+		/^BenchmarkExportSinks/ { a = $$(NF-1) + 0; found++; \
+			printf "bench-allocs: export-sinks %d allocs/op (budget %d)\n", a, budget; \
+			if (a > budget) bad = 1 } \
+		END { \
+			if (found != 1) { printf "bench-allocs: expected 1 export benchmark result, got %d\n", found; exit 1 } \
+			exit bad \
+		}'
 	@$(GO) test -run '^$$' -bench 'BenchmarkSessionPush/seq-(close-driven|continuous)' \
 		-benchmem -benchtime=3x . \
 	| awk -v budget=$(ALLOCS_BUDGET) -v cbudget=$(ALLOCS_BUDGET_CONTINUOUS) ' \

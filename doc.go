@@ -319,7 +319,21 @@
 // rest: an OTLP-JSON exporter (NDJSON file or batched OTLP/HTTP POST),
 // a per-graph Graphviz DOT directory, and a canonical text dumper. Both
 // CLIs wire them with -export kind=dest[,kind=dest...] via internal/cli.
-// The OTLP mapping, one trace per CAG (export.Trace):
+// Encoding is append-style: each graph's OTLP-JSON is written straight
+// into a buffer the sink reuses (the HTTP exporter batches those bytes,
+// not structs, into one fresh buffer per POST, which net/http may still
+// read after the call and re-sends on a 307/308), the dump sink does
+// the same with cag.AppendDump, and the file sinks write through a
+// 64 KiB bufio.Writer that Close flushes, so several graphs share one
+// write syscall — a warm file or NDJSON sink allocates nothing per
+// graph (BenchmarkExportSinks, gated by make bench-allocs). The
+// contract is byte-identity with the encoding/json rendering of the
+// OTLP/JSON struct tree and with the fmt dump: export_test.go keeps
+// that tree and those fmt renderings as the oracle, and
+// TestSinkEncodeMatchesOracle compares every sink's bytes with it,
+// including encoding/json's escaping (HTML-safe <, >, &; \b and \f;
+// invalid UTF-8 as \ufffd; U+2028/U+2029 escaped).
+// The OTLP mapping, one trace per CAG:
 //
 //	CAG                      OTLP span field
 //	vertex                   span; name "TYPE host/program"

@@ -7,6 +7,7 @@ package activity
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -75,7 +76,20 @@ type Context struct {
 
 // String implements fmt.Stringer.
 func (c Context) String() string {
-	return fmt.Sprintf("%s/%s[%d:%d]", c.Host, c.Program, c.PID, c.TID)
+	var buf [64]byte
+	return string(c.AppendTo(buf[:0]))
+}
+
+// AppendTo appends c's String form, host/program[pid:tid], to b.
+func (c Context) AppendTo(b []byte) []byte {
+	b = append(b, c.Host...)
+	b = append(b, '/')
+	b = append(b, c.Program...)
+	b = append(b, '[')
+	b = strconv.AppendInt(b, int64(c.PID), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(c.TID), 10)
+	return append(b, ']')
 }
 
 // Endpoint is one side of a TCP channel.
@@ -85,7 +99,17 @@ type Endpoint struct {
 }
 
 // String implements fmt.Stringer.
-func (e Endpoint) String() string { return fmt.Sprintf("%s:%d", e.IP, e.Port) }
+func (e Endpoint) String() string {
+	var buf [64]byte
+	return string(e.AppendTo(buf[:0]))
+}
+
+// AppendTo appends e's String form, ip:port, to b.
+func (e Endpoint) AppendTo(b []byte) []byte {
+	b = append(b, e.IP...)
+	b = append(b, ':')
+	return strconv.AppendInt(b, int64(e.Port), 10)
+}
 
 // Channel is the directed end-to-end communication channel part of the
 // message identifier: (sender ip:port, receiver ip:port). It is comparable
@@ -102,7 +126,15 @@ func (ch Channel) Reverse() Channel { return Channel{Src: ch.Dst, Dst: ch.Src} }
 
 // String implements fmt.Stringer using the wire spelling.
 func (ch Channel) String() string {
-	return fmt.Sprintf("%s-%s", ch.Src, ch.Dst)
+	var buf [64]byte
+	return string(ch.AppendTo(buf[:0]))
+}
+
+// AppendTo appends ch's String form, src-dst, to b.
+func (ch Channel) AppendTo(b []byte) []byte {
+	b = ch.Src.AppendTo(b)
+	b = append(b, '-')
+	return ch.Dst.AppendTo(b)
 }
 
 // Activity is one logged kernel interaction activity. Timestamp is the

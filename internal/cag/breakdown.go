@@ -16,27 +16,32 @@ import (
 //
 // For an unfinished graph the walk starts at the last inserted vertex.
 func CriticalPath(g *Graph) []*Vertex {
+	rev := appendCriticalPathRev(nil, g)
+	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+		rev[i], rev[j] = rev[j], rev[i]
+	}
+	return rev
+}
+
+// appendCriticalPathRev appends g's critical path to dst END-first, the
+// order the walk discovers it.
+func appendCriticalPathRev(dst []*Vertex, g *Graph) []*Vertex {
 	if g.Len() == 0 {
-		return nil
+		return dst
 	}
 	cur := g.end
 	if cur == nil {
 		cur = g.vertices[len(g.vertices)-1]
 	}
-	var rev []*Vertex
 	for cur != nil {
-		rev = append(rev, cur)
+		dst = append(dst, cur)
 		if cur.msgParent != nil {
 			cur = cur.msgParent
 		} else {
 			cur = cur.ctxParent
 		}
 	}
-	// Reverse into root-first order.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	return dst
 }
 
 // Segment is one hop of the critical path with its latency attribution

@@ -1,10 +1,9 @@
 package cag
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
-	"strings"
+	"unicode/utf8"
 )
 
 // Signature returns a canonical string identifying the graph's causal path
@@ -21,27 +20,33 @@ import (
 // shape produce identical signatures, and any structural difference (extra
 // DB query, different tier, missing edge) changes the signature.
 func Signature(g *Graph) string {
-	var b strings.Builder
-	b.Grow(g.Len() * 24)
+	// Room for a typical request on the stack, so the string is the one
+	// allocation; a longer signature grows onto the heap.
+	var buf [512]byte
+	return string(AppendSignature(buf[:0], g))
+}
+
+// AppendSignature appends g's Signature to dst.
+func AppendSignature(dst []byte, g *Graph) []byte {
 	for i, v := range g.vertices {
 		if i > 0 {
-			b.WriteByte('|')
+			dst = append(dst, '|')
 		}
-		b.WriteString(v.Type.String())
-		b.WriteByte(':')
-		b.WriteString(v.Ctx.Host)
-		b.WriteByte('/')
-		b.WriteString(v.Ctx.Program)
+		dst = append(dst, v.Type.String()...)
+		dst = append(dst, ':')
+		dst = append(dst, v.Ctx.Host...)
+		dst = append(dst, '/')
+		dst = append(dst, v.Ctx.Program...)
 		if v.ctxParent != nil {
-			b.WriteString(":c")
-			b.WriteString(strconv.Itoa(v.ctxParent.index))
+			dst = append(dst, ":c"...)
+			dst = strconv.AppendInt(dst, int64(v.ctxParent.index), 10)
 		}
 		if v.msgParent != nil {
-			b.WriteString(":m")
-			b.WriteString(strconv.Itoa(v.msgParent.index))
+			dst = append(dst, ":m"...)
+			dst = strconv.AppendInt(dst, int64(v.msgParent.index), 10)
 		}
 	}
-	return b.String()
+	return dst
 }
 
 // PatternName produces a short human-readable label for a pattern, listing
@@ -49,18 +54,26 @@ func Signature(g *Graph) string {
 // "httpd>java>mysqld>java>mysqld>java>httpd". Isomorphic graphs share a
 // name, but the name is lossier than the signature.
 func PatternName(g *Graph) string {
-	path := CriticalPath(g)
-	var progs []string
-	for _, v := range path {
-		p := v.Ctx.Program
-		if n := len(progs); n == 0 || progs[n-1] != p {
-			progs = append(progs, p)
+	var buf [128]byte
+	return string(AppendPatternName(buf[:0], g))
+}
+
+// AppendPatternName appends g's PatternName to dst.
+func AppendPatternName(dst []byte, g *Graph) []byte {
+	var buf [32]*Vertex
+	rev := appendCriticalPathRev(buf[:0], g)
+	if len(rev) == 0 {
+		return append(dst, "(empty)"...)
+	}
+	last := len(rev) - 1
+	dst = append(dst, rev[last].Ctx.Program...)
+	for i := last - 1; i >= 0; i-- {
+		if p := rev[i].Ctx.Program; p != rev[i+1].Ctx.Program {
+			dst = append(dst, '>')
+			dst = append(dst, p...)
 		}
 	}
-	if len(progs) == 0 {
-		return "(empty)"
-	}
-	return strings.Join(progs, ">")
+	return dst
 }
 
 // Pattern is one isomorphism class of CAGs with its members.
@@ -106,19 +119,49 @@ func Isomorphic(a, b *Graph) bool { return Signature(a) == Signature(b) }
 // Dump renders the graph as an indented textual tree for debugging and the
 // CLI. Vertices appear in insertion order with their parent links.
 func Dump(g *Graph) string {
-	var b strings.Builder
+	return string(AppendDump(nil, g))
+}
+
+// AppendDump appends g's Dump to dst.
+func AppendDump(dst []byte, g *Graph) []byte {
 	for i, v := range g.vertices {
-		fmt.Fprintf(&b, "%3d %-7s t=%-12s %s", i, v.Type, v.Timestamp, v.Ctx)
+		switch {
+		case i < 10:
+			dst = append(dst, "  "...)
+		case i < 100:
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendInt(dst, int64(i), 10)
+		dst = append(dst, ' ')
+		dst = appendPadded(dst, v.Type.String(), 7)
+		dst = append(dst, " t="...)
+		dst = appendPadded(dst, v.Timestamp.String(), 12)
+		dst = append(dst, ' ')
+		dst = v.Ctx.AppendTo(dst)
 		if v.ctxParent != nil {
-			fmt.Fprintf(&b, " c<-%d", v.ctxParent.index)
+			dst = append(dst, " c<-"...)
+			dst = strconv.AppendInt(dst, int64(v.ctxParent.index), 10)
 		}
 		if v.msgParent != nil {
-			fmt.Fprintf(&b, " m<-%d", v.msgParent.index)
+			dst = append(dst, " m<-"...)
+			dst = strconv.AppendInt(dst, int64(v.msgParent.index), 10)
 		}
 		if v.Size > 0 {
-			fmt.Fprintf(&b, " %dB", v.Size)
+			dst = append(dst, ' ')
+			dst = strconv.AppendInt(dst, v.Size, 10)
+			dst = append(dst, 'B')
 		}
-		b.WriteByte('\n')
+		dst = append(dst, '\n')
 	}
-	return b.String()
+	return dst
+}
+
+// appendPadded appends s left-justified in a field of width runes, as
+// fmt's %-*s does.
+func appendPadded(dst []byte, s string, width int) []byte {
+	dst = append(dst, s...)
+	for n := utf8.RuneCountInString(s); n < width; n++ {
+		dst = append(dst, ' ')
+	}
+	return dst
 }

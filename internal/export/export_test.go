@@ -2,19 +2,26 @@ package export
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/activity"
 	"repro/internal/cag"
+	"repro/internal/core"
+	"repro/internal/rubis"
 )
 
 // buildPath builds the canonical two-tier request graph: six vertices
@@ -97,17 +104,15 @@ func attr(sp Span, key string) (string, bool) {
 // TestTraceMatchesDOT pins the acceptance criterion: the exported span
 // tree carries exactly the vertex/edge structure of the DOT render —
 // context edges as parentSpanId links tagged ctx, message edges as span
-// links — and round-trips through encoding/json as valid OTLP-JSON.
+// links — and the Exporter's line parses as valid OTLP-JSON.
 func TestTraceMatchesDOT(t *testing.T) {
 	g := buildPath(t, 3*time.Millisecond, 7)
 	g.SetProvenance(true, true)
 
-	raw, err := json.Marshal(Trace(g))
-	if err != nil {
-		t.Fatal(err)
-	}
+	var raw bytes.Buffer
+	NewExporter(&raw).ConsumeGraph(g)
 	var req Request
-	if err := json.Unmarshal(raw, &req); err != nil {
+	if err := json.Unmarshal(raw.Bytes(), &req); err != nil {
 		t.Fatalf("re-parse OTLP-JSON: %v", err)
 	}
 	if len(req.ResourceSpans) != 1 || len(req.ResourceSpans[0].ScopeSpans) != 1 {
@@ -121,16 +126,16 @@ func TestTraceMatchesDOT(t *testing.T) {
 		t.Fatalf("spans = %d, want %d", len(spans), g.Len())
 	}
 
-	traceID := TraceID(g)
+	traceID := oracleTraceID(g)
 	if len(traceID) != 32 || traceID == strings.Repeat("0", 32) {
 		t.Fatalf("traceId = %q", traceID)
 	}
 	spanIdx := make(map[string]int) // spanId -> vertex index
 	for i := range spans {
 		if spans[i].TraceID != traceID {
-			t.Fatalf("span %d traceId = %q", i, spans[i].TraceID)
+			t.Fatalf("span %d traceId = %q, want %q", i, spans[i].TraceID, traceID)
 		}
-		if want := SpanID(traceID, i); spans[i].SpanID != want {
+		if want := oracleSpanID(traceID, i); spans[i].SpanID != want {
 			t.Fatalf("span %d spanId = %q, want %q", i, spans[i].SpanID, want)
 		}
 		spanIdx[spans[i].SpanID] = i
@@ -216,17 +221,35 @@ func assertEdges(t *testing.T, kind string, got, want []edge) {
 	}
 }
 
-// TestTraceIDDeterministic pins ID stability and distinctness.
+// exportedSpans parses the spans out of the Exporter's line for g.
+func exportedSpans(t *testing.T, e *Exporter, out *bytes.Buffer, g *cag.Graph) []Span {
+	t.Helper()
+	out.Reset()
+	e.ConsumeGraph(g)
+	var req Request
+	if err := json.Unmarshal(out.Bytes(), &req); err != nil {
+		t.Fatalf("re-parse OTLP-JSON: %v", err)
+	}
+	return req.ResourceSpans[0].ScopeSpans[0].Spans
+}
+
+// TestTraceIDDeterministic pins ID stability and distinctness, on the
+// IDs the Exporter writes.
 func TestTraceIDDeterministic(t *testing.T) {
+	var out bytes.Buffer
+	e := NewExporter(&out)
 	a := buildPath(t, 2*time.Millisecond, 1)
 	b := buildPath(t, 2*time.Millisecond, 2)
-	if TraceID(a) != TraceID(a) {
-		t.Fatal("traceId not stable")
+	a1 := exportedSpans(t, e, &out, a)
+	a2 := exportedSpans(t, e, &out, a)
+	b1 := exportedSpans(t, e, &out, b)
+	if a1[0].TraceID != a2[0].TraceID || a1[1].SpanID != a2[1].SpanID {
+		t.Fatal("ids not stable across re-exports")
 	}
-	if TraceID(a) == TraceID(b) {
+	if a1[0].TraceID == b1[0].TraceID {
 		t.Fatal("distinct requests share a traceId")
 	}
-	if SpanID(TraceID(a), 0) == SpanID(TraceID(a), 1) {
+	if a1[0].SpanID == a1[1].SpanID {
 		t.Fatal("span ids collide across indices")
 	}
 }
@@ -237,14 +260,21 @@ func TestFileExporterNDJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var mem bytes.Buffer
+	inMemory := NewExporter(&mem)
 	for i := 0; i < 3; i++ {
-		e.ConsumeGraph(buildPath(t, time.Millisecond, i))
+		g := buildPath(t, time.Millisecond, i)
+		e.ConsumeGraph(g)
+		inMemory.ConsumeGraph(g)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if e.Graphs() != 3 || e.Spans() != 18 {
 		t.Fatalf("graphs/spans = %d/%d", e.Graphs(), e.Spans())
+	}
+	if raw, err := os.ReadFile(path); err != nil || !bytes.Equal(raw, mem.Bytes()) {
+		t.Fatalf("file (err %v) differs from the in-memory exporter's output", err)
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -316,6 +346,86 @@ func TestHTTPExporterStickyError(t *testing.T) {
 	if err := h.Close(); err == nil || !strings.Contains(err.Error(), "502") {
 		t.Fatalf("close err = %v", err)
 	}
+	if h.Posts() != 0 {
+		t.Fatalf("posts = %d after a 502, want 0", h.Posts())
+	}
+}
+
+// TestHTTPExporterFollowsRedirect: an endpoint that answers 307 or 308
+// (an ingress moving the collector) still receives each batch intact.
+func TestHTTPExporterFollowsRedirect(t *testing.T) {
+	for _, code := range []int{http.StatusTemporaryRedirect, http.StatusPermanentRedirect} {
+		var got [][]byte
+		mux := http.NewServeMux()
+		mux.HandleFunc("/old", func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			http.Redirect(w, r, "/v1/traces", code)
+		})
+		mux.HandleFunc("/v1/traces", func(w http.ResponseWriter, r *http.Request) {
+			b, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Errorf("read body: %v", err)
+			}
+			got = append(got, b)
+		})
+		srv := httptest.NewServer(mux)
+		h := NewHTTPExporter(srv.URL + "/old")
+		h.SetBatchSize(1)
+		var want [][]byte
+		for i := 0; i < 2; i++ {
+			g := buildPath(t, time.Millisecond, i)
+			h.ConsumeGraph(g)
+			b, err := json.Marshal(Trace(g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, b)
+		}
+		if err := h.Close(); err != nil {
+			t.Fatalf("%d: %v", code, err)
+		}
+		srv.Close()
+		if h.Posts() != 2 || len(got) != 2 {
+			t.Fatalf("%d: posts = %d, bodies = %d, want 2", code, h.Posts(), len(got))
+		}
+		for i := range got {
+			assertSameBytes(t, fmt.Sprintf("%d body %d", code, i), got[i], want[i])
+		}
+	}
+}
+
+// TestFileSinkFlushErrorSticky: the file sinks buffer their output, so
+// a write error surfaces when Close flushes — and must still become
+// the sticky error.
+func TestFileSinkFlushErrorSticky(t *testing.T) {
+	dir := t.TempDir()
+	e, err := NewFileExporter(filepath.Join(dir, "spans.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDumpFile(filepath.Join(dir, "dump.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Close the files under the buffers: a one-vertex graph fits in the
+	// buffer, so only the flush sees the failure.
+	e.c.(*bufferedFile).f.Close()
+	d.c.(*bufferedFile).f.Close()
+	g := cag.New(&cag.Vertex{Type: activity.Begin, Ctx: activity.Context{Host: "h", Program: "p"}})
+	if err := g.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	e.ConsumeGraph(g)
+	d.ConsumeGraph(g)
+	if e.Err() != nil || d.Err() != nil {
+		t.Fatalf("buffered write failed early: %v / %v", e.Err(), d.Err())
+	}
+	if err := e.Close(); err == nil || e.Err() != err {
+		t.Fatalf("exporter close err = %v, sticky %v", err, e.Err())
+	}
+	if err := d.Close(); err == nil || d.Err() != err {
+		t.Fatalf("dump close err = %v, sticky %v", err, d.Err())
+	}
 }
 
 func TestDOTDirSink(t *testing.T) {
@@ -342,8 +452,14 @@ func TestDOTDirSink(t *testing.T) {
 func TestDumpWriterSink(t *testing.T) {
 	var b strings.Builder
 	d := NewDumpWriter(&b)
+	path := filepath.Join(t.TempDir(), "dump.txt")
+	f, err := NewDumpFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := buildPath(t, time.Millisecond, 5)
 	d.ConsumeGraph(g)
+	f.ConsumeGraph(g)
 	out := b.String()
 	if !strings.Contains(out, "=== graph 1 ") || !strings.Contains(out, cag.Dump(g)) {
 		t.Fatalf("dump output missing sections:\n%s", out)
@@ -351,4 +467,495 @@ func TestDumpWriterSink(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err := os.ReadFile(path); err != nil || string(raw) != out {
+		t.Fatalf("dump file (err %v) differs from the in-memory writer's output", err)
+	}
+}
+
+// rubisGraphs correlates a small RUBiS run into its graphs.
+func rubisGraphs(tb testing.TB, scale float64) []*cag.Graph {
+	tb.Helper()
+	cfg := rubis.DefaultConfig(120)
+	cfg.Scale = scale
+	res, err := rubis.Run(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out, err := core.New(core.Options{
+		Window:     10 * time.Millisecond,
+		EntryPorts: []int{rubis.EntryPort},
+		IPToHost:   res.IPToHost,
+	}).CorrelateTrace(res.Trace)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(out.Graphs) == 0 {
+		tb.Fatal("RUBiS run produced no graphs")
+	}
+	return out.Graphs
+}
+
+// awkwardGraphs builds graphs whose names exercise every escaping rule
+// of the JSON and %q encoders, under all four provenance combinations,
+// plus a long chain (three-digit indices, a critical path and signature
+// longer than the encoders' stack buffers), an unfinished graph, and
+// record-backed vertices.
+func awkwardGraphs(t *testing.T) []*cag.Graph {
+	t.Helper()
+	names := []struct{ host, prog string }{
+		{`we"b`, `ht\tpd`},
+		{"<web>&", "a>b<c&d"},
+		{"ctl\x00\x01\b\f\n\r\t\x1f\x7f", "prog\x1b"},
+		{"bad\xff\xc3", "trunc\xe2\x80"},
+		{"sep\u2028\u2029", "caf\u00e9\u65e5\u672c"},
+	}
+	var out []*cag.Graph
+	for i, n := range names {
+		g := buildPath(t, 1500*time.Nanosecond, i)
+		for j := 0; j < g.Len(); j++ {
+			v := g.Vertex(j)
+			if v.Ctx.Host == "app1" {
+				v.Ctx.Host, v.Ctx.Program = n.host, n.prog
+				v.Chan.Src.IP = n.host
+			}
+		}
+		g.SetProvenance(i%2 == 1, i/2%2 == 1)
+		out = append(out, g)
+	}
+
+	ctx := activity.Context{Host: "h", Program: "p", PID: 1, TID: 1}
+	g := cag.New(cag.NewVertex(&activity.Activity{ID: 41, Type: activity.Begin, Timestamp: 90 * time.Second, Ctx: ctx}))
+	prev := g.Root()
+	for i := 1; i < 120; i++ {
+		c := ctx
+		if i%3 == 0 {
+			c.Program = "q"
+		}
+		typ := activity.Send
+		if i == 119 {
+			typ = activity.End
+		}
+		v := cag.NewVertex(&activity.Activity{ID: int64(41 + i), Type: typ, Timestamp: 90*time.Second + time.Duration(i*i)*time.Microsecond, Ctx: c})
+		if err := g.AddVertex(v, cag.ContextEdge, prev); err != nil {
+			t.Fatal(err)
+		}
+		prev = v
+	}
+	if err := g.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	g.SetProvenance(true, true)
+	out = append(out, g)
+
+	u := cag.New(&cag.Vertex{Type: activity.Begin, Timestamp: -time.Millisecond, Ctx: ctx})
+	if err := u.AddVertex(&cag.Vertex{Type: activity.Send, Timestamp: 0, Ctx: ctx}, cag.ContextEdge, u.Root()); err != nil {
+		t.Fatal(err)
+	}
+	return append(out, u)
+}
+
+// TestSinkEncodeMatchesOracle pins the sinks' byte-identity contract:
+// every byte the NDJSON Exporter, the HTTPExporter's POST bodies and the
+// DumpWriter produce — and cag's Signature, PatternName and Dump — equals
+// what the fmt / encoding/json oracle below produces from the same
+// graphs.
+func TestSinkEncodeMatchesOracle(t *testing.T) {
+	graphs := append(rubisGraphs(t, 0.01), awkwardGraphs(t)...)
+
+	for i, g := range graphs {
+		if got, want := cag.Signature(g), oracleSignature(g); got != want {
+			t.Fatalf("graph %d: Signature = %q, oracle %q", i, got, want)
+		}
+		if got, want := cag.PatternName(g), oraclePatternName(g); got != want {
+			t.Fatalf("graph %d: PatternName = %q, oracle %q", i, got, want)
+		}
+		if got, want := cag.Dump(g), oracleDump(g); got != want {
+			t.Fatalf("graph %d: Dump =\n%s\noracle\n%s", i, got, want)
+		}
+	}
+
+	var got, want bytes.Buffer
+	e := NewExporter(&got)
+	enc := json.NewEncoder(&want)
+	for _, g := range graphs {
+		e.ConsumeGraph(g)
+		if err := enc.Encode(Trace(g)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertSameBytes(t, "NDJSON", got.Bytes(), want.Bytes())
+
+	for _, n := range []int{1, 2, 64} {
+		var mu sync.Mutex
+		var bodies [][]byte
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			b, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Errorf("read body: %v", err)
+			}
+			mu.Lock()
+			bodies = append(bodies, b)
+			mu.Unlock()
+		}))
+		h := NewHTTPExporter(srv.URL)
+		h.SetBatchSize(n)
+		for _, g := range graphs {
+			h.ConsumeGraph(g)
+		}
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+		var wantBodies [][]byte
+		for i := 0; i < len(graphs); i += n {
+			var rs []ResourceSpans
+			for _, g := range graphs[i:min(i+n, len(graphs))] {
+				rs = append(rs, Trace(g).ResourceSpans...)
+			}
+			b, err := json.Marshal(Request{ResourceSpans: rs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBodies = append(wantBodies, b)
+		}
+		if len(bodies) != len(wantBodies) || h.Posts() != len(wantBodies) {
+			t.Fatalf("batch %d: %d bodies, %d posts, want %d", n, len(bodies), h.Posts(), len(wantBodies))
+		}
+		for i := range bodies {
+			assertSameBytes(t, fmt.Sprintf("batch %d body %d", n, i), bodies[i], wantBodies[i])
+		}
+	}
+
+	got.Reset()
+	want.Reset()
+	d := NewDumpWriter(&got)
+	for i, g := range graphs {
+		d.ConsumeGraph(g)
+		forced, late := g.Provenance()
+		fmt.Fprintf(&want, "=== graph %d pattern=%q latency=%v forced=%v late=%v\n%s\n",
+			i+1, oraclePatternName(g), g.Latency(), forced, late, oracleDump(g))
+	}
+	assertSameBytes(t, "dump", got.Bytes(), want.Bytes())
+}
+
+func assertSameBytes(t *testing.T, what string, got, want []byte) {
+	t.Helper()
+	if bytes.Equal(got, want) {
+		return
+	}
+	i := 0
+	for i < len(got) && i < len(want) && got[i] == want[i] {
+		i++
+	}
+	lo := max(i-80, 0)
+	t.Fatalf("%s differs from the oracle at byte %d of %d/%d:\n got …%q\nwant …%q",
+		what, i, len(got), len(want), got[lo:min(i+80, len(got))], want[lo:min(i+80, len(want))])
+}
+
+// FuzzAppendJSONString checks the writer's string escaper against
+// encoding/json, for both string and []byte input.
+func FuzzAppendJSONString(f *testing.F) {
+	for _, s := range []string{"", "plain", `"\`, "<>&", "\b\f\n\r\t\x00\x1f\x7f",
+		"\xff\xc3", "\xe2\x80", "\u2028\u2029", "caf\u00e9\u65e5\u672c", "\U0001F600"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
+			t.Fatalf("string %q: got %s, want %s", s, got, want)
+		}
+		if got := appendJSONString([]byte("x"), []byte(s)); !bytes.Equal(got[1:], want) {
+			t.Fatalf("[]byte %q: got %s, want %s", s, got[1:], want)
+		}
+	})
+}
+
+// BenchmarkExportSinks is one graph through the OTLP exporter and the
+// DumpWriter, cycling over a fixed set of RUBiS graphs. make
+// bench-allocs gates its allocs/op: a per-span or per-attribute
+// allocation fails it.
+func BenchmarkExportSinks(b *testing.B) {
+	graphs := rubisGraphs(b, 0.01)
+	otlp := NewExporter(io.Discard)
+	dump := NewDumpWriter(io.Discard)
+	for _, g := range graphs { // warm the reused buffers
+		otlp.ConsumeGraph(g)
+		dump.ConsumeGraph(g)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := graphs[i%len(graphs)]
+		otlp.ConsumeGraph(g)
+		dump.ConsumeGraph(g)
+	}
+}
+
+// The oracle: the OTLP/JSON struct tree, built per graph and rendered
+// by encoding/json, and the fmt renderings of the dump, signature and
+// pattern name — the pre-append-writer implementations the sinks must
+// reproduce byte for byte.
+
+// Request is one ExportTraceServiceRequest payload.
+type Request struct {
+	ResourceSpans []ResourceSpans `json:"resourceSpans"`
+}
+
+// ResourceSpans groups the spans of one resource.
+type ResourceSpans struct {
+	Resource   Resource     `json:"resource"`
+	ScopeSpans []ScopeSpans `json:"scopeSpans"`
+}
+
+// Resource identifies the emitting service.
+type Resource struct {
+	Attributes []KeyValue `json:"attributes,omitempty"`
+}
+
+// ScopeSpans groups the spans of one instrumentation scope.
+type ScopeSpans struct {
+	Scope Scope  `json:"scope"`
+	Spans []Span `json:"spans"`
+}
+
+// Scope names the instrumentation that produced the spans.
+type Scope struct {
+	Name string `json:"name"`
+}
+
+// Span is one OTLP span.
+type Span struct {
+	TraceID           string     `json:"traceId"`
+	SpanID            string     `json:"spanId"`
+	ParentSpanID      string     `json:"parentSpanId,omitempty"`
+	Name              string     `json:"name"`
+	Kind              int        `json:"kind,omitempty"`
+	StartTimeUnixNano string     `json:"startTimeUnixNano"`
+	EndTimeUnixNano   string     `json:"endTimeUnixNano"`
+	Attributes        []KeyValue `json:"attributes,omitempty"`
+	Events            []Event    `json:"events,omitempty"`
+	Links             []Link     `json:"links,omitempty"`
+}
+
+// Event is one timestamped span event.
+type Event struct {
+	TimeUnixNano string     `json:"timeUnixNano"`
+	Name         string     `json:"name"`
+	Attributes   []KeyValue `json:"attributes,omitempty"`
+}
+
+// Link points at another span (here: always within the same trace).
+type Link struct {
+	TraceID    string     `json:"traceId"`
+	SpanID     string     `json:"spanId"`
+	Attributes []KeyValue `json:"attributes,omitempty"`
+}
+
+// KeyValue is one attribute.
+type KeyValue struct {
+	Key   string   `json:"key"`
+	Value AnyValue `json:"value"`
+}
+
+// AnyValue carries a string or int attribute value. OTLP/JSON renders
+// 64-bit integers as decimal strings.
+type AnyValue struct {
+	StringValue *string `json:"stringValue,omitempty"`
+	IntValue    *string `json:"intValue,omitempty"`
+}
+
+// Str builds a string attribute.
+func Str(key, val string) KeyValue {
+	return KeyValue{Key: key, Value: AnyValue{StringValue: &val}}
+}
+
+// Int builds an integer attribute.
+func Int(key string, val int64) KeyValue {
+	s := strconv.FormatInt(val, 10)
+	return KeyValue{Key: key, Value: AnyValue{IntValue: &s}}
+}
+
+// spanKindInternal is OTLP's SPAN_KIND_INTERNAL.
+const spanKindInternal = 1
+
+func oracleContext(c activity.Context) string {
+	return fmt.Sprintf("%s/%s[%d:%d]", c.Host, c.Program, c.PID, c.TID)
+}
+
+func oracleTraceID(g *cag.Graph) string {
+	h := fnv.New128a()
+	fmt.Fprintf(h, "%s|%d|", oracleSignature(g), g.Len())
+	if root := g.Root(); root != nil {
+		fmt.Fprintf(h, "%d|%s|", root.Timestamp, oracleContext(root.Ctx))
+		if len(root.Records) > 0 {
+			fmt.Fprintf(h, "%d|", root.Records[0].ID)
+		}
+	}
+	if end := g.End(); end != nil {
+		fmt.Fprintf(h, "%d", end.Timestamp)
+	}
+	sum := h.Sum(nil)
+	zero := true
+	for _, b := range sum {
+		if b != 0 {
+			zero = false
+			break
+		}
+	}
+	if zero {
+		sum[len(sum)-1] = 1
+	}
+	return fmt.Sprintf("%x", sum)
+}
+
+func oracleSpanID(traceID string, index int) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s/%d", traceID, index)
+	sum := h.Sum64()
+	if sum == 0 {
+		sum = 1
+	}
+	return fmt.Sprintf("%016x", sum)
+}
+
+// Trace converts one finished CAG into an OTLP export request holding a
+// single trace, per the package mapping table.
+func Trace(g *cag.Graph) Request {
+	traceID := oracleTraceID(g)
+	spans := make([]Span, 0, g.Len())
+	for i := 0; i < g.Len(); i++ {
+		v := g.Vertex(i)
+		sp := Span{
+			TraceID:           traceID,
+			SpanID:            oracleSpanID(traceID, i),
+			Name:              fmt.Sprintf("%s %s/%s", v.Type, v.Ctx.Host, v.Ctx.Program),
+			Kind:              spanKindInternal,
+			StartTimeUnixNano: nanos(v.Timestamp.Nanoseconds()),
+			EndTimeUnixNano:   nanos(spanEnd(v)),
+		}
+		sp.Attributes = append(sp.Attributes,
+			Str("cag.type", v.Type.String()),
+			Str("cag.host", v.Ctx.Host),
+			Str("cag.program", v.Ctx.Program),
+			Int("cag.pid", int64(v.Ctx.PID)),
+			Int("cag.tid", int64(v.Ctx.TID)),
+		)
+		switch {
+		case v.CtxParent() != nil:
+			sp.ParentSpanID = oracleSpanID(traceID, v.CtxParent().Index())
+			sp.Attributes = append(sp.Attributes, Str("cag.parent_edge", "ctx"))
+		case v.MsgParent() != nil:
+			sp.ParentSpanID = oracleSpanID(traceID, v.MsgParent().Index())
+			sp.Attributes = append(sp.Attributes, Str("cag.parent_edge", "msg"))
+		}
+		if v.Chan != (activity.Channel{}) {
+			sp.Attributes = append(sp.Attributes, Str("net.channel",
+				fmt.Sprintf("%s:%d-%s:%d", v.Chan.Src.IP, v.Chan.Src.Port, v.Chan.Dst.IP, v.Chan.Dst.Port)))
+		}
+		if v.Size > 0 {
+			sp.Attributes = append(sp.Attributes, Int("cag.size_bytes", v.Size))
+		}
+		if p := v.MsgParent(); p != nil {
+			sp.Links = append(sp.Links, Link{
+				TraceID:    traceID,
+				SpanID:     oracleSpanID(traceID, p.Index()),
+				Attributes: []KeyValue{Str("cag.edge", "msg")},
+			})
+		}
+		if i == 0 {
+			sp.Attributes = append(sp.Attributes,
+				Str("cag.signature", oracleSignature(g)),
+				Str("cag.pattern", oraclePatternName(g)),
+				Int("cag.latency_ns", g.Latency().Nanoseconds()),
+				Int("cag.vertices", int64(g.Len())),
+			)
+			endNano := sp.EndTimeUnixNano
+			forced, late := g.Provenance()
+			if forced {
+				sp.Events = append(sp.Events, Event{TimeUnixNano: endNano, Name: "cag.forced_seal"})
+			}
+			if late {
+				sp.Events = append(sp.Events, Event{TimeUnixNano: endNano, Name: "cag.late_link"})
+			}
+		}
+		spans = append(spans, sp)
+	}
+	return Request{ResourceSpans: []ResourceSpans{{
+		Resource: Resource{Attributes: []KeyValue{Str("service.name", "precisetracer")}},
+		ScopeSpans: []ScopeSpans{{
+			Scope: Scope{Name: "repro/internal/export"},
+			Spans: spans,
+		}},
+	}}}
+}
+
+// spanEnd is the latest direct-child timestamp, or the vertex's own.
+func spanEnd(v *cag.Vertex) int64 {
+	end := v.Timestamp
+	_, children := v.Children()
+	for _, c := range children {
+		if c.Timestamp > end {
+			end = c.Timestamp
+		}
+	}
+	return end.Nanoseconds()
+}
+
+func nanos(n int64) string { return strconv.FormatInt(n, 10) }
+
+func oracleSignature(g *cag.Graph) string {
+	var b strings.Builder
+	for i := 0; i < g.Len(); i++ {
+		v := g.Vertex(i)
+		if i > 0 {
+			b.WriteByte('|')
+		}
+		fmt.Fprintf(&b, "%s:%s/%s", v.Type, v.Ctx.Host, v.Ctx.Program)
+		if p := v.CtxParent(); p != nil {
+			fmt.Fprintf(&b, ":c%d", p.Index())
+		}
+		if p := v.MsgParent(); p != nil {
+			fmt.Fprintf(&b, ":m%d", p.Index())
+		}
+	}
+	return b.String()
+}
+
+func oraclePatternName(g *cag.Graph) string {
+	var progs []string
+	for _, v := range cag.CriticalPath(g) {
+		p := v.Ctx.Program
+		if n := len(progs); n == 0 || progs[n-1] != p {
+			progs = append(progs, p)
+		}
+	}
+	if len(progs) == 0 {
+		return "(empty)"
+	}
+	return strings.Join(progs, ">")
+}
+
+func oracleDump(g *cag.Graph) string {
+	var b strings.Builder
+	for i := 0; i < g.Len(); i++ {
+		v := g.Vertex(i)
+		fmt.Fprintf(&b, "%3d %-7s t=%-12s %s", i, v.Type, v.Timestamp, oracleContext(v.Ctx))
+		if p := v.CtxParent(); p != nil {
+			fmt.Fprintf(&b, " c<-%d", p.Index())
+		}
+		if p := v.MsgParent(); p != nil {
+			fmt.Fprintf(&b, " m<-%d", p.Index())
+		}
+		if v.Size > 0 {
+			fmt.Fprintf(&b, " %dB", v.Size)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }

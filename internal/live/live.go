@@ -260,7 +260,8 @@ func (m *Monitor) Ingest(g *cag.Graph) {
 		m.cur.graphs[sig] = append(m.cur.graphs[sig], g)
 	}
 	m.ingested++
-	for _, v := range g.Vertices() {
+	for i := 0; i < g.Len(); i++ {
+		v := g.Vertex(i)
 		// Records arriving through the session are bound; a hand-built
 		// vertex without records or keys falls back to interning its
 		// host name.
