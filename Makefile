@@ -5,8 +5,10 @@
 #
 # The race and bench targets exist because of the concurrent correlation
 # pipeline (core.Options.Workers > 1): every change to core, flow, ranker
-# or engine must keep `go test -race ./...` clean and should watch the
-# BenchmarkCorrelateSharded numbers.
+# or engine must keep `go test -race ./...` clean and should compare the
+# repository benchmark before and after: bash bench/run.sh -out a.json on
+# each side, then bash bench/run.sh -compare a.json b.json (see
+# bench/README.md).
 
 GO ?= go
 
@@ -58,13 +60,14 @@ bench:
 # for machine variance — an accidental per-record allocation costs ~37k
 # allocs/op here and blows either budget immediately.
 #
-#   seq-close-driven: ~54k measured on the ring-buffered pipeline (down
+#   seq-close-driven: 53,847 measured with workers landing results under
+#   a mutex (53,849 with the collector goroutine and results ring; down
 #   from 178,250 before dense interned identities, ~68k before the
 #   worker-pool ranker/engine reuse).
 ALLOCS_BUDGET ?= 65000
-#   seq-continuous (SealAfter horizon, per-component forced seals): ~63.5k
-#   (63,550) measured with the heap emitter, down from ~64.4k (64,447)
-#   when every release copied the held backlog, ~64k after the
+#   seq-continuous (SealAfter horizon, per-component forced seals): 63,552
+#   measured without the collector (63,550 with it), down from ~64.4k
+#   (64,447) when every release copied the held backlog, ~64k after the
 #   worker-pool reuse + flow key recycling, and ~139k when every sealed
 #   component rebuilt its ranker and engine.
 ALLOCS_BUDGET_CONTINUOUS ?= 77500

@@ -86,34 +86,35 @@
 //
 // # The two-stage session front
 //
-// Internally the engine is a two-stage pipeline joined by bounded ring
-// buffers (internal/ring) rather than Go channels:
+// Internally the engine is stage 1 and a worker pool, joined by one
+// bounded ring buffer (internal/ring) on the way out and a
+// mutex-guarded result buffer on the way back:
 //
 //	stage 1 (caller's goroutine): apply + partition + seal decisions
 //	    │ jobs ring: sealed components, pushed in seal order
 //	    ▼
-//	worker pool: ranker+engine per sealed component (batched pulls)
-//	    │ results ring: correlated shard results
+//	worker pool: ranker+engine per sealed component (batched pulls);
+//	    │ each result is appended to the result buffer under its mutex
 //	    ▼
-//	stage 2 (collector goroutine): result collection
-//	    │ harvested back by stage 1 at drain/tick/close points
+//	stage 1 again: harvests the buffer at CloseHost/Drain/Close points
+//	    │
 //	    ▼
 //	watermark emitter (caller's goroutine): ordered CAG release
 //
 // The stage ownership contract: every *decision* lives on stage 1, only
-// *work* crosses the rings. Stage 1 — the goroutine calling
-// Push/Drain/Tick/CloseHost — owns the flow partition and makes every
-// seal decision at deterministic points in the event stream; that
-// cannot move, because sealing feeds back into partitioning (a sealed
+// *work* crosses to the pool. Stage 1 — the goroutine calling
+// Push/Drain/CloseHost — owns the flow partition and makes every seal
+// decision at deterministic points in the event stream; that cannot
+// move, because sealing feeds back into partitioning (a sealed
 // component is tombstoned, and a straggler touching its tombstone
 // detaches as a late link — so *when* a seal happens, in event-stream
 // time, shapes how later records partition). Workers own only sealed,
-// therefore immutable, components. The stage-2 collector owns nothing
-// but the result buffer it accumulates; stage 1 harvests that buffer —
-// absorbing only shards that have actually finished — without ever
-// blocking on the pool unless asked to (Drain/Close), which is what
-// Session.Tick exposes: the non-blocking cadence a live ingest front
-// uses so applying and correlating overlap.
+// therefore immutable, components, and land each result without ever
+// waiting on stage 1. CloseHost harvests only the shards that have
+// already finished; Drain and Close settle — wait for every dispatched
+// shard — and the worker landing the last awaited result is the only
+// one that wakes stage 1, so a barrier costs one wake-up, not one per
+// shard.
 //
 // Stage 1's partition is online, which makes the order it is fed part
 // of its cost. A RECEIVE that arrives before its SEND cannot be told
@@ -133,14 +134,21 @@
 // close. Cross-host clock skew is the caveat: the merge is as good as
 // the clocks, and whatever disorder remains still over-merges.
 //
-// The rings are the handoff, chosen over channels for batch
-// amortization: one mutex acquisition moves a run of sealed components
-// (ring.PushBatch) or finished results (ring.PopBatch) instead of one
-// synchronization per element, and a worker wakes to a batch of work
-// under backlog instead of once per component. Capacity bounds give the
-// same backpressure a bounded channel would — a stalled pool eventually
-// blocks stage 1's PushBatch, which blocks Push, which (through the
-// ingest queue) blocks TCP, exactly the paper's end-to-end flow control.
+// The jobs ring stays because it was measured against a channel and
+// won. Stage 1 hands over a drain's whole batch of sealed components
+// with one ring.PushBatch, and a worker takes up to eight per wake-up
+// with ring.PopBatch. A buffered channel in its place cost about 11 %
+// more CPU per activity on the benchmark's replay-cont workload
+// (bench/run.sh, 2 shared cores), with 11 % lower throughput; sending
+// eight-component chunks over a channel cost 12 %. The penalty is the
+// extra goroutine wake-ups, which only the benchmark harness's competing
+// load exposes: an idle in-process loop reads every variant within 3 %.
+// The same trial removed a second ring and the collector goroutine that
+// drained it, which cost as much as they saved.
+// The ring's capacity gives the backpressure a bounded channel would: a
+// stalled pool eventually blocks stage 1's PushBatch, which blocks Push,
+// which (through the ingest queue) blocks TCP, exactly the paper's
+// end-to-end flow control.
 //
 // None of this touches emitter determinism. Graph content is fixed at
 // seal time (sealed components are immutable, and the ranker+engine
@@ -151,12 +159,12 @@
 // resident component, capped by each open host's push bound: a graph's
 // END follows its root BEGIN on the same entry-tier context, so a
 // component holding no BEGIN — a never-idle §5.3.3 noise connection,
-// say — can yield no graph on its own and holds nothing back. The pipeline's only freedom is scheduling — which
-// worker correlates which shard, and when results land in the collector
-// — and the watermark makes scheduling unobservable: a Tick cadence
-// shifts when a graph is released, never what it contains or its order,
-// and the equivalence suites assert byte-identical output at every pool
-// size, plain and under -race.
+// say — can yield no graph on its own and holds nothing back. The
+// pipeline's only freedom is scheduling — which worker correlates which
+// shard, and when its result lands — and the watermark makes scheduling
+// unobservable: it can shift when a graph is released, never what it
+// contains or its order, and the equivalence suites assert
+// byte-identical output at every pool size, plain and under -race.
 //
 // Sealing is the one rule that decides both latency and safety. Purely
 // close-driven sealing (the default) never guesses: nothing is
@@ -189,7 +197,8 @@
 // configured — the replay drains on a fixed record cadence, so a recorded
 // trace reproduces a continuous deployment's seals, splits and counters
 // deterministically. The batch partition stage also exists standalone
-// (flow.PartitionParallel) for shard-key analysis.
+// (flow.Partition), the reference the partition invariant tests and
+// BenchmarkPartition measure against.
 //
 // There are no exceptions: even the PaperExactNoise ablation runs this
 // engine. The literal Fig. 5 is_noise predicate asks whether a pending

@@ -103,7 +103,7 @@ func TestSessionPerHostHorizonNoSplit(t *testing.T) {
 	// Mid-stream, before db1 catches up: the quick components have sealed
 	// on the short default horizon, the cross-host component has not —
 	// db1's longer horizon extends only its own components' deadlines.
-	ps := sess.impl.(*streamSession)
+	ps := sess.impl
 	if ps.forcedSeals == 0 {
 		t.Fatal("no quick component force-sealed on the 30ms default horizon")
 	}
@@ -158,7 +158,7 @@ func TestSessionGlobalHorizonSplits(t *testing.T) {
 		t.Fatal(err)
 	}
 	finish := pushLaggingScenario(t, sess)
-	ps := sess.impl.(*streamSession)
+	ps := sess.impl
 	for _, c := range ps.comps {
 		if contribHas(c, "db1") && !c.sealed {
 			t.Fatal("global horizon left the lagging request's component alive")
@@ -405,7 +405,7 @@ func TestOptionsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("per-host-only horizons rejected: %v", err)
 	}
-	if !sess.impl.(*streamSession).continuous {
+	if !sess.impl.continuous {
 		t.Fatal("per-host-only horizons did not enable continuous mode")
 	}
 	sess.Close()

@@ -26,11 +26,7 @@ type IngestOptions struct {
 	// points — the same cadence knob as offline replay. Default 1024
 	// (replayDrainEvery), keeping a networked run's drain rhythm aligned
 	// with ReplayTrace so output ordering is comparable. Use 1 to drain
-	// after every operation. Cadence drains are pipelined (Session.Tick):
-	// the ingest goroutine seals and emits what is already decidable
-	// without stalling behind in-flight shards, so applying and
-	// correlating overlap; FlushInterval and CloseHost still use the full
-	// Drain barrier.
+	// after every operation.
 	DrainEvery int
 
 	// FlushInterval, when positive, also drains on a wall-clock period
@@ -222,7 +218,7 @@ func NewIngest(s *Session, opts IngestOptions) *Ingest {
 		byName:  make(map[string]*frontHost),
 		done:    make(chan struct{}),
 	}
-	for _, sh := range s.impl.(*streamSession).hosts {
+	for _, sh := range s.impl.hosts {
 		h := &frontHost{name: sh.name, horizon: sh.horizon, bound: never}
 		in.front = append(in.front, h)
 		in.byName[h.name] = h
@@ -624,7 +620,7 @@ func (in *Ingest) applied(h *frontHost, ts time.Duration) {
 	}
 	in.sinceDrain++
 	if in.sinceDrain >= in.opts.DrainEvery {
-		in.session.Tick()
+		in.session.Drain()
 		in.sinceDrain = 0
 	}
 }

@@ -1,116 +1,97 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
 
-	"repro/internal/activity"
-	"repro/internal/cag"
 	"repro/internal/rubis"
 )
 
-// replaySession pushes a rubis trace through an online continuous
-// session in global timestamp order, calling advance every cadence
-// records, and returns the OnGraph emission sequence plus the final
-// result. The advance function is the knob under test: Drain (the full
-// barrier) versus Tick (the pipelined, non-blocking cadence).
-func replaySession(t *testing.T, res *rubis.Result, workers int, advance func(*Session), cadence int) ([]string, *Result) {
-	t.Helper()
-	hosts := make([]string, 0, len(res.PerHost))
-	for h := range res.PerHost {
-		hosts = append(hosts, h)
-	}
-	sort.Strings(hosts)
-	arr := make([]*activity.Activity, len(res.Trace))
-	copy(arr, res.Trace)
-	sort.SliceStable(arr, func(i, j int) bool { return arr[i].Timestamp < arr[j].Timestamp })
-	var got []string
-	sess, err := NewSession(Options{
-		Window:     10 * time.Millisecond,
-		EntryPorts: []int{rubis.EntryPort},
-		IPToHost:   res.IPToHost,
-		Workers:    workers,
-		SealAfter:  40 * time.Millisecond,
-		OnGraph:    func(g *cag.Graph) { got = append(got, fingerprint(g)) },
-	}, hosts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, a := range arr {
-		if err := sess.Push(a); err != nil {
-			t.Fatal(err)
-		}
-		if (i+1)%cadence == 0 {
-			advance(sess)
-		}
-	}
-	return got, sess.Close()
-}
-
-// TestSessionTickMatchesDrainCadence is the pipelined front's
-// equivalence gate: replaying the same continuous stream with Tick at
-// the drain cadence must produce the same graphs in the same emission
-// order as the blocking Drain cadence — Tick shifts only the moment a
-// graph is released (what is already finished when the tick runs),
-// never its content, its order, or the seal/late-link accounting.
-func TestSessionTickMatchesDrainCadence(t *testing.T) {
-	res := rubisTrace(t, 120, 0.05, 3)
-	for _, workers := range []int{1, 4} {
-		drained, dres := replaySession(t, res, workers, func(s *Session) { s.Drain() }, 256)
-		ticked, tres := replaySession(t, res, workers, func(s *Session) { s.Tick() }, 256)
-		if len(drained) == 0 {
-			t.Fatal("no graphs emitted")
-		}
-		if len(ticked) != len(drained) {
-			t.Fatalf("workers=%d: tick cadence emitted %d graphs, drain cadence %d", workers, len(ticked), len(drained))
-		}
-		for i := range drained {
-			if ticked[i] != drained[i] {
-				t.Fatalf("workers=%d: graph %d differs between tick and drain cadence", workers, i)
-			}
-		}
-		if tres.ForcedSeals != dres.ForcedSeals || tres.LateLinks != dres.LateLinks || tres.Shards != dres.Shards {
-			t.Fatalf("workers=%d: accounting differs: tick seals/late/shards %d/%d/%d, drain %d/%d/%d",
-				workers, tres.ForcedSeals, tres.LateLinks, tres.Shards, dres.ForcedSeals, dres.LateLinks, dres.Shards)
-		}
-	}
-}
-
-// TestTickNonBlockingDelivery pins Tick's contract on a close-driven
-// session: ticks between pushes are legal no-ops (nothing seals before
-// hosts close), never block, and the final Close still delivers
-// everything exactly once.
-func TestTickNonBlockingDelivery(t *testing.T) {
+// TestSessionPoolSettlesAndStops pins the worker pool's two
+// synchronization points: settle, the barrier every Drain and Close waits
+// on, and the pool's shutdown at Close. A continuous session is fed with a
+// Drain every 64 pushes, so settle runs hundreds of times against a pool
+// that is still correlating; then every host closes and one Drain must
+// leave nothing pending. The graphs must equal the offline correlation, a
+// second Close must return the same Result, and once the sessions are
+// closed no pool goroutine may outlive them. A barrier that misses its
+// wake-up hangs, so each session runs under a watchdog.
+func TestSessionPoolSettlesAndStops(t *testing.T) {
 	res := rubisTrace(t, 80, 0.02, 0)
 	want := correlate(t, res, 1, ShardByFlow)
-	hosts := make([]string, 0, len(res.PerHost))
-	for h := range res.PerHost {
-		hosts = append(hosts, h)
+	trace := arrivalOrder(res.Trace)
+	hosts := hostsOf(res)
+	base := runtime.NumGoroutine()
+
+	type outcome struct {
+		first, second *Result
+		pending       int
+		err           error
 	}
-	sort.Strings(hosts)
-	arr := make([]*activity.Activity, len(res.Trace))
-	copy(arr, res.Trace)
-	sort.SliceStable(arr, func(i, j int) bool { return arr[i].Timestamp < arr[j].Timestamp })
-	sess, err := NewSession(Options{
-		Window:     10 * time.Millisecond,
-		EntryPorts: []int{rubis.EntryPort},
-		IPToHost:   res.IPToHost,
-		Workers:    2,
-	}, hosts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, a := range arr {
-		if err := sess.Push(a); err != nil {
-			t.Fatal(err)
+	for _, workers := range []int{1, 2, 4} {
+		done := make(chan outcome, 1)
+		go func() {
+			opts := options(res)
+			opts.SealAfter = time.Second
+			opts.Workers = workers
+			sess, err := NewSession(opts, hosts)
+			if err != nil {
+				done <- outcome{err: err}
+				return
+			}
+			for i, a := range trace {
+				if err := sess.Push(a); err != nil {
+					done <- outcome{err: err}
+					return
+				}
+				if (i+1)%64 == 0 {
+					sess.Drain()
+				}
+			}
+			for _, h := range hosts {
+				if err := sess.CloseHost(h); err != nil {
+					done <- outcome{err: err}
+					return
+				}
+			}
+			sess.Drain()
+			var o outcome
+			o.pending = sess.Pending()
+			o.first = sess.Close()
+			o.second = sess.Close()
+			done <- o
+		}()
+		var o outcome
+		select {
+		case o = <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("workers=%d: session did not finish within 30s (a settle barrier missed its wake-up)", workers)
 		}
-		if (i+1)%128 == 0 {
-			sess.Tick()
+		if o.err != nil {
+			t.Fatalf("workers=%d: %v", workers, o.err)
 		}
+		if o.pending != 0 {
+			t.Fatalf("workers=%d: %d activities pending after every host closed and drained", workers, o.pending)
+		}
+		if o.first.ForcedSeals == 0 {
+			t.Fatalf("workers=%d: no forced seals; the Drain cadence never settled a busy pool", workers)
+		}
+		if o.second != o.first {
+			t.Fatalf("workers=%d: second Close returned a different *Result", workers)
+		}
+		assertSameGraphs(t, fmt.Sprintf("workers=%d drained session vs offline", workers), want, o.first)
 	}
-	got := sess.Close()
-	assertSameGraphs(t, "tick-cadence close-driven session vs offline", want, got)
+
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the sessions closed, %d before they opened", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestEarlyCloseSafeGate pins the replay early-close precondition: safe

@@ -40,22 +40,7 @@ import (
 // Heartbeat/Close must be called from one goroutine (the engine
 // parallelises internally).
 type Session struct {
-	impl sessionImpl
-}
-
-// sessionImpl is the contract both execution modes satisfy; Session is a
-// thin façade so NewSession can pick the mode from Options.
-type sessionImpl interface {
-	Push(a *activity.Activity) error
-	PushBatch(batch []*activity.Activity) error
-	Drain() int
-	Tick() int
-	CloseHost(host string) error
-	Heartbeat(host string, ts time.Duration) error
-	Close() *Result
-	Graphs() []*cag.Graph
-	Pending() int
-	AddSink(sink GraphSink)
+	impl *streamSession
 }
 
 // NewSession opens an online session for the given traced hosts. Every
@@ -98,17 +83,6 @@ func (s *Session) PushBatch(batch []*activity.Activity) error { return s.impl.Pu
 // graphs the watermark permits.
 func (s *Session) Drain() int { return s.impl.Drain() }
 
-// Tick is the non-blocking Drain: it makes the same deterministic seal
-// decisions at the same point in the event stream, but releases only the
-// graphs whose components the worker pool has already finished, instead
-// of waiting for the in-flight ones — the pipelined cadence a live
-// ingest front uses so pushing and correlating overlap. Graphs emerge in
-// the same deterministic order as under Drain (sealed-but-in-flight
-// components still bound the watermark); a Tick cadence only shifts
-// *when* each graph is released, never what it contains or its order. A
-// final Drain or Close delivers whatever Tick left in flight.
-func (s *Session) Tick() int { return s.impl.Tick() }
-
 // CloseHost marks one host's stream complete (its agent shut down). This
 // is what seals components absent a horizon: a flow component whose every
 // contributing host has closed can no longer grow and is handed to the
@@ -138,12 +112,15 @@ func (s *Session) Close() *Result { return s.impl.Close() }
 // rebuilt in place and is not synchronized against in-flight emission.
 // Registering any sink switches the session to streaming —
 // Result.Graphs stays empty.
-func (s *Session) AddSink(sink GraphSink) { s.impl.AddSink(sink) }
+func (s *Session) AddSink(sink GraphSink) {
+	s.impl.opts.Sinks = append(s.impl.opts.Sinks, sink)
+	s.impl.deliver = s.impl.opts.emitter()
+}
 
 // Graphs returns the CAGs completed so far (when not streaming via
 // OnGraph or Sinks).
-func (s *Session) Graphs() []*cag.Graph { return s.impl.Graphs() }
+func (s *Session) Graphs() []*cag.Graph { return s.impl.emitted }
 
 // Pending returns the number of activities buffered but not yet
 // correlated by a finished shard.
-func (s *Session) Pending() int { return s.impl.Pending() }
+func (s *Session) Pending() int { return s.impl.pendingActs }

@@ -52,7 +52,7 @@ func TestSessionForeverOpenContinuousEmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := sess.impl.(*streamSession)
+	ps := sess.impl
 
 	firstEmit := -1
 	peakDirs, peakEpochs := 0, 0

@@ -104,26 +104,24 @@ type streamSession struct {
 	// of one block arrive together and seal together.
 	slab []activity.Activity
 
-	// Two-stage pipeline plumbing. Stage 1 is the session goroutine:
-	// apply + flow partition + the seal decisions (which MUST stay on
-	// deterministic event-stream points — Seal tombstones feed back into
-	// how later records partition). Sealed components move to the worker
-	// pool through the jobs ring in batches; shard results return through
-	// the results ring to the stage-2 collector goroutine, which
-	// aggregates them into collected/colBuf so workers never stall on a
-	// busy stage 1. Stage 1 folds them in via harvest (non-blocking) or
-	// settle (the Drain/Close barrier).
+	// Pool plumbing. Stage 1 is the session goroutine: apply + flow
+	// partition + the seal decisions (which MUST stay on deterministic
+	// event-stream points — Seal tombstones feed back into how later
+	// records partition). Sealed components move to the worker pool
+	// through the jobs ring in batches; each worker appends its shard
+	// results to colBuf under colMu, so workers never stall on a busy
+	// stage 1. Stage 1 folds them in via harvest (non-blocking) or settle
+	// (the Drain/Close barrier).
 	sealReady  []*sessComponent // scratch for the per-drain seal scans
 	jobs       *ring.Ring[*sessComponent]
-	results    *ring.Ring[sessShardResult]
 	wg         sync.WaitGroup // workers
-	colWG      sync.WaitGroup // the stage-2 collector
 	dispatched int            // stage-1 only: components pushed to jobs
 
 	colMu      sync.Mutex
-	colReady   sync.Cond         // collected advanced; waiters: settle
-	collected  int               // shard results received (guarded by colMu)
-	colBuf     []sessShardResult // received, awaiting stage-1 absorption
+	colReady   sync.Cond         // collected reached settleAt; waiter: settle
+	collected  int               // shard results landed (guarded by colMu)
+	settleAt   int               // the count settle waits for (guarded by colMu)
+	colBuf     []sessShardResult // landed, awaiting stage-1 absorption
 	colScratch []sessShardResult // harvest's swap buffer
 
 	finished graphHeap    // correlated, held back by the watermark
@@ -170,9 +168,6 @@ const slabSize = 512
 // jobs-ring wakeup. PopBatch is adaptive — a batch only forms under
 // backlog — so this caps amortization, it never delays a lone seal.
 const workerPullBatch = 8
-
-// collectorPullBatch sizes the stage-2 collector's results-ring reads.
-const collectorPullBatch = 32
 
 // copyRec copies one record into the session's slab. The returned copy
 // is owned by the session (component buffers, then CAG vertices).
@@ -351,9 +346,7 @@ func newStreamSession(opts Options, hosts []string) *streamSession {
 	drvOpts.OnGraph = nil
 	drvOpts.Sinks = nil
 	// The jobs ring is deep enough that a burst of seals (one drain can
-	// retire hundreds of components) dispatches without stalling stage 1;
-	// the results ring is deep enough that workers can land every
-	// in-flight batch even if the collector is momentarily descheduled.
+	// retire hundreds of components) dispatches without stalling stage 1.
 	jobsCap := 8 * workers
 	if jobsCap < 64 {
 		jobsCap = 64
@@ -366,7 +359,6 @@ func newStreamSession(opts Options, hosts []string) *streamSession {
 		hosts:      make(map[activity.Sym]*sessHost, len(hosts)),
 		comps:      make(map[int32]*sessComponent),
 		jobs:       ring.New[*sessComponent](jobsCap),
-		results:    ring.New[sessShardResult](jobsCap + workers*workerPullBatch),
 		continuous: opts.continuousConfigured(),
 		maxHorizon: opts.maxHorizon(),
 	}
@@ -398,54 +390,35 @@ func newStreamSession(opts Options, hosts []string) *streamSession {
 	for w := 0; w < workers; w++ {
 		go s.worker()
 	}
-	s.colWG.Add(1)
-	go s.collector()
 	return s
 }
 
 // worker pulls sealed components in batches (one ring wakeup amortized
-// over up to workerPullBatch correlations) and lands the whole run's
-// results as one batch. The batch is adaptive: under light load
-// PopBatch returns a single component immediately, so a lone seal is
-// never delayed waiting for company.
+// over up to workerPullBatch correlations) and lands each result in
+// colBuf as soon as it is correlated. The batch is adaptive: under light
+// load PopBatch returns a single component immediately, so a lone seal
+// is never delayed waiting for company. Stage 1 is woken only by the
+// result that completes the count settle is waiting for — once per
+// barrier, not once per shard.
 func (s *streamSession) worker() {
 	defer s.wg.Done()
 	sc := newShardScratch(s.drv)
 	comps := make([]*sessComponent, workerPullBatch)
-	out := make([]sessShardResult, 0, workerPullBatch)
 	for {
 		n := s.jobs.PopBatch(comps)
 		if n == 0 {
 			return
 		}
-		out = out[:0]
 		for i, c := range comps[:n] {
-			out = append(out, s.correlateComponent(sc, c))
+			r := s.correlateComponent(sc, c)
 			comps[i] = nil
-		}
-		s.results.PushBatch(out)
-	}
-}
-
-// collector is the stage-2 aggregation goroutine: it continuously drains
-// the results ring into colBuf so workers always find room to land
-// finished shards, even while stage 1 is deep in a partition burst.
-// Stage 1 folds the aggregate in at its own cadence (harvest/settle).
-func (s *streamSession) collector() {
-	defer s.colWG.Done()
-	buf := make([]sessShardResult, collectorPullBatch)
-	for {
-		n := s.results.PopBatch(buf)
-		if n == 0 {
-			return
-		}
-		s.colMu.Lock()
-		s.colBuf = append(s.colBuf, buf[:n]...)
-		s.collected += n
-		s.colReady.Broadcast()
-		s.colMu.Unlock()
-		for i := 0; i < n; i++ {
-			buf[i] = sessShardResult{}
+			s.colMu.Lock()
+			s.colBuf = append(s.colBuf, r)
+			s.collected++
+			if s.collected == s.settleAt {
+				s.colReady.Signal()
+			}
+			s.colMu.Unlock()
 		}
 	}
 }
@@ -527,10 +500,10 @@ func (s *streamSession) correlateComponent(sc *shardScratch, c *sessComponent) s
 	}
 }
 
-// Push implements sessionImpl: validate the stream contract, classify,
-// and ingest. The record is bound in place (idempotent) so the host
-// lookup and all downstream bookkeeping run on dense keys; the session
-// buffers its own slab copy, never the caller's record.
+// Push validates the stream contract, classifies, and ingests. The
+// record is bound in place (idempotent) so the host lookup and all
+// downstream bookkeeping run on dense keys; the session buffers its own
+// slab copy, never the caller's record.
 func (s *streamSession) Push(a *activity.Activity) error {
 	if s.closed {
 		return fmt.Errorf("core: push on closed session")
@@ -554,9 +527,9 @@ func (s *streamSession) Push(a *activity.Activity) error {
 	return nil
 }
 
-// PushBatch implements sessionImpl: apply a run of records in order as
-// one call. Application stops at the first error, which is returned;
-// earlier records stay applied.
+// PushBatch applies a run of records in order as one call. Application
+// stops at the first error, which is returned; earlier records stay
+// applied.
 func (s *streamSession) PushBatch(batch []*activity.Activity) error {
 	for _, a := range batch {
 		if err := s.Push(a); err != nil {
@@ -667,8 +640,8 @@ func (s *streamSession) ingest(cp *activity.Activity, h *sessHost) {
 	s.pendingActs++
 }
 
-// Heartbeat implements sessionImpl: the host's agent asserts it is alive
-// and will never deliver an activity older than ts. The assertion
+// Heartbeat is the host's agent asserting it is alive and will never
+// deliver an activity older than ts. The assertion
 // advances the host's watermark bound (quiet-but-healthy hosts stop
 // holding back emission) and the activity clock (seal horizons keep
 // advancing through traffic lulls). A stale heartbeat — older than the
@@ -800,8 +773,8 @@ func mergeRuns(x, y []pushRec) []pushRec {
 	return out
 }
 
-// CloseHost implements sessionImpl: closing a stream is what seals
-// components and feeds the worker pool.
+// CloseHost closes one host's stream, which is what seals components
+// and feeds the worker pool.
 func (s *streamSession) CloseHost(host string) error {
 	h, ok := s.hosts[activity.Syms.Intern(host)]
 	if !ok {
@@ -911,9 +884,9 @@ func (s *streamSession) enqueue(ready []*sessComponent) {
 			s.inc.SchedulePrune(c.root, s.maxTs+lag)
 		}
 	}
-	// Blocking push is safe here: workers always drain jobs, the
-	// collector always drains results, and stage 1 holds no locks — a
-	// full ring is backpressure, not deadlock.
+	// Blocking push is safe here: workers always drain jobs, landing a
+	// result never waits on stage 1, and stage 1 holds no locks — a full
+	// ring is backpressure, not deadlock.
 	s.jobs.PushBatch(ready)
 	s.dispatched += len(ready)
 	s.shards += len(ready)
@@ -930,10 +903,10 @@ func (s *streamSession) growable(c *sessComponent) bool {
 	return false
 }
 
-// harvest folds everything the collector has aggregated into the
-// session, without waiting for in-flight shards — the non-blocking half
-// of the stage-1/stage-2 handshake. The two buffers ping-pong so the
-// steady state allocates nothing.
+// harvest folds every result the workers have landed into the session,
+// without waiting for in-flight shards — the non-blocking half of the
+// stage-1/pool handshake. The two buffers ping-pong so the steady state
+// allocates nothing.
 func (s *streamSession) harvest() {
 	s.colMu.Lock()
 	batch := s.colBuf
@@ -950,13 +923,15 @@ func (s *streamSession) harvest() {
 	s.colScratch = batch[:0]
 }
 
-// settle waits until every dispatched shard has been collected, then
-// absorbs the lot — the full barrier Drain and Close rely on. Waiting
-// cannot deadlock: workers drain the jobs ring and the collector drains
-// the results ring unconditionally, so every dispatched component's
-// result reaches collected.
+// settle waits until every dispatched shard has landed, then absorbs the
+// lot — the full barrier Drain and Close rely on. It publishes the count
+// it waits for as settleAt, so only the worker landing the last result
+// wakes it. Waiting cannot deadlock: workers drain the jobs ring
+// unconditionally and land results without waiting on stage 1, so every
+// dispatched component's result reaches collected.
 func (s *streamSession) settle() {
 	s.colMu.Lock()
+	s.settleAt = s.dispatched
 	for s.collected < s.dispatched {
 		s.colReady.Wait()
 	}
@@ -1048,32 +1023,12 @@ func (s *streamSession) emit(all bool) {
 	}
 }
 
-// Drain implements sessionImpl: force-seal stale components (continuous
-// mode), finish every decidable (sealed) component, and release what the
-// watermark permits.
-func (s *streamSession) Drain() int { return s.step(true) }
-
-// Tick implements sessionImpl: the pipelined, non-blocking Drain. It
-// makes the same deterministic seal decisions (sealStale at the same
-// event-stream point with the same maxTs) but absorbs only the shards
-// the pool has already finished instead of waiting for the in-flight
-// ones — the caller keeps pushing while workers chew. Emission stays
-// safe: a sealed-but-in-flight component is still in the comps map, so
-// its oldest BEGIN bounds the watermark and nothing that could precede
-// its graphs is released. The final output is byte-identical to
-// a Drain cadence; only the moment each graph is released shifts later.
-func (s *streamSession) Tick() int { return s.step(false) }
-
-// step is Drain (wait=true: settle every in-flight shard) or Tick
-// (harvest only what has already finished).
-func (s *streamSession) step(wait bool) int {
+// Drain force-seals stale components (continuous mode), finishes every
+// decidable (sealed) component, and releases what the watermark permits.
+func (s *streamSession) Drain() int {
 	start := time.Now()
 	s.sealStale()
-	if wait {
-		s.settle()
-	} else {
-		s.harvest()
-	}
+	s.settle()
 	if s.continuous {
 		s.inc.PruneBefore(s.maxTs)
 	}
@@ -1084,7 +1039,8 @@ func (s *streamSession) step(wait bool) int {
 	return n
 }
 
-// Close implements sessionImpl.
+// Close seals and settles everything, stops the pool and releases every
+// held graph.
 func (s *streamSession) Close() *Result {
 	if s.closed {
 		return s.final
@@ -1097,9 +1053,6 @@ func (s *streamSession) Close() *Result {
 	s.settle()
 	s.jobs.Close()
 	s.wg.Wait()
-	s.results.Close()
-	s.colWG.Wait()
-	s.harvest()
 	s.emit(true)
 	s.workTime += time.Since(start)
 	s.closed = true
@@ -1117,21 +1070,6 @@ func (s *streamSession) Close() *Result {
 	}
 	return s.final
 }
-
-// AddSink implements sessionImpl: append one sink to the emission chain
-// and rebuild the fused delivery function. Must run before the first
-// Push — the chain is not synchronized against in-flight emission.
-func (s *streamSession) AddSink(sink GraphSink) {
-	s.opts.Sinks = append(s.opts.Sinks, sink)
-	s.deliver = s.opts.emitter()
-}
-
-// Graphs implements sessionImpl.
-func (s *streamSession) Graphs() []*cag.Graph { return s.emitted }
-
-// Pending implements sessionImpl: activities pushed but not yet
-// correlated by a finished shard.
-func (s *streamSession) Pending() int { return s.pendingActs }
 
 // addRankerStats accumulates shard counters. Counter fields sum across
 // shards; PeakBuffered is aggregated separately (the Result reports the

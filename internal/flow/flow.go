@@ -31,8 +31,8 @@
 //
 // # The channel-closure guarantee
 //
-// Both partitioners — the batch Partition/PartitionParallel scan and the
-// online Incremental — maintain one invariant the shard-aware Fig. 5
+// Both partitioners — the batch Partition scan and the online
+// Incremental — maintain one invariant the shard-aware Fig. 5
 // is_noise predicate rests on: a ChanKey is never split across live
 // components. Structurally, every directed channel and its reverse share
 // one union-find node (the batch scan interns both directions to one
@@ -169,25 +169,22 @@ func hostSyms(byHost map[activity.Sym][]*activity.Activity) []activity.Sym {
 // by (earliest member timestamp, first appearance in the host-major scan),
 // and members preserve per-host stable timestamp order.
 //
-// The scan itself lives in partitionHosts (parallel.go): contexts are
+// The scan itself lives in partitionHosts (partition.go): contexts are
 // host-local, so the trace is scanned per host and the per-host forests
 // are stitched by a final union pass over the cross-host channel links.
-// Partition runs those phases on one goroutine; PartitionParallel fans
-// the per-host scans out over a worker pool — same code, same output.
 func Partition(trace []*activity.Activity, mode Mode) []Component {
 	if len(trace) == 0 {
 		return nil
 	}
 	byHost, hosts := splitHosts(trace)
-	return partitionHosts(byHost, hosts, mode, 1)
+	return partitionHosts(byHost, hosts, mode)
 }
 
 // splitHosts buckets a merged trace into per-host node logs in
 // local-timestamp order and returns the host list sorted by name — the
 // paper's step 1 (each node log sorted by its local clock). It is also
 // the batch path's bind point: every record leaves with its dense keys
-// filled, so the per-host scans that follow (possibly concurrent) only
-// read them.
+// filled, so the per-host scans that follow only read them.
 func splitHosts(trace []*activity.Activity) (map[activity.Sym][]*activity.Activity, []activity.Sym) {
 	byHost := make(map[activity.Sym][]*activity.Activity)
 	for _, a := range trace {

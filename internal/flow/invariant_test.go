@@ -15,7 +15,7 @@ import (
 // arrival orders — including RECEIVE arriving before its SEND, the
 // over-merge case — no ChanKey may ever land in two components. Checked
 // for the online Incremental partitioner in both modes and for the batch
-// Partition/PartitionParallel scans.
+// Partition scan.
 func TestChanKeyNeverSplits(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -39,23 +39,15 @@ func TestChanKeyNeverSplits(t *testing.T) {
 				owner[norm] = root
 			}
 
-			for _, part := range []struct {
-				name  string
-				comps []Component
-			}{
-				{"batch", Partition(tr, mode)},
-				{"parallel", PartitionParallel(tr, mode, 4)},
-			} {
-				seen := make(map[activity.ChanKey]int)
-				for ci, c := range part.comps {
-					for _, a := range c.Activities {
-						norm := normChan(a.ChanK)
-						if prev, ok := seen[norm]; ok && prev != ci {
-							t.Fatalf("seed %d mode %s: ChanKey %v split across %s components %d and %d",
-								seed, mode, norm, part.name, prev, ci)
-						}
-						seen[norm] = ci
+			seen := make(map[activity.ChanKey]int)
+			for ci, c := range Partition(tr, mode) {
+				for _, a := range c.Activities {
+					norm := normChan(a.ChanK)
+					if prev, ok := seen[norm]; ok && prev != ci {
+						t.Fatalf("seed %d mode %s: ChanKey %v split across batch components %d and %d",
+							seed, mode, norm, prev, ci)
 					}
+					seen[norm] = ci
 				}
 			}
 		}

@@ -1,21 +1,11 @@
 package flow
 
-import (
-	"sync"
+import "repro/internal/activity"
 
-	"repro/internal/activity"
-)
-
-// PartitionParallel is Partition with the per-host scans fanned out over
-// a worker pool — the partition stage was a single-threaded union-find
-// scan worth ~30% of single-core pipeline time. Both entry points run
-// partitionHosts, so the output is byte-identical by construction:
-// same component sets, same member order, same component order
-// (TestPartitionParallelEquivalence pins it against scheduling).
-// workers <= 1 or a tiny trace goes straight to the one-goroutine path.
+// partitionHosts is the batch partition: one scan per host log, then one
+// union pass that stitches the per-host forests together.
 //
-// Why per-host scans compose exactly (the reason partitionHosts can be
-// the single definition for both the sequential and concurrent paths):
+// Why per-host scans compose exactly:
 //
 //   - Contexts are host-local (a Context carries its host), so epoch and
 //     context chains never span hosts: each host's scan owns its
@@ -31,33 +21,8 @@ import (
 //     non-reuse branch unions the fresh epoch with the activity's
 //     channel, so wherever the views could disagree both candidate nodes
 //     are connected through that channel and the final closure — hence
-//     the component sets — is unchanged. The correlator-level
-//     equivalence suites (TestParallelEquivalence,
-//     TestParallelSessionEquivalence) pin the semantics end to end.
-func PartitionParallel(trace []*activity.Activity, mode Mode, workers int) []Component {
-	if len(trace) == 0 {
-		return nil
-	}
-	if workers <= 1 || len(trace) < parallelMinTrace {
-		return Partition(trace, mode)
-	}
-	byHost, hosts := splitHosts(trace)
-	if workers > len(hosts) {
-		workers = len(hosts)
-	}
-	return partitionHosts(byHost, hosts, mode, workers)
-}
-
-// parallelMinTrace is the trace size below which the per-host fan-out
-// costs more than it saves (goroutine setup and the forest merge); a var
-// so tests can force the parallel path on small fixtures.
-var parallelMinTrace = 4096
-
-// partitionHosts is the single definition of the batch partition: both
-// Partition (workers = 1) and PartitionParallel run it, so the scan's
-// state machine cannot drift between the sequential and concurrent
-// paths — the same role Correlator.drive plays for the hot loop.
-func partitionHosts(byHost map[activity.Sym][]*activity.Activity, hosts []activity.Sym, mode Mode, workers int) []Component {
+//     the component sets — is unchanged.
+func partitionHosts(byHost map[activity.Sym][]*activity.Activity, hosts []activity.Sym, mode Mode) []Component {
 	// Interning pre-pass (sequential): every directed channel gets a
 	// dense direction id; the two directions of one connection get
 	// dirID and dirID^1, so dirID>>1 is the connection id the union-find
@@ -97,19 +62,12 @@ func partitionHosts(byHost map[activity.Sym][]*activity.Activity, hosts []activi
 
 	// The mode scan per host, over a host-local union-find.
 	scans := make([]*hostScan, len(hosts))
-	if workers <= 1 {
-		for i := range hosts {
-			scans[i] = scanHost(byHost[hosts[i]], dirIDs[hosts[i]], sendful, mode)
-		}
-	} else {
-		runHosts(workers, len(hosts), func(i int) {
-			scans[i] = scanHost(byHost[hosts[i]], dirIDs[hosts[i]], sendful, mode)
-		})
+	for i := range hosts {
+		scans[i] = scanHost(byHost[hosts[i]], dirIDs[hosts[i]], sendful, mode)
 	}
 
-	// Merge (always sequential): one global union-find over the disjoint
-	// local forests; every host's local node for the same connection id
-	// unions across hosts.
+	// Merge: one global union-find over the disjoint local forests; every
+	// host's local node for the same connection id unions across hosts.
 	offsets := make([]int32, len(hosts))
 	nodes := int32(0)
 	for i, hs := range scans {
@@ -171,7 +129,7 @@ type hostScan struct {
 // scanHost runs the mode scan over one node log with purely local state.
 // dirIDs is the log-aligned direction id per activity (dirID>>1 is the
 // connection id); sendful is the global per-direction bit (both
-// read-only here, shared across the concurrent scans).
+// read-only here).
 func scanHost(log []*activity.Activity, dirIDs []int32, sendful []bool, mode Mode) *hostScan {
 	hs := &hostScan{chanLocal: make([]int32, len(sendful)/2), assign: make([]int32, len(log))}
 	for i := range hs.chanLocal {
@@ -244,27 +202,4 @@ func scanHost(log []*activity.Activity, dirIDs []int32, sendful []bool, mode Mod
 		}
 	}
 	return hs
-}
-
-// runHosts fans fn out over [0, n) with at most workers goroutines.
-func runHosts(workers, n int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }

@@ -3,20 +3,24 @@ package ring
 import "testing"
 
 // FuzzRingModel drives a ring of fuzzer-chosen capacity with a
-// fuzzer-chosen sequence of non-blocking operations and checks every
-// step against a plain slice model of a bounded FIFO queue. This is the
-// wraparound/capacity edge hunter: head wrap at odd capacities, batches
-// that straddle the wrap point, fill-to-exactly-full, drain-to-empty,
-// and operations after Close all fall out of the op stream.
+// fuzzer-chosen sequence of batch operations and checks every step
+// against a buffered Go channel of the same capacity — the bounded FIFO
+// oracle. Operations are sized so a single goroutine never blocks:
+// pushes take at most the free space, pops run only while something is
+// buffered or the ring is closed. This is the wraparound/capacity edge
+// hunter: head wrap at odd capacities, batches that straddle the wrap
+// point, fill-to-exactly-full, drain-to-empty, and operations after Close
+// all fall out of the op stream. A final Close-and-drain checks that
+// nothing is lost or left behind.
 func FuzzRingModel(f *testing.F) {
-	f.Add(uint8(1), []byte{0, 0, 1, 1})
-	f.Add(uint8(3), []byte{0, 0, 0, 0, 1, 2, 3, 0, 1})
-	f.Add(uint8(7), []byte{2, 40, 3, 20, 2, 200, 3, 255, 4, 0, 1})
-	f.Add(uint8(16), []byte{2, 255, 3, 9, 2, 8, 3, 255, 2, 3})
+	f.Add(uint8(1), []byte{0, 1, 1, 1, 0, 1})
+	f.Add(uint8(3), []byte{0, 3, 1, 2, 0, 2, 1, 9, 2, 1, 4})
+	f.Add(uint8(7), []byte{0, 40, 1, 20, 0, 200, 1, 255, 2, 0, 1})
+	f.Add(uint8(16), []byte{0, 255, 1, 9, 0, 8, 1, 255, 0, 3})
 	f.Fuzz(func(t *testing.T, capByte uint8, ops []byte) {
 		capacity := int(capByte%16) + 1
 		r := New[int](capacity)
-		var model []int
+		model := make(chan int, capacity)
 		next := 0
 		closed := false
 		i := 0
@@ -27,72 +31,61 @@ func FuzzRingModel(f *testing.F) {
 			}
 			return 1
 		}
+		pop := func(n int) {
+			buf := make([]int, n)
+			got := r.PopBatch(buf)
+			if want := min(len(model), n); got != want {
+				t.Fatalf("op %d: PopBatch(%d) = %d, model says %d (closed=%v)", i, n, got, want, closed)
+			}
+			for j, v := range buf[:got] {
+				if want := <-model; v != want {
+					t.Fatalf("op %d: PopBatch item %d = %d, model %d", i, j, v, want)
+				}
+			}
+		}
 		for ; i < len(ops); i++ {
-			switch ops[i] % 5 {
-			case 0: // TryPush
-				ok := r.TryPush(next)
-				wantOK := !closed && len(model) < capacity
-				if ok != wantOK {
-					t.Fatalf("op %d: TryPush ok=%v, model says %v (len=%d cap=%d closed=%v)", i, ok, wantOK, len(model), capacity, closed)
-				}
-				if ok {
-					model = append(model, next)
-				}
-				next++
-			case 1: // TryPop
-				v, ok := r.TryPop()
-				if ok != (len(model) > 0) {
-					t.Fatalf("op %d: TryPop ok=%v with model len %d", i, ok, len(model))
-				}
-				if ok {
-					if v != model[0] {
-						t.Fatalf("op %d: TryPop = %d, model head %d", i, v, model[0])
-					}
-					model = model[1:]
-				}
-			case 2: // TryPushBatch of operand-sized run
+			switch ops[i] % 3 {
+			case 0: // PushBatch of an operand-sized run, capped at the free space
 				n := arg()
+				if !closed {
+					n = min(n, capacity-len(model))
+				}
 				batch := make([]int, n)
 				for j := range batch {
 					batch[j] = next + j
 				}
-				got := r.TryPushBatch(batch)
-				want := capacity - len(model)
+				got := r.PushBatch(batch)
+				want := n
 				if closed {
 					want = 0
 				}
-				if want > n {
-					want = n
-				}
 				if got != want {
-					t.Fatalf("op %d: TryPushBatch(%d) = %d, model says %d", i, n, got, want)
+					t.Fatalf("op %d: PushBatch(%d) = %d, model says %d (closed=%v)", i, n, got, want, closed)
 				}
-				model = append(model, batch[:got]...)
+				for _, v := range batch[:got] {
+					model <- v
+				}
 				next += got
-			case 3: // TryPopBatch into operand-sized buffer
-				n := arg()
-				buf := make([]int, n)
-				got := r.TryPopBatch(buf)
-				want := len(model)
-				if want > n {
-					want = n
+			case 1: // PopBatch into an operand-sized buffer, when it cannot block
+				if n := arg(); len(model) > 0 || closed {
+					pop(n)
 				}
-				if got != want {
-					t.Fatalf("op %d: TryPopBatch(%d) = %d, model says %d", i, n, got, want)
-				}
-				for j := 0; j < got; j++ {
-					if buf[j] != model[j] {
-						t.Fatalf("op %d: TryPopBatch item %d = %d, model %d", i, j, buf[j], model[j])
-					}
-				}
-				model = model[got:]
 			default: // Close (idempotent; keeps draining)
 				r.Close()
+				if !closed {
+					close(model)
+				}
 				closed = true
 			}
-			if got := r.Len(); got != len(model) {
-				t.Fatalf("op %d: Len = %d, model %d", i, got, len(model))
-			}
 		}
+		r.Close()
+		if !closed {
+			close(model)
+		}
+		closed = true
+		for len(model) > 0 {
+			pop(capacity)
+		}
+		pop(capacity) // drained and closed: must report exhaustion
 	})
 }

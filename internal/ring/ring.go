@@ -1,7 +1,7 @@
-// Package ring provides the bounded FIFO ring buffer that connects the
-// streaming engine's pipeline stages: a fixed-capacity queue with
-// blocking and non-blocking operations whose batch variants move a whole
-// run of items under one lock acquisition.
+// Package ring provides the bounded FIFO ring buffer that carries sealed
+// components from the streaming engine's stage 1 to its worker pool: a
+// fixed-capacity queue whose batch operations move a whole run of items
+// under one lock acquisition.
 //
 // That amortization is the point. A Go channel pays its synchronization
 // per element — one lock/unlock (and often a goroutine wakeup) per send
@@ -18,11 +18,11 @@
 // holding an item hostage waiting for a batch to fill.
 //
 // Close semantics mirror closed channels: pushes are refused, pops drain
-// the remaining items and then report exhaustion (a zero count, or
-// ok=false). All methods are safe for any number of concurrent pushers
-// and poppers; items pushed by one goroutine are popped in push order,
-// and each popper sees any single pusher's items as an ordered
-// subsequence (batches are taken contiguously in FIFO order).
+// the remaining items and then report exhaustion with a zero count. All
+// methods are safe for any number of concurrent pushers and poppers;
+// items pushed by one goroutine are popped in push order, and each popper
+// sees any single pusher's items as an ordered subsequence (batches are
+// taken contiguously in FIFO order).
 //
 // The package is dependency-free (sync only) by design — it sits under
 // the innermost hot path of internal/core.
@@ -54,73 +54,6 @@ func New[T any](capacity int) *Ring[T] {
 	return r
 }
 
-// Cap returns the ring's fixed capacity.
-func (r *Ring[T]) Cap() int { return len(r.buf) }
-
-// Len returns the number of items currently buffered.
-func (r *Ring[T]) Len() int {
-	r.mu.Lock()
-	n := r.n
-	r.mu.Unlock()
-	return n
-}
-
-// put appends v; the caller holds r.mu and has checked for space.
-func (r *Ring[T]) put(v T) {
-	i := r.head + r.n
-	if i >= len(r.buf) {
-		i -= len(r.buf)
-	}
-	r.buf[i] = v
-	r.n++
-}
-
-// take removes and returns the oldest item; the caller holds r.mu and
-// has checked it exists. The vacated slot is zeroed so the ring never
-// pins popped items against the garbage collector.
-func (r *Ring[T]) take() T {
-	var zero T
-	v := r.buf[r.head]
-	r.buf[r.head] = zero
-	r.head++
-	if r.head == len(r.buf) {
-		r.head = 0
-	}
-	r.n--
-	return v
-}
-
-// Push appends one item, blocking while the ring is full. It reports
-// whether the item was accepted — false means the ring was closed.
-func (r *Ring[T]) Push(v T) bool {
-	r.mu.Lock()
-	for r.n == len(r.buf) && !r.closed {
-		r.notFull.Wait()
-	}
-	if r.closed {
-		r.mu.Unlock()
-		return false
-	}
-	r.put(v)
-	r.notEmpty.Signal()
-	r.mu.Unlock()
-	return true
-}
-
-// TryPush appends one item without blocking. It reports whether the
-// item was accepted — false means the ring was full or closed.
-func (r *Ring[T]) TryPush(v T) bool {
-	r.mu.Lock()
-	if r.closed || r.n == len(r.buf) {
-		r.mu.Unlock()
-		return false
-	}
-	r.put(v)
-	r.notEmpty.Signal()
-	r.mu.Unlock()
-	return true
-}
-
 // PushBatch appends the items in order, blocking for space as needed;
 // each time space frees it moves the longest possible run under the one
 // lock acquisition (a batch longer than the capacity is pushed in
@@ -136,12 +69,14 @@ func (r *Ring[T]) PushBatch(vs []T) int {
 		if r.closed {
 			break
 		}
-		run := len(r.buf) - r.n
-		if rest := len(vs) - pushed; run > rest {
-			run = rest
-		}
+		run := min(len(r.buf)-r.n, len(vs)-pushed)
 		for _, v := range vs[pushed : pushed+run] {
-			r.put(v)
+			i := r.head + r.n
+			if i >= len(r.buf) {
+				i -= len(r.buf)
+			}
+			r.buf[i] = v
+			r.n++
 		}
 		pushed += run
 		r.notEmpty.Broadcast()
@@ -150,63 +85,11 @@ func (r *Ring[T]) PushBatch(vs []T) int {
 	return pushed
 }
 
-// TryPushBatch appends as many leading items as fit without blocking
-// and returns the count (0 when full or closed).
-func (r *Ring[T]) TryPushBatch(vs []T) int {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return 0
-	}
-	run := len(r.buf) - r.n
-	if run > len(vs) {
-		run = len(vs)
-	}
-	for _, v := range vs[:run] {
-		r.put(v)
-	}
-	if run > 0 {
-		r.notEmpty.Broadcast()
-	}
-	r.mu.Unlock()
-	return run
-}
-
-// Pop removes the oldest item, blocking while the ring is empty. ok is
-// false only when the ring is closed and fully drained.
-func (r *Ring[T]) Pop() (v T, ok bool) {
-	r.mu.Lock()
-	for r.n == 0 && !r.closed {
-		r.notEmpty.Wait()
-	}
-	if r.n == 0 {
-		r.mu.Unlock()
-		return v, false
-	}
-	v = r.take()
-	r.notFull.Signal()
-	r.mu.Unlock()
-	return v, true
-}
-
-// TryPop removes the oldest item without blocking; ok is false when the
-// ring is empty.
-func (r *Ring[T]) TryPop() (v T, ok bool) {
-	r.mu.Lock()
-	if r.n == 0 {
-		r.mu.Unlock()
-		return v, false
-	}
-	v = r.take()
-	r.notFull.Signal()
-	r.mu.Unlock()
-	return v, true
-}
-
 // PopBatch blocks until at least one item is available, then moves as
 // many as are buffered — up to len(dst) — into dst under the one lock
 // acquisition, returning the count. A zero count means the ring is
-// closed and fully drained (or dst is empty).
+// closed and fully drained (or dst is empty). Vacated slots are zeroed
+// so the ring never pins popped items against the garbage collector.
 func (r *Ring[T]) PopBatch(dst []T) int {
 	if len(dst) == 0 {
 		return 0
@@ -215,36 +98,22 @@ func (r *Ring[T]) PopBatch(dst []T) int {
 	for r.n == 0 && !r.closed {
 		r.notEmpty.Wait()
 	}
-	n := r.n
+	n := min(r.n, len(dst))
 	if n == 0 {
 		r.mu.Unlock()
 		return 0
 	}
-	if n > len(dst) {
-		n = len(dst)
+	var zero T
+	for i := range dst[:n] {
+		dst[i] = r.buf[r.head]
+		r.buf[r.head] = zero
+		r.head++
+		if r.head == len(r.buf) {
+			r.head = 0
+		}
 	}
-	for i := 0; i < n; i++ {
-		dst[i] = r.take()
-	}
+	r.n -= n
 	r.notFull.Broadcast()
-	r.mu.Unlock()
-	return n
-}
-
-// TryPopBatch moves up to len(dst) buffered items into dst without
-// blocking and returns the count (0 when empty).
-func (r *Ring[T]) TryPopBatch(dst []T) int {
-	r.mu.Lock()
-	n := r.n
-	if n > len(dst) {
-		n = len(dst)
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = r.take()
-	}
-	if n > 0 {
-		r.notFull.Broadcast()
-	}
 	r.mu.Unlock()
 	return n
 }
