@@ -60,17 +60,30 @@ bench:
 # for machine variance — an accidental per-record allocation costs ~37k
 # allocs/op here and blows either budget immediately.
 #
-#   seq-close-driven: 53,847 measured with workers landing results under
-#   a mutex (53,849 with the collector goroutine and results ring; down
-#   from 178,250 before dense interned identities, ~68k before the
+#   seq-close-driven: 50,647 measured once a completed multi-segment
+#   RECEIVE took over its partial-segment slice instead of copying it
+#   (53,847 before; 53,849 with the collector goroutine and results ring;
+#   down from 178,250 before dense interned identities, ~68k before the
 #   worker-pool ranker/engine reuse).
 ALLOCS_BUDGET ?= 65000
-#   seq-continuous (SealAfter horizon, per-component forced seals): 63,552
-#   measured without the collector (63,550 with it), down from ~64.4k
-#   (64,447) when every release copied the held backlog, ~64k after the
-#   worker-pool reuse + flow key recycling, and ~139k when every sealed
-#   component rebuilt its ranker and engine.
+#   seq-continuous (SealAfter horizon, per-component forced seals): 60,352
+#   measured with the partial-slice take-over (63,552 before, 63,550 with
+#   the collector), down from ~64.4k (64,447) when every release copied
+#   the held backlog, ~64k after the worker-pool reuse + flow key
+#   recycling, and ~139k when every sealed component rebuilt its ranker
+#   and engine.
 ALLOCS_BUDGET_CONTINUOUS ?= 77500
+# Byte budgets for the same two variants: allocs/op cannot see an object
+# shrink or grow, B/op can. The measured figure plus ~10%.
+#
+#   seq-close-driven: 12,263,000 B/op measured with cag.Vertex embedding
+#   its representative record (72 B, 80 B class), 15,927,000 when it
+#   copied Type/Timestamp/Ctx/Chan and kept a child-edge list (232 B,
+#   240 B class).
+BYTES_BUDGET ?= 13500000
+#   seq-continuous: 11,663,000 B/op measured, 15,328,000 before the
+#   vertex change.
+BYTES_BUDGET_CONTINUOUS ?= 12900000
 #   export-sinks (BenchmarkExportSinks: one RUBiS graph through the OTLP
 #   exporter and the DumpWriter): 0 measured with the append writers, 715
 #   with the span tree + encoding/json and the fmt dump. One allocation per
@@ -89,13 +102,14 @@ bench-allocs:
 		}'
 	@$(GO) test -run '^$$' -bench 'BenchmarkSessionPush/seq-(close-driven|continuous)' \
 		-benchmem -benchtime=3x . \
-	| awk -v budget=$(ALLOCS_BUDGET) -v cbudget=$(ALLOCS_BUDGET_CONTINUOUS) ' \
-		/BenchmarkSessionPush\/seq-close-driven/ { a = $$(NF-1) + 0; found++; \
-			printf "bench-allocs: seq-close-driven %d allocs/op (budget %d)\n", a, budget; \
-			if (a > budget) bad = 1 } \
-		/BenchmarkSessionPush\/seq-continuous/ { a = $$(NF-1) + 0; found++; \
-			printf "bench-allocs: seq-continuous %d allocs/op (budget %d)\n", a, cbudget; \
-			if (a > cbudget) bad = 1 } \
+	| awk -v budget=$(ALLOCS_BUDGET) -v cbudget=$(ALLOCS_BUDGET_CONTINUOUS) \
+		-v bbudget=$(BYTES_BUDGET) -v cbbudget=$(BYTES_BUDGET_CONTINUOUS) ' \
+		/BenchmarkSessionPush\/seq-close-driven/ { a = $$(NF-1) + 0; b = $$(NF-3) + 0; found++; \
+			printf "bench-allocs: seq-close-driven %d allocs/op (budget %d), %d B/op (budget %d)\n", a, budget, b, bbudget; \
+			if (a > budget || b > bbudget) bad = 1 } \
+		/BenchmarkSessionPush\/seq-continuous/ { a = $$(NF-1) + 0; b = $$(NF-3) + 0; found++; \
+			printf "bench-allocs: seq-continuous %d allocs/op (budget %d), %d B/op (budget %d)\n", a, cbudget, b, cbbudget; \
+			if (a > cbudget || b > cbbudget) bad = 1 } \
 		END { \
 			if (found != 2) { printf "bench-allocs: expected 2 benchmark results, got %d\n", found; exit 1 } \
 			exit bad \

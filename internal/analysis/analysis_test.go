@@ -9,6 +9,9 @@ import (
 	"repro/internal/cag"
 )
 
+// vx builds a vertex represented by a copy of a.
+func vx(a activity.Activity) *cag.Vertex { return cag.NewVertex(&a) }
+
 // buildPath constructs a BEGIN -> SEND -> RECV -> ... -> END chain across
 // the given (program, host) hops with fixed per-hop latency.
 func buildPath(t *testing.T, hop time.Duration, salt int) *cag.Graph {
@@ -19,27 +22,27 @@ func buildPath(t *testing.T, hop time.Duration, salt int) *cag.Graph {
 	wch := activity.Channel{Src: activity.Endpoint{IP: "w", Port: 2000 + salt}, Dst: activity.Endpoint{IP: "a", Port: 8009}}
 
 	ts := func(i int) time.Duration { return time.Duration(i) * hop }
-	g := cag.New(&cag.Vertex{Type: activity.Begin, Timestamp: ts(0), Ctx: httpd, Chan: cch})
-	s1 := &cag.Vertex{Type: activity.Send, Timestamp: ts(1), Ctx: httpd, Chan: wch}
+	g := cag.New(vx(activity.Activity{Type: activity.Begin, Timestamp: ts(0), Ctx: httpd, Chan: cch}))
+	s1 := vx(activity.Activity{Type: activity.Send, Timestamp: ts(1), Ctx: httpd, Chan: wch})
 	if err := g.AddVertex(s1, cag.ContextEdge, g.Root()); err != nil {
 		t.Fatal(err)
 	}
-	r1 := &cag.Vertex{Type: activity.Receive, Timestamp: ts(2), Ctx: java, Chan: wch}
+	r1 := vx(activity.Activity{Type: activity.Receive, Timestamp: ts(2), Ctx: java, Chan: wch})
 	if err := g.AddVertex(r1, cag.MessageEdge, s1); err != nil {
 		t.Fatal(err)
 	}
-	s2 := &cag.Vertex{Type: activity.Send, Timestamp: ts(3), Ctx: java, Chan: wch.Reverse()}
+	s2 := vx(activity.Activity{Type: activity.Send, Timestamp: ts(3), Ctx: java, Chan: wch.Reverse()})
 	if err := g.AddVertex(s2, cag.ContextEdge, r1); err != nil {
 		t.Fatal(err)
 	}
-	r2 := &cag.Vertex{Type: activity.Receive, Timestamp: ts(4), Ctx: httpd, Chan: wch.Reverse()}
+	r2 := vx(activity.Activity{Type: activity.Receive, Timestamp: ts(4), Ctx: httpd, Chan: wch.Reverse()})
 	if err := g.AddVertex(r2, cag.MessageEdge, s2); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.AddEdge(cag.ContextEdge, s1, r2); err != nil {
 		t.Fatal(err)
 	}
-	end := &cag.Vertex{Type: activity.End, Timestamp: ts(5), Ctx: httpd, Chan: cch.Reverse()}
+	end := vx(activity.Activity{Type: activity.End, Timestamp: ts(5), Ctx: httpd, Chan: cch.Reverse()})
 	if err := g.AddVertex(end, cag.ContextEdge, r2); err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +124,8 @@ func staticGraph(t *testing.T) *cag.Graph {
 	t.Helper()
 	httpd := activity.Context{Host: "web1", Program: "httpd", PID: 9, TID: 9}
 	ch := activity.Channel{Src: activity.Endpoint{IP: "c", Port: 5}, Dst: activity.Endpoint{IP: "w", Port: 80}}
-	g := cag.New(&cag.Vertex{Type: activity.Begin, Ctx: httpd, Chan: ch})
-	if err := g.AddVertex(&cag.Vertex{Type: activity.End, Timestamp: time.Millisecond, Ctx: httpd, Chan: ch.Reverse()}, cag.ContextEdge, g.Root()); err != nil {
+	g := cag.New(vx(activity.Activity{Type: activity.Begin, Ctx: httpd, Chan: ch}))
+	if err := g.AddVertex(vx(activity.Activity{Type: activity.End, Timestamp: time.Millisecond, Ctx: httpd, Chan: ch.Reverse()}), cag.ContextEdge, g.Root()); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Finish(); err != nil {

@@ -72,39 +72,29 @@ type NestingConfig struct {
 	CoalesceGap time.Duration
 }
 
-// group is one heuristically coalesced logical message or activity.
-type group struct {
-	typ       activity.Type
-	timestamp time.Duration // completion (last segment)
-	ctx       activity.Context
-	ch        activity.Channel
-	size      int64
-	records   []*activity.Activity
-}
-
 // coalesce groups consecutive same-(channel, context, type) records within
-// the gap into single logical activities, summing sizes. The input must be
-// in global timestamp order.
-func coalesce(sorted []*activity.Activity, gap time.Duration) []*group {
+// the gap into single logical activities, summing sizes. Each group is a
+// vertex represented by its last record: the message completes at its last
+// segment. The input must be in global timestamp order.
+func coalesce(sorted []*activity.Activity, gap time.Duration) []*cag.Vertex {
 	type key struct {
 		ch  activity.Channel
 		ctx activity.Context
 		typ activity.Type
 	}
-	var out []*group
-	last := make(map[key]*group)
+	var out []*cag.Vertex
+	last := make(map[key]*cag.Vertex)
 	for _, a := range sorted {
 		k := key{a.Chan, a.Ctx, a.Type}
-		if prev, ok := last[k]; ok && a.Timestamp-prev.timestamp <= gap {
-			prev.size += a.Size
-			prev.timestamp = a.Timestamp // message completes at last segment
-			prev.records = append(prev.records, a)
+		if prev, ok := last[k]; ok && a.Timestamp-prev.Timestamp <= gap {
+			prev.Activity = a
+			prev.Size += a.Size
+			prev.Records = append(prev.Records, a)
 			continue
 		}
-		g := &group{typ: a.Type, timestamp: a.Timestamp, ctx: a.Ctx, ch: a.Chan,
-			size: a.Size, records: []*activity.Activity{a}}
-		out = append(out, g)
-		last[k] = g
+		v := cag.NewVertex(a)
+		out = append(out, v)
+		last[k] = v
 	}
 	return out
 }
@@ -136,35 +126,28 @@ func Nesting(trace []*activity.Activity, cfg NestingConfig) *Result {
 	sends := make(map[activity.Channel][]pendingSend)
 
 	res := &Result{}
-	newVertex := func(g *group) *cag.Vertex {
-		return &cag.Vertex{Type: g.typ, Timestamp: g.timestamp, Ctx: g.ctx,
-			Chan: g.ch, Size: g.size, Records: g.records}
-	}
-
-	for _, g := range coalesce(sortedByTimestamp(trace), cfg.CoalesceGap) {
-		switch g.typ {
+	for _, v := range coalesce(sortedByTimestamp(trace), cfg.CoalesceGap) {
+		switch v.Type {
 		case activity.Begin:
-			v := newVertex(g)
 			p := &nestingPath{graph: cag.New(v), last: v}
-			ctxs[g.ctx] = &ctxState{path: p, last: v}
+			ctxs[v.Ctx] = &ctxState{path: p, last: v}
 
 		case activity.Send:
-			st := ctxs[g.ctx]
+			st := ctxs[v.Ctx]
 			if st == nil || st.path == nil || st.path.graph.Finished() ||
-				g.timestamp-st.last.Timestamp > cfg.ContextGap {
+				v.Timestamp-st.last.Timestamp > cfg.ContextGap {
 				res.Dropped++
 				continue
 			}
-			v := newVertex(g)
 			if err := st.path.graph.AddVertex(v, cag.ContextEdge, st.last); err != nil {
 				res.Dropped++
 				continue
 			}
 			st.last, st.path.last = v, v
-			sends[g.ch] = append(sends[g.ch], pendingSend{vertex: v, path: st.path})
+			sends[v.Chan] = append(sends[v.Chan], pendingSend{vertex: v, path: st.path})
 
 		case activity.Receive:
-			q := sends[g.ch]
+			q := sends[v.Chan]
 			if len(q) == 0 {
 				res.Dropped++
 				continue
@@ -173,28 +156,26 @@ func Nesting(trace []*activity.Activity, cfg NestingConfig) *Result {
 			// byte counts; the time-gap coalescing above is a guess that
 			// mis-pairs when messages arrive back-to-back.
 			ps := q[0]
-			sends[g.ch] = q[1:]
+			sends[v.Chan] = q[1:]
 			if ps.path.graph.Finished() {
 				res.Dropped++
 				continue
 			}
-			v := newVertex(g)
 			if err := ps.path.graph.AddVertex(v, cag.MessageEdge, ps.vertex); err != nil {
 				res.Dropped++
 				continue
 			}
 			// Probabilistic context attribution: the receiving context now
 			// works for this path — no same-CAG check.
-			ctxs[g.ctx] = &ctxState{path: ps.path, last: v}
+			ctxs[v.Ctx] = &ctxState{path: ps.path, last: v}
 			ps.path.last = v
 
 		case activity.End:
-			st := ctxs[g.ctx]
+			st := ctxs[v.Ctx]
 			if st == nil || st.path == nil || st.path.graph.Finished() {
 				res.Dropped++
 				continue
 			}
-			v := newVertex(g)
 			if err := st.path.graph.AddVertex(v, cag.ContextEdge, st.last); err != nil {
 				res.Dropped++
 				continue

@@ -41,15 +41,20 @@ func (k EdgeKind) String() string {
 }
 
 // Vertex is one activity in a CAG. A vertex may aggregate several raw
-// TCP_TRACE records when the engine merges consecutive SEND segments or
-// counts down multi-segment RECEIVEs (§4.2, Fig. 4); Records holds all of
-// them in log order.
+// TCP_TRACE records when the engine merges consecutive segments or counts
+// down multi-segment RECEIVEs (§4.2, Fig. 4); Records holds all of them in
+// log order.
+//
+// The vertex embeds one of those records as its representative, so Type,
+// Timestamp, Ctx and Chan are that record's fields: a write through the
+// vertex (as examples/livemonitor does to Timestamp) changes the record.
+// The engine's representative is the first segment of a BEGIN, SEND or
+// END and the completing segment of a RECEIVE; baseline.Nesting's is a
+// coalesced group's last record. Size is the vertex's own merged byte
+// count and shadows the record's. Build vertices with NewVertex.
 type Vertex struct {
-	Type      activity.Type
-	Timestamp time.Duration // representative node-local time (see engine)
-	Ctx       activity.Context
-	Chan      activity.Channel
-	Size      int64 // total message bytes after merging
+	*activity.Activity
+	Size int64 // total message bytes after merging
 
 	// Records are the underlying raw activities, in the order the engine
 	// consumed them.
@@ -57,36 +62,22 @@ type Vertex struct {
 
 	ctxParent *Vertex
 	msgParent *Vertex
-	children  []childEdge
 
 	index int // position within the owning graph's vertex slice
 
-	// rec0 and child0 are inline backing storage for the common case —
-	// nearly every vertex holds exactly one raw record and at most two
-	// out-edges, so NewVertex and link can avoid a per-vertex slice
-	// allocation. Appends beyond the inline capacity reallocate normally.
-	rec0   [1]*activity.Activity
-	child0 [2]childEdge
+	// rec0 is inline backing storage for the common case — nearly every
+	// vertex holds exactly one raw record, so NewVertex avoids a
+	// per-vertex slice allocation. Appends beyond it reallocate normally.
+	rec0 [1]*activity.Activity
 }
 
-// NewVertex returns a vertex representing a single raw record, with
-// Records backed by the vertex itself (no separate slice allocation).
+// NewVertex returns a vertex represented by a, with Records backed by the
+// vertex itself (no separate slice allocation).
 func NewVertex(a *activity.Activity) *Vertex {
-	v := &Vertex{
-		Type:      a.Type,
-		Timestamp: a.Timestamp,
-		Ctx:       a.Ctx,
-		Chan:      a.Chan,
-		Size:      a.Size,
-	}
+	v := &Vertex{Activity: a, Size: a.Size}
 	v.rec0[0] = a
 	v.Records = v.rec0[:1]
 	return v
-}
-
-type childEdge struct {
-	kind EdgeKind
-	to   *Vertex
 }
 
 // CtxParent returns the parent via the adjacent context relation, or nil.
@@ -108,18 +99,6 @@ func (v *Vertex) Parents() int {
 		n++
 	}
 	return n
-}
-
-// Children returns the out-neighbours with their edge kinds, in insertion
-// order. The returned slices are fresh copies.
-func (v *Vertex) Children() (kinds []EdgeKind, vertices []*Vertex) {
-	kinds = make([]EdgeKind, len(v.children))
-	vertices = make([]*Vertex, len(v.children))
-	for i, e := range v.children {
-		kinds[i] = e.kind
-		vertices[i] = e.to
-	}
-	return kinds, vertices
 }
 
 // String implements fmt.Stringer.
@@ -252,10 +231,6 @@ func (g *Graph) link(kind EdgeKind, parent, child *Vertex) error {
 	default:
 		return fmt.Errorf("cag: unknown edge kind %v", kind)
 	}
-	if parent.children == nil {
-		parent.children = parent.child0[:0]
-	}
-	parent.children = append(parent.children, childEdge{kind: kind, to: child})
 	return nil
 }
 

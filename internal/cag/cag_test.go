@@ -4,9 +4,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/activity"
 )
+
+// vx builds a vertex represented by a copy of a.
+func vx(a activity.Activity) *Vertex { return NewVertex(&a) }
 
 // buildThreeTier constructs the canonical RUBiS-like causal path of Fig. 1
 // with explicit timestamps (in ms, relative to base):
@@ -26,8 +30,7 @@ func buildThreeTier(t *testing.T, base time.Duration, pidSalt int) *Graph {
 
 	at := func(ms int) time.Duration { return base + time.Duration(ms)*time.Millisecond }
 	mk := func(typ activity.Type, ts time.Duration, ctx activity.Context, ch activity.Channel) *Vertex {
-		return &Vertex{Type: typ, Timestamp: ts, Ctx: ctx, Chan: ch, Size: 100,
-			Records: []*activity.Activity{{Type: typ, Timestamp: ts, Ctx: ctx, Chan: ch, Size: 100, ReqID: int64(pidSalt), MsgID: -1}}}
+		return vx(activity.Activity{Type: typ, Timestamp: ts, Ctx: ctx, Chan: ch, Size: 100, ReqID: int64(pidSalt), MsgID: -1})
 	}
 
 	g := New(mk(activity.Begin, at(0), httpd, clientCh))
@@ -101,10 +104,18 @@ func TestDuplicateParentKindRejected(t *testing.T) {
 	}
 }
 
+func TestVertexSize(t *testing.T) {
+	// A vertex embeds its representative record instead of copying it;
+	// a field added back moves it out of the 80 B size class.
+	if got := unsafe.Sizeof(Vertex{}); got > 80 {
+		t.Fatalf("unsafe.Sizeof(Vertex{}) = %d B, want <= 80", got)
+	}
+}
+
 func TestForeignParentRejected(t *testing.T) {
 	g1 := buildThreeTier(t, 0, 1)
 	g2 := buildThreeTier(t, 0, 2)
-	v := &Vertex{Type: activity.Send, Ctx: g1.Root().Ctx}
+	v := vx(activity.Activity{Type: activity.Send, Ctx: g1.Root().Ctx})
 	if err := g2.AddVertex(v, ContextEdge, g1.Root()); err == nil {
 		t.Fatal("expected ErrForeignVertex")
 	}
@@ -133,7 +144,7 @@ func TestFinishTwiceFails(t *testing.T) {
 
 func TestAddAfterFinishFails(t *testing.T) {
 	g := buildThreeTier(t, 0, 1)
-	v := &Vertex{Type: activity.Send, Ctx: g.Root().Ctx}
+	v := vx(activity.Activity{Type: activity.Send, Ctx: g.Root().Ctx})
 	if err := g.AddVertex(v, ContextEdge, g.Root()); err == nil {
 		t.Fatal("AddVertex after Finish should fail")
 	}
@@ -153,8 +164,8 @@ func TestSignatureDistinguishesShapes(t *testing.T) {
 	// A one-tier static request: BEGIN -> END.
 	httpd := activity.Context{Host: "web1", Program: "httpd", PID: 1, TID: 1}
 	ch := activity.Channel{Src: activity.Endpoint{IP: "10.0.0.9", Port: 4000}, Dst: activity.Endpoint{IP: "10.0.0.1", Port: 80}}
-	g2 := New(&Vertex{Type: activity.Begin, Ctx: httpd, Chan: ch})
-	if err := g2.AddVertex(&Vertex{Type: activity.End, Timestamp: time.Millisecond, Ctx: httpd, Chan: ch.Reverse()}, ContextEdge, g2.Root()); err != nil {
+	g2 := New(vx(activity.Activity{Type: activity.Begin, Ctx: httpd, Chan: ch}))
+	if err := g2.AddVertex(vx(activity.Activity{Type: activity.End, Timestamp: time.Millisecond, Ctx: httpd, Chan: ch.Reverse()}), ContextEdge, g2.Root()); err != nil {
 		t.Fatal(err)
 	}
 	if err := g2.Finish(); err != nil {
@@ -235,8 +246,8 @@ func TestAggregateRejectsMixedPatterns(t *testing.T) {
 	g1 := buildThreeTier(t, 0, 1)
 	httpd := activity.Context{Host: "web1", Program: "httpd", PID: 1, TID: 1}
 	ch := activity.Channel{Src: activity.Endpoint{IP: "c", Port: 1}, Dst: activity.Endpoint{IP: "s", Port: 80}}
-	g2 := New(&Vertex{Type: activity.Begin, Ctx: httpd, Chan: ch})
-	if err := g2.AddVertex(&Vertex{Type: activity.End, Ctx: httpd, Chan: ch.Reverse()}, ContextEdge, g2.Root()); err != nil {
+	g2 := New(vx(activity.Activity{Type: activity.Begin, Ctx: httpd, Chan: ch}))
+	if err := g2.AddVertex(vx(activity.Activity{Type: activity.End, Ctx: httpd, Chan: ch.Reverse()}), ContextEdge, g2.Root()); err != nil {
 		t.Fatal(err)
 	}
 	if err := g2.Finish(); err != nil {
@@ -281,8 +292,8 @@ func TestClassify(t *testing.T) {
 	// One singleton with a different shape.
 	httpd := activity.Context{Host: "web1", Program: "httpd", PID: 1, TID: 1}
 	ch := activity.Channel{Src: activity.Endpoint{IP: "c", Port: 1}, Dst: activity.Endpoint{IP: "s", Port: 80}}
-	g := New(&Vertex{Type: activity.Begin, Ctx: httpd, Chan: ch})
-	if err := g.AddVertex(&Vertex{Type: activity.End, Ctx: httpd, Chan: ch.Reverse()}, ContextEdge, g.Root()); err != nil {
+	g := New(vx(activity.Activity{Type: activity.Begin, Ctx: httpd, Chan: ch}))
+	if err := g.AddVertex(vx(activity.Activity{Type: activity.End, Ctx: httpd, Chan: ch.Reverse()}), ContextEdge, g.Root()); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Finish(); err != nil {
@@ -325,9 +336,9 @@ func TestValidateCatchesCrossContextEdge(t *testing.T) {
 	httpd := activity.Context{Host: "web1", Program: "httpd", PID: 1, TID: 1}
 	other := activity.Context{Host: "web1", Program: "httpd", PID: 2, TID: 2}
 	ch := activity.Channel{Src: activity.Endpoint{IP: "c", Port: 1}, Dst: activity.Endpoint{IP: "s", Port: 80}}
-	g := New(&Vertex{Type: activity.Begin, Ctx: httpd, Chan: ch})
+	g := New(vx(activity.Activity{Type: activity.Begin, Ctx: httpd, Chan: ch}))
 	// Context edge to a vertex in a different context is invalid.
-	if err := g.AddVertex(&Vertex{Type: activity.End, Ctx: other, Chan: ch}, ContextEdge, g.Root()); err != nil {
+	if err := g.AddVertex(vx(activity.Activity{Type: activity.End, Ctx: other, Chan: ch}), ContextEdge, g.Root()); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Validate(); err == nil {

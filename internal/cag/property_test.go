@@ -37,18 +37,18 @@ func randomChain(seed int64) *Graph {
 		return ts
 	}
 
-	g := New(&Vertex{Type: activity.Begin, Timestamp: next(), Ctx: ctxs[0], Chan: chans[0]})
+	g := New(vx(activity.Activity{Type: activity.Begin, Timestamp: next(), Ctx: ctxs[0], Chan: chans[0]}))
 	last := make([]*Vertex, tiers) // last vertex per tier context
 	last[0] = g.Root()
 
 	// Descend.
 	for i := 0; i+1 < tiers; i++ {
-		s := &Vertex{Type: activity.Send, Timestamp: next(), Ctx: ctxs[i], Chan: chans[i+1]}
+		s := vx(activity.Activity{Type: activity.Send, Timestamp: next(), Ctx: ctxs[i], Chan: chans[i+1]})
 		if err := g.AddVertex(s, ContextEdge, last[i]); err != nil {
 			panic(err)
 		}
 		last[i] = s
-		r := &Vertex{Type: activity.Receive, Timestamp: next(), Ctx: ctxs[i+1], Chan: chans[i+1]}
+		r := vx(activity.Activity{Type: activity.Receive, Timestamp: next(), Ctx: ctxs[i+1], Chan: chans[i+1]})
 		if err := g.AddVertex(r, MessageEdge, s); err != nil {
 			panic(err)
 		}
@@ -56,11 +56,11 @@ func randomChain(seed int64) *Graph {
 	}
 	// Ascend.
 	for i := tiers - 1; i > 0; i-- {
-		s := &Vertex{Type: activity.Send, Timestamp: next(), Ctx: ctxs[i], Chan: chans[i].Reverse()}
+		s := vx(activity.Activity{Type: activity.Send, Timestamp: next(), Ctx: ctxs[i], Chan: chans[i].Reverse()})
 		if err := g.AddVertex(s, ContextEdge, last[i]); err != nil {
 			panic(err)
 		}
-		r := &Vertex{Type: activity.Receive, Timestamp: next(), Ctx: ctxs[i-1], Chan: chans[i].Reverse()}
+		r := vx(activity.Activity{Type: activity.Receive, Timestamp: next(), Ctx: ctxs[i-1], Chan: chans[i].Reverse()})
 		if err := g.AddVertex(r, MessageEdge, s); err != nil {
 			panic(err)
 		}
@@ -69,7 +69,7 @@ func randomChain(seed int64) *Graph {
 		}
 		last[i-1] = r
 	}
-	end := &Vertex{Type: activity.End, Timestamp: next(), Ctx: ctxs[0], Chan: chans[0].Reverse()}
+	end := vx(activity.Activity{Type: activity.End, Timestamp: next(), Ctx: ctxs[0], Chan: chans[0].Reverse()})
 	if err := g.AddVertex(end, ContextEdge, last[0]); err != nil {
 		panic(err)
 	}

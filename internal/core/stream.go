@@ -295,7 +295,7 @@ func releasesBefore(x, y *taggedGraph) bool {
 	if ex.Ctx.Host != ey.Ctx.Host {
 		return ex.Ctx.Host < ey.Ctx.Host
 	}
-	if a, b := ex.Records[0].ID, ey.Records[0].ID; a != b {
+	if a, b := ex.ID, ey.ID; a != b {
 		return a < b
 	}
 	if x.comp != y.comp {

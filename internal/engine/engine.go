@@ -206,7 +206,7 @@ func (e *Engine) Handle(a *activity.Activity) *cag.Graph {
 // Fig. 4 merges SEND segments.
 func (e *Engine) handleBegin(a *activity.Activity) {
 	if parent, ok := e.cmap[a.CtxK]; ok && !parent.graph.Finished() &&
-		parent.vertex.Type == activity.Begin && parent.vertex.Chan == a.Chan &&
+		parent.vertex.Type == activity.Begin && parent.vertex.ChanK == a.ChanK &&
 		parent.graph.Len() == 1 {
 		parent.vertex.Size += a.Size
 		parent.vertex.Records = append(parent.vertex.Records, a)
@@ -227,7 +227,7 @@ func (e *Engine) handleEnd(a *activity.Activity) *cag.Graph {
 		e.stats.DiscardedEnds++
 		return nil
 	}
-	if parent.vertex.Type == activity.End && parent.vertex.Chan == a.Chan {
+	if parent.vertex.Type == activity.End && parent.vertex.ChanK == a.ChanK {
 		// Trailing segment of a multi-segment response: merge into the END
 		// vertex even though the graph is already finished — only the
 		// vertex's records and byte count change, not the structure.
@@ -273,7 +273,7 @@ func (e *Engine) handleSend(a *activity.Activity) {
 		e.stats.DiscardedSends++
 		return
 	}
-	if parent.vertex.Type == activity.Send && parent.vertex.Chan == a.Chan {
+	if parent.vertex.Type == activity.Send && parent.vertex.ChanK == a.ChanK {
 		// Line 15–16: consecutive SEND segments of one message — merge.
 		parent.vertex.Size += a.Size
 		parent.vertex.Records = append(parent.vertex.Records, a)
@@ -320,14 +320,18 @@ func (e *Engine) handleReceive(a *activity.Activity) {
 	if p.remaining < 0 {
 		e.stats.OverrunReceives++
 	}
-	// Message fully received: the RECEIVE vertex's representative timestamp
-	// is the completing segment's (data available to the application now).
+	// Message fully received: the RECEIVE vertex is represented by the
+	// completing segment (data available to the application now). The
+	// partial slice belongs to this one pending message, deleted below,
+	// so the vertex takes it over.
 	v := cag.NewVertex(a)
 	v.Size = p.vertex.Size
 	if len(p.partial) > 0 {
-		v.Records = append(append([]*activity.Activity{}, p.partial...), a)
+		v.Records = append(p.partial, a)
 	}
 	if err := p.graph.AddVertex(v, cag.MessageEdge, p.vertex); err != nil {
+		// The entry stays in mmap and may share partial's backing array
+		// with v.Records; harmless, since v is dropped here.
 		e.stats.DiscardedReceives++
 		return
 	}

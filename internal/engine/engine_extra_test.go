@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/activity"
+	"repro/internal/cag"
 )
 
 func TestBeginSegmentMerging(t *testing.T) {
@@ -159,5 +160,58 @@ func TestReceiveTimestampIsCompletionSegment(t *testing.T) {
 	recv := g.Vertex(2)
 	if recv.Type != activity.Receive || recv.Timestamp != 8*time.Millisecond {
 		t.Fatalf("receive vertex: %v", recv)
+	}
+}
+
+func TestVertexRepresentative(t *testing.T) {
+	// A vertex is represented by one of its records: the first segment of
+	// a merged SEND or END, the completing segment of a multi-segment
+	// RECEIVE. Size is the merged byte count.
+	e := New()
+	e.Handle(act(activity.Begin, 0, httpdCtx, clientCh, 200, 1))
+	s1 := act(activity.Send, 3, httpdCtx, webApp, 1000, 1)
+	s2 := act(activity.Send, 4, httpdCtx, webApp, 500, 1)
+	r1 := act(activity.Receive, 5, javaCtx, webApp, 800, 1)
+	r2 := act(activity.Receive, 6, javaCtx, webApp, 700, 1)
+	e1 := act(activity.End, 11, httpdCtx, clientCh.Reverse(), 1448, 1)
+	e2 := act(activity.End, 12, httpdCtx, clientCh.Reverse(), 52, 1)
+	for _, a := range []*activity.Activity{s1, s2, r1, r2,
+		act(activity.Send, 7, javaCtx, webApp.Reverse(), 100, 1),
+		act(activity.Receive, 9, httpdCtx, webApp.Reverse(), 100, 1),
+		e1, e2} {
+		e.Handle(a)
+	}
+	g := e.Outputs()[0]
+	send, recv, end := g.Vertex(1), g.Vertex(2), g.End()
+
+	for _, c := range []struct {
+		name    string
+		v       *cag.Vertex
+		rep     *activity.Activity
+		records []*activity.Activity
+		size    int64
+	}{
+		{"SEND", send, s1, []*activity.Activity{s1, s2}, 1500},
+		{"RECEIVE", recv, r2, []*activity.Activity{r1, r2}, 1500},
+		{"END", end, e1, []*activity.Activity{e1, e2}, 1500},
+	} {
+		if c.v.Activity != c.rep {
+			t.Errorf("%s represented by %v, want %v", c.name, c.v.Activity, c.rep)
+		}
+		if c.v.Type != c.rep.Type || c.v.Timestamp != c.rep.Timestamp ||
+			c.v.Ctx != c.rep.Ctx || c.v.Chan != c.rep.Chan {
+			t.Errorf("%s reads %v, want %v", c.name, c.v, c.rep)
+		}
+		if len(c.v.Records) != len(c.records) {
+			t.Fatalf("%s has %d records, want %d", c.name, len(c.v.Records), len(c.records))
+		}
+		for i, r := range c.records {
+			if c.v.Records[i] != r {
+				t.Errorf("%s record %d = %v, want %v", c.name, i, c.v.Records[i], r)
+			}
+		}
+		if c.v.Size != c.size {
+			t.Errorf("%s size = %d, want %d", c.name, c.v.Size, c.size)
+		}
 	}
 }

@@ -24,6 +24,9 @@ import (
 	"repro/internal/rubis"
 )
 
+// vx builds a vertex represented by a copy of a.
+func vx(a activity.Activity) *cag.Vertex { return cag.NewVertex(&a) }
+
 // buildPath builds the canonical two-tier request graph: six vertices
 // on web1/httpd and app1/java, a message round trip, and the extra
 // context edge into the RECEIVE — the same shape the analysis and live
@@ -36,27 +39,27 @@ func buildPath(t testing.TB, hop time.Duration, salt int) *cag.Graph {
 	wch := activity.Channel{Src: activity.Endpoint{IP: "w", Port: 2000 + salt}, Dst: activity.Endpoint{IP: "a", Port: 8009}}
 
 	ts := func(i int) time.Duration { return time.Duration(i) * hop }
-	g := cag.New(&cag.Vertex{Type: activity.Begin, Timestamp: ts(0), Ctx: httpd, Chan: cch})
-	s1 := &cag.Vertex{Type: activity.Send, Timestamp: ts(1), Ctx: httpd, Chan: wch, Size: 512}
+	g := cag.New(vx(activity.Activity{Type: activity.Begin, Timestamp: ts(0), Ctx: httpd, Chan: cch}))
+	s1 := vx(activity.Activity{Type: activity.Send, Timestamp: ts(1), Ctx: httpd, Chan: wch, Size: 512})
 	if err := g.AddVertex(s1, cag.ContextEdge, g.Root()); err != nil {
 		t.Fatal(err)
 	}
-	r1 := &cag.Vertex{Type: activity.Receive, Timestamp: ts(2), Ctx: java, Chan: wch, Size: 512}
+	r1 := vx(activity.Activity{Type: activity.Receive, Timestamp: ts(2), Ctx: java, Chan: wch, Size: 512})
 	if err := g.AddVertex(r1, cag.MessageEdge, s1); err != nil {
 		t.Fatal(err)
 	}
-	s2 := &cag.Vertex{Type: activity.Send, Timestamp: ts(3), Ctx: java, Chan: wch.Reverse(), Size: 2048}
+	s2 := vx(activity.Activity{Type: activity.Send, Timestamp: ts(3), Ctx: java, Chan: wch.Reverse(), Size: 2048})
 	if err := g.AddVertex(s2, cag.ContextEdge, r1); err != nil {
 		t.Fatal(err)
 	}
-	r2 := &cag.Vertex{Type: activity.Receive, Timestamp: ts(4), Ctx: httpd, Chan: wch.Reverse(), Size: 2048}
+	r2 := vx(activity.Activity{Type: activity.Receive, Timestamp: ts(4), Ctx: httpd, Chan: wch.Reverse(), Size: 2048})
 	if err := g.AddVertex(r2, cag.MessageEdge, s2); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.AddEdge(cag.ContextEdge, s1, r2); err != nil {
 		t.Fatal(err)
 	}
-	end := &cag.Vertex{Type: activity.End, Timestamp: ts(5), Ctx: httpd, Chan: cch.Reverse()}
+	end := vx(activity.Activity{Type: activity.End, Timestamp: ts(5), Ctx: httpd, Chan: cch.Reverse()})
 	if err := g.AddVertex(end, cag.ContextEdge, r2); err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +414,7 @@ func TestFileSinkFlushErrorSticky(t *testing.T) {
 	// buffer, so only the flush sees the failure.
 	e.c.(*bufferedFile).f.Close()
 	d.c.(*bufferedFile).f.Close()
-	g := cag.New(&cag.Vertex{Type: activity.Begin, Ctx: activity.Context{Host: "h", Program: "p"}})
+	g := cag.New(vx(activity.Activity{Type: activity.Begin, Ctx: activity.Context{Host: "h", Program: "p"}}))
 	if err := g.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -550,8 +553,8 @@ func awkwardGraphs(t *testing.T) []*cag.Graph {
 	g.SetProvenance(true, true)
 	out = append(out, g)
 
-	u := cag.New(&cag.Vertex{Type: activity.Begin, Timestamp: -time.Millisecond, Ctx: ctx})
-	if err := u.AddVertex(&cag.Vertex{Type: activity.Send, Timestamp: 0, Ctx: ctx}, cag.ContextEdge, u.Root()); err != nil {
+	u := cag.New(vx(activity.Activity{Type: activity.Begin, Timestamp: -time.Millisecond, Ctx: ctx}))
+	if err := u.AddVertex(vx(activity.Activity{Type: activity.Send, Timestamp: 0, Ctx: ctx}), cag.ContextEdge, u.Root()); err != nil {
 		t.Fatal(err)
 	}
 	return append(out, u)
@@ -837,7 +840,7 @@ func Trace(g *cag.Graph) Request {
 			Name:              fmt.Sprintf("%s %s/%s", v.Type, v.Ctx.Host, v.Ctx.Program),
 			Kind:              spanKindInternal,
 			StartTimeUnixNano: nanos(v.Timestamp.Nanoseconds()),
-			EndTimeUnixNano:   nanos(spanEnd(v)),
+			EndTimeUnixNano:   nanos(spanEnd(g, v)),
 		}
 		sp.Attributes = append(sp.Attributes,
 			Str("cag.type", v.Type.String()),
@@ -895,12 +898,14 @@ func Trace(g *cag.Graph) Request {
 	}}}
 }
 
-// spanEnd is the latest direct-child timestamp, or the vertex's own.
-func spanEnd(v *cag.Vertex) int64 {
+// spanEnd is the latest direct-child timestamp, or the vertex's own. The
+// children are found by scanning g for vertices whose context or message
+// parent is v.
+func spanEnd(g *cag.Graph, v *cag.Vertex) int64 {
 	end := v.Timestamp
-	_, children := v.Children()
-	for _, c := range children {
-		if c.Timestamp > end {
+	for i := 0; i < g.Len(); i++ {
+		c := g.Vertex(i)
+		if (c.CtxParent() == v || c.MsgParent() == v) && c.Timestamp > end {
 			end = c.Timestamp
 		}
 	}

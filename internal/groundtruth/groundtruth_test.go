@@ -7,6 +7,14 @@ import (
 	"repro/internal/cag"
 )
 
+// vx builds a vertex represented by a copy of a, with no records:
+// graphWith supplies them.
+func vx(a activity.Activity) *cag.Vertex {
+	v := cag.NewVertex(&a)
+	v.Records = v.Records[:0]
+	return v
+}
+
 func mkActivity(id, req int64) *activity.Activity {
 	return &activity.Activity{ID: id, ReqID: req, MsgID: -1, Type: activity.Begin,
 		Ctx: activity.Context{Host: "web1", Program: "httpd", PID: 1, TID: 1}}
@@ -17,8 +25,8 @@ func mkActivity(id, req int64) *activity.Activity {
 func graphWith(t *testing.T, pairs ...[2]int64) *cag.Graph {
 	t.Helper()
 	ctx := activity.Context{Host: "web1", Program: "httpd", PID: 1, TID: 1}
-	root := &cag.Vertex{Type: activity.Begin, Ctx: ctx}
-	end := &cag.Vertex{Type: activity.End, Ctx: ctx}
+	root := vx(activity.Activity{Type: activity.Begin, Ctx: ctx})
+	end := vx(activity.Activity{Type: activity.End, Ctx: ctx})
 	for i, p := range pairs {
 		a := mkActivity(p[0], p[1])
 		if i%2 == 0 {

@@ -263,12 +263,8 @@ func (m *Monitor) Ingest(g *cag.Graph) {
 	for i := 0; i < g.Len(); i++ {
 		v := g.Vertex(i)
 		// Records arriving through the session are bound; a hand-built
-		// vertex without records or keys falls back to interning its
-		// host name.
-		var sym activity.Sym
-		if len(v.Records) > 0 {
-			sym = v.Records[0].CtxK.Host
-		}
+		// vertex's unbound record falls back to interning its host name.
+		sym := v.CtxK.Host
 		if sym == 0 {
 			sym = activity.Syms.Intern(v.Ctx.Host)
 		}

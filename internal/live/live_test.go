@@ -12,6 +12,9 @@ import (
 	"repro/internal/rubis"
 )
 
+// vx builds a vertex represented by a copy of a.
+func vx(a activity.Activity) *cag.Vertex { return cag.NewVertex(&a) }
+
 // buildGraph makes a finished two-tier CAG completing at the given time,
 // with a front2front share controlled by frontWork and a cross share by
 // hop.
@@ -24,24 +27,24 @@ func buildGraph(t *testing.T, endAt time.Duration, frontWork, hop time.Duration,
 
 	total := frontWork + hop + hop + frontWork
 	start := endAt - total
-	g := cag.New(&cag.Vertex{Type: activity.Begin, Timestamp: start, Ctx: front, Chan: cch})
-	s := &cag.Vertex{Type: activity.Send, Timestamp: start + frontWork, Ctx: front, Chan: wch}
+	g := cag.New(vx(activity.Activity{Type: activity.Begin, Timestamp: start, Ctx: front, Chan: cch}))
+	s := vx(activity.Activity{Type: activity.Send, Timestamp: start + frontWork, Ctx: front, Chan: wch})
 	if err := g.AddVertex(s, cag.ContextEdge, g.Root()); err != nil {
 		t.Fatal(err)
 	}
-	rcv := &cag.Vertex{Type: activity.Receive, Timestamp: start + frontWork + hop, Ctx: back, Chan: wch}
+	rcv := vx(activity.Activity{Type: activity.Receive, Timestamp: start + frontWork + hop, Ctx: back, Chan: wch})
 	if err := g.AddVertex(rcv, cag.MessageEdge, s); err != nil {
 		t.Fatal(err)
 	}
-	s2 := &cag.Vertex{Type: activity.Send, Timestamp: start + frontWork + hop, Ctx: back, Chan: wch.Reverse()}
+	s2 := vx(activity.Activity{Type: activity.Send, Timestamp: start + frontWork + hop, Ctx: back, Chan: wch.Reverse()})
 	if err := g.AddVertex(s2, cag.ContextEdge, rcv); err != nil {
 		t.Fatal(err)
 	}
-	r2 := &cag.Vertex{Type: activity.Receive, Timestamp: start + frontWork + 2*hop, Ctx: front, Chan: wch.Reverse()}
+	r2 := vx(activity.Activity{Type: activity.Receive, Timestamp: start + frontWork + 2*hop, Ctx: front, Chan: wch.Reverse()})
 	if err := g.AddVertex(r2, cag.MessageEdge, s2); err != nil {
 		t.Fatal(err)
 	}
-	end := &cag.Vertex{Type: activity.End, Timestamp: endAt, Ctx: front, Chan: cch.Reverse()}
+	end := vx(activity.Activity{Type: activity.End, Timestamp: endAt, Ctx: front, Chan: cch.Reverse()})
 	if err := g.AddVertex(end, cag.ContextEdge, r2); err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,8 @@ func soloGraph(t testing.TB, endAt, latency time.Duration, prog string, salt int
 	t.Helper()
 	ctx := activity.Context{Host: "web1", Program: prog, PID: salt, TID: salt}
 	ch := activity.Channel{Src: activity.Endpoint{IP: "c", Port: 30000 + salt%1000}, Dst: activity.Endpoint{IP: "w", Port: 80}}
-	g := cag.New(&cag.Vertex{Type: activity.Begin, Timestamp: endAt - latency, Ctx: ctx, Chan: ch})
-	end := &cag.Vertex{Type: activity.End, Timestamp: endAt, Ctx: ctx, Chan: ch.Reverse()}
+	g := cag.New(vx(activity.Activity{Type: activity.Begin, Timestamp: endAt - latency, Ctx: ctx, Chan: ch}))
+	end := vx(activity.Activity{Type: activity.End, Timestamp: endAt, Ctx: ctx, Chan: ch.Reverse()})
 	if err := g.AddVertex(end, cag.ContextEdge, g.Root()); err != nil {
 		t.Fatal(err)
 	}
