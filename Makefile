@@ -54,11 +54,12 @@ cover:
 bench:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
-# Allocation regression gates for the streaming-engine hot path and the
-# export sinks' encode. Each BenchmarkSessionPush variant has its own
-# budget: the measured figure on the reference box plus ~25-30% headroom
-# for machine variance — an accidental per-record allocation costs ~37k
-# allocs/op here and blows either budget immediately.
+# Allocation regression gates for the streaming-engine hot path, the
+# export sinks' encode and the agent→collector transport tier. Each
+# BenchmarkSessionPush variant has its own budget: the measured figure on
+# the reference box plus ~25-30% headroom for machine variance — an
+# accidental per-record allocation costs ~37k allocs/op here and blows
+# either budget immediately.
 #
 #   seq-close-driven: 50,647 measured once a completed multi-segment
 #   RECEIVE took over its partial-segment slice instead of copying it
@@ -89,8 +90,31 @@ BYTES_BUDGET_CONTINUOUS ?= 12900000
 #   with the span tree + encoding/json and the fmt dump. One allocation per
 #   span or attribute would cost ~15-100 allocs/op.
 ALLOCS_BUDGET_EXPORT ?= 4
+#   agent-collector-loopback (BenchmarkAgentCollectorLoopback: three agents
+#   ship 65,538 records over 127.0.0.1 to a collector whose sink only
+#   releases them; connection set-up included): 27.7-28.6 B/record and
+#   0.0258-0.0289 allocs/record measured at -cpu 1, 2 and 4 with the
+#   fixed-ring unacked window, a BatchSize send buffer per connection and
+#   one header-sized run slice per frame; 196.9 B/record and 0.069
+#   allocs/record when the window was a slice trimmed from the front and
+#   every wake-up built a fresh send batch. The run slices and pool misses
+#   vary with frame timing and GC, so the budgets are the -cpu 2 figure
+#   (28.1 B, 0.0273) plus ~25-30%; one allocation per record adds 1.0
+#   allocs/record.
+BYTES_BUDGET_TRANSPORT ?= 36
+ALLOCS_BUDGET_TRANSPORT ?= 0.035
 
 bench-allocs:
+	@$(GO) test -run '^$$' -bench '^BenchmarkAgentCollectorLoopback$$' -benchtime=3x ./internal/transport \
+	| awk -v bbudget=$(BYTES_BUDGET_TRANSPORT) -v abudget=$(ALLOCS_BUDGET_TRANSPORT) ' \
+		/^BenchmarkAgentCollectorLoopback/ { found++; \
+			for (i = 2; i <= NF; i++) { if ($$i == "B/record") b = $$(i-1) + 0; if ($$i == "allocs/record") a = $$(i-1) + 0 } \
+			printf "bench-allocs: agent-collector-loopback %.1f B/record (budget %.1f), %.4f allocs/record (budget %.4f)\n", b, bbudget, a, abudget; \
+			if (b > bbudget || a > abudget) bad = 1 } \
+		END { \
+			if (found != 1) { printf "bench-allocs: expected 1 transport benchmark result, got %d\n", found; exit 1 } \
+			exit bad \
+		}'
 	@$(GO) test -run '^$$' -bench '^BenchmarkExportSinks$$' -benchmem -benchtime=2000x ./internal/export \
 	| awk -v budget=$(ALLOCS_BUDGET_EXPORT) ' \
 		/^BenchmarkExportSinks/ { a = $$(NF-1) + 0; found++; \

@@ -237,7 +237,11 @@
 // re-offers its whole log (sequences are positional — the applied prefix
 // is skipped). Backpressure is TCP itself: when correlation falls behind,
 // the Ingest queue fills, collector handlers stop reading their sockets,
-// and the agents' bounded unacked windows block the producers.
+// and the agents' bounded unacked windows block the producers. That
+// window is a fixed ring and the send batch is reused, so the agent's
+// side allocates nothing per record. What shipping still allocates is the
+// collector's run slice per frame and decode records that miss the pool
+// after a GC (BenchmarkAgentCollectorLoopback gates the total).
 //
 // Because the session's output depends only on per-host record order —
 // which the sequence protocol preserves exactly — a networked run drains

@@ -261,6 +261,46 @@ func TestIngestRestoresOrder(t *testing.T) {
 	}
 }
 
+// TestIngestPushMatchesPushBatch: feeding every record through the
+// single-record Push gives the same applied merge, partition and graphs
+// as PushBatch of the same per-host runs. Push offers each record from
+// one reused variable, so a front that kept the caller's pointer instead
+// of its own copy would correlate the last record many times over.
+func TestIngestPushMatchesPushBatch(t *testing.T) {
+	res := fastRun(t, 40, nil)
+	opts := options(res)
+	hosts := sortedHosts(res.PerHost)
+	records := recordSteps(res.PerHost)
+	want, wantFps := orderedSession(t, opts, hosts, mergeSteps(records))
+
+	pushed := newFrontRun(t, opts, hosts, IngestOptions{DrainEvery: 64})
+	var scratch activity.Activity
+	for _, h := range hosts {
+		for _, st := range records[h] {
+			scratch = *st.rec
+			if err := pushed.in.Push(&scratch); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	batched := newFrontRun(t, opts, hosts, IngestOptions{DrainEvery: 64})
+	for _, h := range hosts {
+		for log := records[h]; len(log) > 0; {
+			n := min(64, len(log))
+			batched.offer(t, log[:n], false)
+			log = log[n:]
+		}
+	}
+	for _, run := range []struct {
+		label string
+		fr    *frontRun
+	}{{"Push", pushed}, {"PushBatch", batched}} {
+		got := run.fr.in.Close()
+		assertApplied(t, run.label, run.fr.applied, mergeSteps(records))
+		assertSameRun(t, run.label, got, run.fr.fps, want, wantFps)
+	}
+}
+
 // TestIngestSkewedClocks: under cross-host clock skew the merge is only
 // as good as the clocks — the residue over-merges (so the shard count may
 // differ) but the graphs are those of the offline replay.

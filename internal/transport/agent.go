@@ -73,15 +73,20 @@ func (cfg *AgentConfig) fill() error {
 // Agent ships one host's record stream to a collector. Producers call
 // Record and Heartbeat (any goroutine, but items are sequenced in call
 // order — hold your own order if you have one); a manager goroutine owns
-// the connection, batches, resends after reconnects, and trims the queue
+// the connection, batches, resends after reconnects, and trims the window
 // as acks arrive. Close flushes everything and performs the CLOSE
 // handshake; only then is the host's stream complete at the collector.
+// The unacked window is a ring of MaxUnacked slots, allocated once, and
+// each connection gathers its frames into one reused BatchSize buffer, so
+// the window and the send batch allocate nothing per record. An ack
+// zeroes the slots it frees, releasing their records.
 type Agent struct {
 	cfg AgentConfig
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   []item // assigned but unacked, contiguous ascending seq
+	ring    []item // the unacked window: n items from ring[head], contiguous ascending seq
+	head, n int
 	nextSeq uint64 // next sequence to assign (starts at 1)
 	acked   uint64 // collector's applied high-water mark
 	sentSeq uint64 // highest seq written to the current connection
@@ -102,6 +107,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	}
 	a := &Agent{
 		cfg:     cfg,
+		ring:    make([]item, cfg.MaxUnacked),
 		nextSeq: 1,
 		kick:    make(chan struct{}, 1),
 		abortCh: make(chan struct{}),
@@ -134,7 +140,7 @@ func (a *Agent) Heartbeat(ts time.Duration) error {
 func (a *Agent) offer(it item) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for a.err == nil && !a.closed && !a.aborted && len(a.queue) >= a.cfg.MaxUnacked {
+	for a.err == nil && !a.closed && !a.aborted && a.n == len(a.ring) {
 		a.cond.Wait()
 	}
 	if err := a.deadErr(); err != nil {
@@ -148,7 +154,8 @@ func (a *Agent) offer(it item) error {
 	if it.seq <= a.acked {
 		return nil // collector already has it (restart replay)
 	}
-	a.queue = append(a.queue, it)
+	a.ring[(a.head+a.n)%len(a.ring)] = it
+	a.n++
 	if a.nextSeq-1 >= a.sentSeq+uint64(a.cfg.BatchSize) {
 		a.kickWriter()
 	}
@@ -224,7 +231,7 @@ func (a *Agent) Bounce() {
 func (a *Agent) Unacked() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.queue)
+	return a.n
 }
 
 // run is the manager: dial, session, reconnect, until a clean close,
@@ -320,6 +327,7 @@ func (a *Agent) session(conn net.Conn) (finished bool) {
 	ticker := time.NewTicker(a.cfg.FlushInterval)
 	defer ticker.Stop()
 	var payloadBuf []byte
+	pending := make([]item, 0, a.cfg.BatchSize) // one frame's items, reused
 	closeSent := false
 	for {
 		flushDue := false
@@ -338,30 +346,27 @@ func (a *Agent) session(conn net.Conn) (finished bool) {
 			a.mu.Unlock()
 			return true
 		}
-		var pending []item
-		for _, it := range a.queue {
-			if it.seq > a.sentSeq {
-				pending = append(pending, it)
-			}
-		}
+		unsent := a.unsent()
 		closed := a.closed
+		send := unsent > 0 && (unsent >= a.cfg.BatchSize || flushDue || closed)
 		a.mu.Unlock()
 
-		if len(pending) > 0 && (len(pending) >= a.cfg.BatchSize || flushDue || closed) {
-			for len(pending) > 0 {
-				n := len(pending)
-				if n > a.cfg.BatchSize {
-					n = a.cfg.BatchSize
-				}
-				payloadBuf = batchPayload(payloadBuf, pending[:n])
+		if send {
+			// Ship the unsent items counted above, one frame at a time.
+			// Acks never pass sentSeq, so they stay unsent until written.
+			for left := unsent; left > 0; left -= len(pending) {
+				a.mu.Lock()
+				pending = a.appendUnsent(pending[:0], min(left, a.cfg.BatchSize))
+				a.mu.Unlock()
+				payloadBuf = batchPayload(payloadBuf, pending)
 				if err := writeFrame(bw, frameBatch, payloadBuf); err != nil {
 					return a.isFinished()
 				}
 				a.mu.Lock()
-				a.sentSeq = pending[n-1].seq
+				a.sentSeq = pending[len(pending)-1].seq
 				a.mu.Unlock()
-				pending = pending[n:]
 			}
+			clear(pending) // do not pin the producer's records
 			if err := bw.Flush(); err != nil {
 				return a.isFinished()
 			}
@@ -371,7 +376,7 @@ func (a *Agent) session(conn net.Conn) (finished bool) {
 			continue // gather again before considering CLOSE
 		}
 
-		if closed && len(pending) == 0 && !closeSent {
+		if closed && unsent == 0 && !closeSent {
 			if err := writeFrame(bw, frameClose, nil); err != nil {
 				return a.isFinished()
 			}
@@ -396,7 +401,7 @@ func (a *Agent) session(conn net.Conn) (finished bool) {
 }
 
 // readAcks consumes collector frames on one connection: acks trim the
-// queue and release blocked producers, a CLOSE echo confirms the seal, an
+// window and release blocked producers, a CLOSE echo confirms the seal, an
 // ERROR is terminal.
 func (a *Agent) readAcks(conn net.Conn, buf []byte, done chan<- struct{}, closeEcho chan<- struct{}) {
 	defer close(done)
@@ -430,19 +435,40 @@ func (a *Agent) readAcks(conn net.Conn, buf []byte, done chan<- struct{}, closeE
 	}
 }
 
-// applyAck advances the applied high-water mark and trims the queue.
-// Caller holds a.mu.
+// unsent counts the window's items above sentSeq — its tail, since the
+// window is contiguous in seq. sentSeq is either below the window (a
+// resume point) or the seq of an item in it. Caller holds a.mu.
+func (a *Agent) unsent() int {
+	if a.n == 0 || a.sentSeq < a.ring[a.head].seq {
+		return a.n
+	}
+	return a.n - int(a.sentSeq-a.ring[a.head].seq+1)
+}
+
+// appendUnsent appends the first k items above sentSeq to dst in seq
+// order. Caller holds a.mu.
+func (a *Agent) appendUnsent(dst []item, k int) []item {
+	start := (a.head + a.n - a.unsent()) % len(a.ring)
+	end := min(start+k, len(a.ring))
+	dst = append(dst, a.ring[start:end]...)
+	return append(dst, a.ring[:k-(end-start)]...) // the part past the wrap
+}
+
+// applyAck advances the applied high-water mark and frees the window's
+// acked prefix, zeroing each slot. Caller holds a.mu.
 func (a *Agent) applyAck(seq uint64) {
 	if seq <= a.acked {
 		return
 	}
 	a.acked = seq
-	i := 0
-	for i < len(a.queue) && a.queue[i].seq <= seq {
-		i++
+	freed := false
+	for a.n > 0 && a.ring[a.head].seq <= seq {
+		a.ring[a.head] = item{}
+		a.head = (a.head + 1) % len(a.ring)
+		a.n--
+		freed = true
 	}
-	if i > 0 {
-		a.queue = a.queue[i:]
+	if freed {
 		a.cond.Broadcast()
 	}
 }

@@ -319,7 +319,8 @@ func (c *Collector) handle(conn net.Conn) {
 // pending run first, so the sink sees items in exact sequence order.
 // Decoded records come from the activity record pool; ownership of a
 // record passes to the sink with the flush, while records the sink never
-// sees (the already-applied resume prefix) are released here.
+// sees (the already-applied resume prefix) are released here. A run's
+// slice is allocated once, sized by the items left in the frame.
 func (c *Collector) applyBatch(hs *hostState, payload []byte) (applied int, err error) {
 	c.mu.Lock()
 	mark := hs.lastApplied
@@ -351,7 +352,7 @@ func (c *Collector) applyBatch(hs *hostState, payload []byte) (applied int, err 
 		pend = nil
 		return nil
 	}
-	err = parseBatch(payload, func(it item) error {
+	err = parseBatch(payload, func(it item, left uint64) error {
 		if it.seq <= mark {
 			if it.rec != nil {
 				activity.ReleaseRecord(it.rec) // replayed prefix: already applied
@@ -368,6 +369,9 @@ func (c *Collector) applyBatch(hs *hostState, payload []byte) (applied int, err 
 			if got, want := it.rec.Ctx.Host, hs.name; got != want {
 				activity.ReleaseRecord(it.rec)
 				return fmt.Errorf("transport: record for host %q on %q's stream", got, want)
+			}
+			if pend == nil { // a record item takes ≥ 15 bytes: bounds a forged count
+				pend = make([]*activity.Activity, 0, min(left, uint64(len(payload)/15+1)))
 			}
 			pend = append(pend, it.rec)
 			if it.rec.Timestamp > pendTs {

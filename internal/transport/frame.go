@@ -168,8 +168,9 @@ func batchPayload(buf []byte, items []item) []byte {
 }
 
 // parseBatch decodes a BATCH frame body, invoking apply for each item in
-// sequence order. apply errors abort the parse.
-func parseBatch(p []byte, apply func(it item) error) error {
+// sequence order with the count of items left, itself included. apply
+// errors abort the parse.
+func parseBatch(p []byte, apply func(it item, left uint64) error) error {
 	first, used := binary.Uvarint(p)
 	if used <= 0 {
 		return fmt.Errorf("transport: malformed batch header")
@@ -211,7 +212,7 @@ func parseBatch(p []byte, apply func(it item) error) error {
 		default:
 			return fmt.Errorf("transport: batch item %d: unknown tag %d", i, tag)
 		}
-		if err := apply(it); err != nil {
+		if err := apply(it, count-i); err != nil {
 			return err
 		}
 	}
