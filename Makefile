@@ -55,11 +55,11 @@ bench:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
 # Allocation regression gates for the streaming-engine hot path, the
-# export sinks' encode and the agent→collector transport tier. Each
-# BenchmarkSessionPush variant has its own budget: the measured figure on
-# the reference box plus ~25-30% headroom for machine variance — an
-# accidental per-record allocation costs ~37k allocs/op here and blows
-# either budget immediately.
+# export sinks' encode, the live monitor's ingest and the agent→collector
+# transport tier. Each BenchmarkSessionPush variant has its own budget:
+# the measured figure on the reference box plus ~25-30% headroom for
+# machine variance — an accidental per-record allocation costs ~37k
+# allocs/op here and blows either budget immediately.
 #
 #   seq-close-driven: 50,647 measured once a completed multi-segment
 #   RECEIVE took over its partial-segment slice instead of copying it
@@ -103,6 +103,18 @@ ALLOCS_BUDGET_EXPORT ?= 4
 #   allocs/record.
 BYTES_BUDGET_TRANSPORT ?= 36
 ALLOCS_BUDGET_TRANSPORT ?= 0.035
+#   monitor-ingest (BenchmarkMonitorIngest: 1,692 RUBiS graphs through a
+#   fresh live.Monitor per op at 2 s intervals, then Flush): exact mode
+#   0.448 allocs/graph and 49.5 B/graph measured once each graph is folded
+#   into per-pattern accumulators on arrival, 21.05 and 1,794 when exact
+#   mode kept every graph of the interval and aggregated at close;
+#   sketched mode 0.658 and 150.7 (21.11 and 1,711 before). The budgets
+#   are the measured figures plus ~25%; one allocation per graph adds 1.0
+#   allocs/graph.
+ALLOCS_BUDGET_MONITOR ?= 0.56
+BYTES_BUDGET_MONITOR ?= 62
+ALLOCS_BUDGET_MONITOR_SKETCHED ?= 0.82
+BYTES_BUDGET_MONITOR_SKETCHED ?= 190
 
 bench-allocs:
 	@$(GO) test -run '^$$' -bench '^BenchmarkAgentCollectorLoopback$$' -benchtime=3x ./internal/transport \
@@ -113,6 +125,18 @@ bench-allocs:
 			if (b > bbudget || a > abudget) bad = 1 } \
 		END { \
 			if (found != 1) { printf "bench-allocs: expected 1 transport benchmark result, got %d\n", found; exit 1 } \
+			exit bad \
+		}'
+	@$(GO) test -run '^$$' -bench '^BenchmarkMonitorIngest$$' -benchtime=5x ./internal/live \
+	| awk -v ab=$(ALLOCS_BUDGET_MONITOR) -v bb=$(BYTES_BUDGET_MONITOR) \
+		-v sab=$(ALLOCS_BUDGET_MONITOR_SKETCHED) -v sbb=$(BYTES_BUDGET_MONITOR_SKETCHED) ' \
+		/^BenchmarkMonitorIngest\/(exact|sketched)/ { found++; \
+			for (i = 2; i <= NF; i++) { if ($$i == "B/graph") b = $$(i-1) + 0; if ($$i == "allocs/graph") a = $$(i-1) + 0 } \
+			if ($$1 ~ /sketched/) { mode = "sketched"; abud = sab; bbud = sbb } else { mode = "exact"; abud = ab; bbud = bb } \
+			printf "bench-allocs: monitor-ingest/%s %.3f allocs/graph (budget %.2f), %.1f B/graph (budget %d)\n", mode, a, abud, b, bbud; \
+			if (a > abud || b > bbud) bad = 1 } \
+		END { \
+			if (found != 2) { printf "bench-allocs: expected 2 monitor benchmark results, got %d\n", found; exit 1 } \
 			exit bad \
 		}'
 	@$(GO) test -run '^$$' -bench '^BenchmarkExportSinks$$' -benchmem -benchtime=2000x ./internal/export \

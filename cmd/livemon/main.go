@@ -50,7 +50,7 @@ func run() error {
 		threshold   = flag.Float64("threshold", 8, "alert threshold in latency-share percentage points")
 		entryPort   = flag.Int("entryport", 80, "first-tier service port")
 		chunk       = flag.Int("chunk", 256, "records pushed between drain rounds")
-		sketched    = flag.Bool("sketched", false, "bounded-memory monitor: sketch per-interval pattern accounting instead of retaining CAGs")
+		sketched    = flag.Bool("sketched", false, "bounded-memory monitor: track at most -maxpatterns patterns per interval (space-saving sketch) and keep lifetime latency/share quantiles")
 		maxPatterns = flag.Int("maxpatterns", 0, "sketched mode pattern capacity per interval (0 = default)")
 	)
 	shared := cli.RegisterCorrelator(flag.CommandLine)

@@ -365,13 +365,17 @@
 //	forced seal / late link  span events cag.forced_seal, cag.late_link
 //	                         on the root span
 //
-// The monitor's default accounting retains each interval's CAGs per
-// signature and aggregates at interval close — exact, and memory grows
-// with the interval's traffic. live.Config.Sketched bounds it: a
-// space-saving sketch (sketch.TopK) tracks the top MaxPatterns
-// signatures per interval with one incremental analysis.Accumulator
-// each (error ≤ N/MaxPatterns, heavy hitters never lost), baselines are
-// evicted least-recently-seen beyond 2×MaxPatterns, and lifetime
+// The monitor folds each CAG on arrival into one incremental
+// analysis.Accumulator per pattern signature for the current interval
+// and keeps no graph: its per-interval state grows with the patterns an
+// interval sees, not with its traffic. The default (exact) mode tracks
+// every pattern and is checked against an oracle that keeps the
+// interval's graphs and runs cag.Aggregate at close
+// (TestMonitorMatchesOracle, FuzzMonitorMatchesOracle).
+// live.Config.Sketched bounds the pattern count too: a space-saving
+// sketch (sketch.TopK) tracks the top MaxPatterns signatures per
+// interval (error ≤ N/MaxPatterns, heavy hitters never lost), baselines
+// are evicted least-recently-seen beyond 2×MaxPatterns, and lifetime
 // latency/share distributions ride Greenwald-Khanna quantile sketches
 // (sketch.Quantile, rank error ≤ εN) surfaced by Monitor.QuantileTable.
 // Interval request counts and mean latency stay exact scalars in either

@@ -7,16 +7,19 @@ import (
 
 // Accumulator folds one pattern's per-graph latency observations into
 // the same PatternReport a post-hoc cag.Aggregate pass would produce —
-// the incremental form the sketched live monitor runs the Detector on.
-// It holds one duration per category regardless of how many graphs are
-// observed, so a bucket of accumulators is bounded by the pattern's
-// category count, not the interval's request count.
+// the incremental form the live monitor runs the Detector on. It holds
+// one duration per category regardless of how many graphs are observed,
+// so a bucket of accumulators is bounded by the pattern's category
+// count, not the interval's request count.
 //
-// Equivalence contract: Observe-ing every member of an isomorphic set
-// and calling Report yields byte-identical Shares/MeanLatency to
-// reportOf(cag.Aggregate(members)) in package live — the integer
-// divisions happen at Report time, in the same order, on the same sums
-// (TestAccumulatorMatchesAggregate pins this).
+// Equivalence contract: Observe-ing every member of an isomorphic set,
+// Add-ing each member's critical-path hops (cag.ComponentLatencies, or
+// hop by hop), and calling Report yields byte-identical Shares/MeanLatency to the
+// PatternReport of cag.Aggregate(members) (alphabetical categories,
+// percentages of the truncated means) — the integer divisions happen at
+// Report time, in the same order, on the same sums
+// (TestAccumulatorMatchesAggregate pins this; package live's retained-
+// graph oracle test pins it for the monitor).
 type Accumulator struct {
 	Name      string
 	Signature string
@@ -35,15 +38,16 @@ func NewAccumulator(name, signature string) *Accumulator {
 	}
 }
 
-// Observe folds one graph's end-to-end latency and per-category
-// critical-path sums (cag.ComponentLatencies) into the running totals.
-func (a *Accumulator) Observe(latency time.Duration, components map[string]time.Duration) {
+// Observe counts one graph and folds its end-to-end latency into the
+// running totals; its critical-path categories go in through Add.
+func (a *Accumulator) Observe(latency time.Duration) {
 	a.count++
 	a.latSum += latency
-	for cat, d := range components {
-		a.catSum[cat] += d
-	}
 }
+
+// Add adds d to category's running sum. Sums are integers, so adding
+// hop by hop or category by category gives the same totals.
+func (a *Accumulator) Add(category string, d time.Duration) { a.catSum[category] += d }
 
 // Count is the number of graphs observed.
 func (a *Accumulator) Count() int { return a.count }

@@ -25,12 +25,15 @@ func TestAccumulatorMatchesAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The reference: package live's reportOf shape — alphabetical
-	// categories with percentages of the truncated means.
+	// The reference: the PatternReport shape of an Aggregate —
+	// alphabetical categories with percentages of the truncated means.
 	cats, vals := avg.Percentages()
 	acc := NewAccumulator(avg.Name, avg.Signature)
 	for _, g := range graphs {
-		acc.Observe(g.Latency(), cag.ComponentLatencies(g))
+		acc.Observe(g.Latency())
+		for cat, d := range cag.ComponentLatencies(g) {
+			acc.Add(cat, d)
+		}
 	}
 	rep := acc.Report()
 	if rep == nil {

@@ -33,13 +33,8 @@ func appendCriticalPathRev(dst []*Vertex, g *Graph) []*Vertex {
 	if cur == nil {
 		cur = g.vertices[len(g.vertices)-1]
 	}
-	for cur != nil {
+	for ; cur != nil; cur = cur.PathParent() {
 		dst = append(dst, cur)
-		if cur.msgParent != nil {
-			cur = cur.msgParent
-		} else {
-			cur = cur.ctxParent
-		}
 	}
 	return dst
 }

@@ -86,6 +86,16 @@ func (v *Vertex) CtxParent() *Vertex { return v.ctxParent }
 // MsgParent returns the parent via the message relation, or nil.
 func (v *Vertex) MsgParent() *Vertex { return v.msgParent }
 
+// PathParent returns the parent the critical path steps to from v: the
+// message parent if there is one, else the context parent; nil at the
+// root. See CriticalPath.
+func (v *Vertex) PathParent() *Vertex {
+	if v.msgParent != nil {
+		return v.msgParent
+	}
+	return v.ctxParent
+}
+
 // Index returns the vertex's insertion position in its graph.
 func (v *Vertex) Index() int { return v.index }
 

@@ -8,20 +8,24 @@
 // noise make PreciseTracer a promising tracing tool for using on
 // production systems"); this package is that deployment mode.
 //
-// Exact mode (the default) keeps every interval's graphs and aggregates
-// post-hoc — unbounded state at production rates. Config.Sketched
-// switches the per-interval accounting onto bounded-memory sketches
-// (internal/sketch): pattern frequencies ride a space-saving heavy-
-// hitter sketch of Config.MaxPatterns counters, per-pattern latency
-// breakdowns fold incrementally into analysis.Accumulator totals, and
-// the detector runs on the sketched stream as intervals close. With
-// capacity to spare the sketched output is byte-identical to exact mode
-// (the equivalence tests pin this); under overload it degrades to the
+// Each CAG is folded on arrival into its pattern's analysis.Accumulator
+// for the current interval and is never retained: per-interval state is
+// one accumulator per pattern seen, whatever the traffic. Exact mode
+// (the default) tracks every pattern; the tests check it against an
+// oracle that keeps the interval's graphs and runs cag.Aggregate at
+// close. Config.Sketched
+// bounds the pattern count too: frequencies ride a space-saving heavy-
+// hitter sketch of Config.MaxPatterns counters (internal/sketch), an
+// evicted pattern's accumulator is dropped with it, and lifetime
+// latency/share quantiles ride Greenwald-Khanna sketches. With capacity
+// to spare the sketched output is byte-identical to exact mode (the
+// equivalence tests pin this); under overload it degrades to the
 // sketch's documented error bounds instead of growing.
 package live
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -67,14 +71,14 @@ type Config struct {
 	// OnAlert, when set, receives alerts as intervals close.
 	OnAlert func(Alert)
 
-	// Sketched switches the per-interval pattern/latency accounting onto
-	// bounded-memory sketches: at most MaxPatterns pattern signatures are
-	// tracked per interval (space-saving heavy hitters), per-pattern
-	// latency breakdowns accumulate incrementally instead of retaining
-	// graphs, and lifetime latency/share quantiles (QuantileTable) ride
-	// fixed-size Greenwald-Khanna sketches. False (the default) keeps the
-	// exact post-hoc computation — and is the oracle the sketched mode's
-	// equivalence tests compare against.
+	// Sketched bounds the per-interval pattern accounting: at most
+	// MaxPatterns pattern signatures are tracked per interval (space-
+	// saving heavy hitters), and lifetime latency/share quantiles
+	// (QuantileTable) ride fixed-size Greenwald-Khanna sketches. False
+	// (the default) tracks every pattern an interval sees, exactly, and
+	// keeps no quantiles; its baselines and category-name cache grow
+	// with the pattern and program vocabulary, not the traffic. Both modes fold each CAG into per-pattern
+	// accumulators on arrival and retain no graph.
 	Sketched bool
 	// MaxPatterns caps the signatures tracked per interval and the
 	// categories tracked by the lifetime share quantiles in sketched
@@ -87,21 +91,23 @@ type Config struct {
 	QuantileEpsilon float64
 }
 
+// bucket is one interval's accounting: one incremental accumulator per
+// tracked pattern signature. Sketched mode bounds the tracked set with a
+// heavy-hitter sketch whose keys are exactly accs' keys; exact mode
+// tracks every signature. reqs/latSum stay exact scalars, so interval
+// totals (Requests, MeanLatency) never degrade with eviction.
 type bucket struct {
 	start  time.Duration
-	graphs map[string][]*cag.Graph // signature -> members (exact mode)
-	sk     *sketchBucket           // bounded accounting (sketched mode)
-}
-
-// sketchBucket is one interval's bounded-memory accounting: a heavy-
-// hitter sketch over pattern signatures plus one incremental accumulator
-// per tracked signature. reqs/latSum stay exact scalars, so interval
-// totals (Requests, MeanLatency) never degrade with eviction.
-type sketchBucket struct {
-	top    *sketch.TopK
-	accs   map[string]*analysis.Accumulator // tracked signature -> totals
+	top    *sketch.TopK // nil in exact mode
+	accs   map[string]*analysis.Accumulator
 	reqs   int
 	latSum time.Duration
+}
+
+// catSum is one category's critical-path total within one graph.
+type catSum struct {
+	cat string
+	d   time.Duration
 }
 
 // IntervalStat summarises one closed interval for dashboards.
@@ -164,6 +170,16 @@ type Monitor struct {
 	delivered    map[activity.Sym]time.Duration
 	deliveredAny bool
 
+	// Ingest scratch, reused across graphs: the signature is appended into
+	// sig and looked up without a string conversion, category names are
+	// cached per bound (from, to) program pair, and cats sums one graph's
+	// critical path per category. The name cache grows with the program
+	// vocabulary, like the baselines; sketched mode starts it over past
+	// 4×MaxPatterns pairs so it stays capacity-bounded.
+	sig      []byte
+	catNames map[[2]activity.Sym]string
+	cats     []catSum
+
 	// Lifetime quantile sketches (sketched mode only): end-to-end latency
 	// over every ingested CAG, and per-category latency-share percentages
 	// bounded by a heavy-hitter sketch over category names (an evicted
@@ -209,6 +225,7 @@ func NewMonitor(cfg Config) *Monitor {
 		baselines:  make(map[string]*patternBaseline),
 		hostNewest: make(map[activity.Sym]time.Duration),
 		delivered:  make(map[activity.Sym]time.Duration),
+		catNames:   make(map[[2]activity.Sym]string),
 	}
 	if cfg.Sketched {
 		m.latQ = sketch.NewQuantile(cfg.QuantileEpsilon)
@@ -234,8 +251,14 @@ func (m *Monitor) Ingest(g *cag.Graph) {
 	} else {
 		m.lastEnd = t
 	}
+	// Buckets start at multiples of Interval, rounded down: Go's %
+	// truncates toward zero, so a negative t needs the correction.
+	start := t - t%m.cfg.Interval
+	if start > t {
+		start -= m.cfg.Interval
+	}
 	if m.cur == nil {
-		m.cur = m.newBucket(t - t%m.cfg.Interval)
+		m.cur = m.newBucket(start)
 	}
 	if t >= m.cur.start+m.cfg.Interval {
 		// Close the current interval once, then jump straight to the
@@ -244,21 +267,14 @@ func (m *Monitor) Ingest(g *cag.Graph) {
 		// multi-hour quiet spell at a 1s interval must not spin thousands
 		// of closeInterval calls and bloat the history.
 		m.closeInterval()
-		next := m.cur.start + m.cfg.Interval
-		target := t - (t-m.cur.start)%m.cfg.Interval
-		if target > next {
-			skipped := int((target - next) / m.cfg.Interval)
+		if next := m.cur.start + m.cfg.Interval; start > next {
+			skipped := int((start - next) / m.cfg.Interval)
 			m.pendingSkipped += skipped
 			m.skippedEmpty += skipped
 		}
-		m.cur = m.newBucket(target)
+		m.cur = m.newBucket(start)
 	}
-	sig := cag.Signature(g)
-	if m.cur.sk != nil {
-		m.ingestSketched(g, sig)
-	} else {
-		m.cur.graphs[sig] = append(m.cur.graphs[sig], g)
-	}
+	m.observe(g, end)
 	m.ingested++
 	for i := 0; i < g.Len(); i++ {
 		v := g.Vertex(i)
@@ -284,55 +300,94 @@ func (m *Monitor) ConsumeGraph(g *cag.Graph) { m.Ingest(g) }
 
 // newBucket opens one interval's state in the configured mode.
 func (m *Monitor) newBucket(start time.Duration) *bucket {
+	b := &bucket{start: start, accs: make(map[string]*analysis.Accumulator)}
 	if m.cfg.Sketched {
-		return &bucket{start: start, sk: &sketchBucket{
-			top:  sketch.NewTopK(m.cfg.MaxPatterns),
-			accs: make(map[string]*analysis.Accumulator, m.cfg.MaxPatterns),
-		}}
+		b.top = sketch.NewTopK(m.cfg.MaxPatterns)
 	}
-	return &bucket{start: start, graphs: make(map[string][]*cag.Graph)}
+	return b
 }
 
-// ingestSketched folds one CAG into the current interval's bounded
-// accounting and the lifetime quantile sketches. The graph itself is
-// not retained — this is what bounds the sketched monitor's memory.
-func (m *Monitor) ingestSketched(g *cag.Graph, sig string) {
-	sk := m.cur.sk
-	if evicted, ok := sk.top.Observe(sig); ok {
-		delete(sk.accs, evicted)
-	}
-	acc := sk.accs[sig]
+// observe folds one CAG into the current interval's accumulator for its
+// pattern and, in sketched mode, the lifetime quantile sketches. The
+// graph itself is not retained, and a pattern already tracked in the
+// interval costs no allocation.
+func (m *Monitor) observe(g *cag.Graph, end *cag.Vertex) {
+	b := m.cur
+	m.sig = cag.AppendSignature(m.sig[:0], g)
+	acc := b.accs[string(m.sig)]
 	if acc == nil {
-		acc = analysis.NewAccumulator(cag.PatternName(g), sig)
-		sk.accs[sig] = acc
+		acc = analysis.NewAccumulator(cag.PatternName(g), string(m.sig))
+		b.accs[acc.Signature] = acc
+	}
+	if b.top != nil {
+		if evicted, ok := b.top.Observe(acc.Signature); ok {
+			delete(b.accs, evicted)
+		}
+	}
+	// Sum the critical path per category, walking it END-first.
+	m.cats = m.cats[:0]
+	for v, p := end, end.PathParent(); p != nil; v, p = p, p.PathParent() {
+		m.addCat(m.category(p, v), v.Timestamp-p.Timestamp)
 	}
 	lat := g.Latency()
-	comps := cag.ComponentLatencies(g)
-	acc.Observe(lat, comps)
-	sk.reqs++
-	sk.latSum += lat
+	acc.Observe(lat)
+	for _, c := range m.cats {
+		acc.Add(c.cat, c.d)
+	}
+	b.reqs++
+	b.latSum += lat
 
+	if m.latQ == nil {
+		return
+	}
 	m.latQ.Observe(float64(lat))
-	if lat > 0 {
-		// Sorted category order keeps the share sketches' eviction
-		// deterministic for identical streams.
-		cats := make([]string, 0, len(comps))
-		for c := range comps {
-			cats = append(cats, c)
+	if lat <= 0 {
+		return
+	}
+	// Sorted category order keeps the share sketches' eviction
+	// deterministic for identical streams.
+	slices.SortFunc(m.cats, func(x, y catSum) int { return strings.Compare(x.cat, y.cat) })
+	for _, c := range m.cats {
+		if evicted, ok := m.shareTop.Observe(c.cat); ok {
+			delete(m.shareQ, evicted)
 		}
-		sort.Strings(cats)
-		for _, c := range cats {
-			if evicted, ok := m.shareTop.Observe(c); ok {
-				delete(m.shareQ, evicted)
-			}
-			q := m.shareQ[c]
-			if q == nil {
-				q = sketch.NewQuantile(m.cfg.QuantileEpsilon)
-				m.shareQ[c] = q
-			}
-			q.Observe(100 * float64(comps[c]) / float64(lat))
+		q := m.shareQ[c.cat]
+		if q == nil {
+			q = sketch.NewQuantile(m.cfg.QuantileEpsilon)
+			m.shareQ[c.cat] = q
+		}
+		q.Observe(100 * float64(c.d) / float64(lat))
+	}
+}
+
+// addCat adds one hop's latency to its category in m.cats.
+func (m *Monitor) addCat(cat string, d time.Duration) {
+	for i := range m.cats {
+		if m.cats[i].cat == cat {
+			m.cats[i].d += d
+			return
 		}
 	}
+	m.cats = append(m.cats, catSum{cat: cat, d: d})
+}
+
+// category is cag.CategoryName(from, to), cached per bound program pair
+// so the hot path builds no string; a hand-built (unbound) vertex falls
+// back to building it.
+func (m *Monitor) category(from, to *cag.Vertex) string {
+	if !from.CtxK.Bound() || !to.CtxK.Bound() {
+		return cag.CategoryName(from, to)
+	}
+	k := [2]activity.Sym{from.CtxK.Prog, to.CtxK.Prog}
+	c, ok := m.catNames[k]
+	if !ok {
+		if m.cfg.Sketched && len(m.catNames) >= 4*m.cfg.MaxPatterns {
+			clear(m.catNames)
+		}
+		c = cag.CategoryName(from, to)
+		m.catNames[k] = c
+	}
+	return c
 }
 
 // ObserveDelivery records transport-level progress for one host: the
@@ -419,96 +474,48 @@ func (m *Monitor) Flush() {
 	m.cur = nil
 }
 
+// closeInterval closes the current interval: totals from the exact
+// scalars, and the detector on each tracked signature's report, in
+// signature order.
 func (m *Monitor) closeInterval() {
-	if m.cur.sk != nil {
-		m.closeIntervalSketched()
-		return
-	}
-	stat := IntervalStat{Index: m.index, Start: m.cur.start, SkippedEmpty: m.pendingSkipped}
+	b := m.cur
+	stat := IntervalStat{Index: m.index, Start: b.start, SkippedEmpty: m.pendingSkipped, Requests: b.reqs}
 	m.pendingSkipped = 0
 	alertsBefore := len(m.alerts)
-	sigs := make([]string, 0, len(m.cur.graphs))
-	for sig := range m.cur.graphs {
+	if b.reqs > 0 {
+		stat.MeanLatency = b.latSum / time.Duration(b.reqs)
+	}
+	sigs := make([]string, 0, len(b.accs))
+	for sig := range b.accs {
 		sigs = append(sigs, sig)
 	}
 	sort.Strings(sigs)
-	var latSum time.Duration
-	topCount := 0
-	// Sorted-signature order makes TopPattern deterministic on count
-	// ties (map order would flip it run to run).
+	// TopPattern is the most frequent pattern, ties to the smallest
+	// signature (map order would flip it run to run). Sketched mode takes
+	// the heavy-hitter ranking, which orders the same way and has the
+	// same winner while capacity suffices.
+	if b.top != nil {
+		if items := b.top.Items(); len(items) > 0 {
+			stat.TopPattern = b.accs[items[0].Key].Name
+		}
+	} else {
+		top := 0
+		for _, sig := range sigs {
+			if acc := b.accs[sig]; acc.Count() > top {
+				top, stat.TopPattern = acc.Count(), acc.Name
+			}
+		}
+	}
 	for _, sig := range sigs {
-		members := m.cur.graphs[sig]
-		stat.Requests += len(members)
-		for _, g := range members {
-			latSum += g.Latency()
+		if acc := b.accs[sig]; acc.Count() >= m.cfg.MinRequests {
+			m.diagnose(sig, acc.Report(), acc.Count())
 		}
-		if len(members) > topCount {
-			topCount = len(members)
-			stat.TopPattern = cag.PatternName(members[0])
-		}
-	}
-	if stat.Requests > 0 {
-		stat.MeanLatency = latSum / time.Duration(stat.Requests)
-	}
-	defer func() {
-		stat.Alerts = len(m.alerts) - alertsBefore
-		m.history = append(m.history, stat)
-		m.index++
-		m.intervals++
-	}()
-	for _, sig := range sigs {
-		members := m.cur.graphs[sig]
-		if len(members) < m.cfg.MinRequests {
-			continue
-		}
-		avg, err := cag.Aggregate(members)
-		if err != nil {
-			continue
-		}
-		m.diagnose(sig, reportOf(avg), len(members))
-	}
-}
-
-// closeIntervalSketched is closeInterval on the bounded accounting: the
-// interval totals come from the exact scalars, TopPattern from the
-// heavy-hitter ranking (count desc, signature asc — the same winner as
-// the exact sorted-signature scan when capacity suffices), and the
-// detector runs on each tracked signature's incremental report.
-func (m *Monitor) closeIntervalSketched() {
-	sk := m.cur.sk
-	stat := IntervalStat{
-		Index: m.index, Start: m.cur.start, SkippedEmpty: m.pendingSkipped,
-		Requests: sk.reqs,
-	}
-	m.pendingSkipped = 0
-	alertsBefore := len(m.alerts)
-	if sk.reqs > 0 {
-		stat.MeanLatency = sk.latSum / time.Duration(sk.reqs)
-	}
-	if items := sk.top.Items(); len(items) > 0 {
-		if acc := sk.accs[items[0].Key]; acc != nil {
-			stat.TopPattern = acc.Name
-		}
-	}
-	defer func() {
-		stat.Alerts = len(m.alerts) - alertsBefore
-		m.history = append(m.history, stat)
-		m.index++
-		m.intervals++
-	}()
-	sigs := make([]string, 0, len(sk.accs))
-	for sig := range sk.accs {
-		sigs = append(sigs, sig)
-	}
-	sort.Strings(sigs)
-	for _, sig := range sigs {
-		acc := sk.accs[sig]
-		if acc.Count() < m.cfg.MinRequests {
-			continue
-		}
-		m.diagnose(sig, acc.Report(), acc.Count())
 	}
 	m.evictBaselines()
+	stat.Alerts = len(m.alerts) - alertsBefore
+	m.history = append(m.history, stat)
+	m.index++
+	m.intervals++
 }
 
 // diagnose compares one pattern's interval report against its rolling
@@ -552,10 +559,10 @@ func (m *Monitor) diagnose(sig string, rep *analysis.PatternReport, requests int
 // evictBaselines bounds the baseline table in sketched mode: beyond
 // 2×MaxPatterns entries, the least-recently-reporting patterns are
 // dropped (ties broken by signature for determinism). Exact mode never
-// evicts — its baseline set is as unbounded as its buckets.
+// evicts — its baseline set grows with the pattern vocabulary.
 func (m *Monitor) evictBaselines() {
 	limit := 2 * m.cfg.MaxPatterns
-	if len(m.baselines) <= limit {
+	if !m.cfg.Sketched || len(m.baselines) <= limit {
 		return
 	}
 	type cand struct {
@@ -576,21 +583,6 @@ func (m *Monitor) evictBaselines() {
 	for _, c := range cands[:excess] {
 		delete(m.baselines, c.sig)
 	}
-}
-
-// reportOf converts an average path into a PatternReport (share order as in
-// analysis.Report).
-func reportOf(avg *cag.AveragePath) *analysis.PatternReport {
-	rep := &analysis.PatternReport{
-		Name: avg.Name, Signature: avg.Signature, Count: avg.Count, MeanLatency: avg.MeanLatency,
-	}
-	cats, vals := avg.Percentages()
-	for i, c := range cats {
-		rep.Shares = append(rep.Shares, analysis.ComponentShare{
-			Category: c, Mean: avg.Components[c], Percent: vals[i],
-		})
-	}
-	return rep
 }
 
 // blend averages a new interval report into the accumulating baseline
@@ -666,12 +658,13 @@ func (m *Monitor) Stats() Stats {
 	}
 }
 
-// SketchFootprint reports the sketched mode's state sizes — the
-// quantities that must stay flat (capacity-bounded) as the stream
+// SketchFootprint reports the monitor's state sizes — in sketched mode
+// the quantities that must stay flat (capacity-bounded) as the stream
 // grows; TestMonitorSketchedCapacity gates them under make soak-short.
 type SketchFootprint struct {
 	// TrackedPatterns is the current interval's tracked signature count
-	// (≤ MaxPatterns).
+	// (≤ MaxPatterns in sketched mode; every pattern the interval has
+	// seen in exact mode).
 	TrackedPatterns int
 	// Baselines is the rolling baseline table size (≤ 2×MaxPatterns in
 	// sketched mode).
@@ -686,13 +679,14 @@ type SketchFootprint struct {
 	MaxShareTuples int
 }
 
-// Footprint returns the sketched state sizes (zero value in exact mode,
-// whose footprint grows with the stream by design).
+// Footprint returns the monitor's state sizes. Exact mode reports its
+// tracked patterns and baselines, which grow with the pattern vocabulary
+// (not the traffic); the quantile fields stay zero.
 func (m *Monitor) Footprint() SketchFootprint {
 	var f SketchFootprint
 	f.Baselines = len(m.baselines)
-	if m.cur != nil && m.cur.sk != nil {
-		f.TrackedPatterns = m.cur.sk.top.Len()
+	if m.cur != nil {
+		f.TrackedPatterns = len(m.cur.accs)
 	}
 	if m.latQ != nil {
 		f.LatencyTuples = m.latQ.Size()

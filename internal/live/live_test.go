@@ -18,7 +18,7 @@ func vx(a activity.Activity) *cag.Vertex { return cag.NewVertex(&a) }
 // buildGraph makes a finished two-tier CAG completing at the given time,
 // with a front2front share controlled by frontWork and a cross share by
 // hop.
-func buildGraph(t *testing.T, endAt time.Duration, frontWork, hop time.Duration, salt int) *cag.Graph {
+func buildGraph(t testing.TB, endAt time.Duration, frontWork, hop time.Duration, salt int) *cag.Graph {
 	t.Helper()
 	front := activity.Context{Host: "web1", Program: "front", PID: salt, TID: salt}
 	back := activity.Context{Host: "app1", Program: "back", PID: 7, TID: 100 + salt}
@@ -213,7 +213,7 @@ func TestMonitorFlushClosesTrailingEmpty(t *testing.T) {
 	// and check the empty interval closes cleanly: counted, zero
 	// requests, zero mean latency, no divide-by-zero.
 	m3 := NewMonitor(Config{Interval: 100 * time.Millisecond, BaselineIntervals: 1, MinRequests: 1})
-	m3.cur = &bucket{start: 200 * time.Millisecond, graphs: make(map[string][]*cag.Graph)}
+	m3.cur = m3.newBucket(200 * time.Millisecond)
 	m3.Flush()
 	if n := m3.Stats().Intervals; n != 1 {
 		t.Fatalf("empty trailing bucket dropped: intervals = %d, want 1", n)
@@ -224,10 +224,11 @@ func TestMonitorFlushClosesTrailingEmpty(t *testing.T) {
 	}
 }
 
-func TestMonitorEndToEndWithFaultOnset(t *testing.T) {
-	// Full pipeline: run a healthy RUBiS session and a faulty one, stream
-	// the healthy CAGs first — the monitor must learn a baseline and then
-	// flag the fault's component.
+// faultOnsetConfig and faultOnsetStream are the end-to-end workload: the
+// CAGs of a healthy RUBiS run, then those of a run with an EJB delay.
+var faultOnsetConfig = Config{Interval: 2 * time.Second, BaselineIntervals: 1, MinRequests: 5}
+
+func faultOnsetStream(t testing.TB) []*cag.Graph {
 	mkGraphs := func(faults rubis.Faults) []*cag.Graph {
 		cfg := rubis.DefaultConfig(150)
 		cfg.Scale = 0.01
@@ -246,11 +247,6 @@ func TestMonitorEndToEndWithFaultOnset(t *testing.T) {
 	}
 	healthy := mkGraphs(rubis.Faults{})
 	faulty := mkGraphs(rubis.Faults{EJBDelay: 50 * time.Millisecond})
-
-	m := NewMonitor(Config{Interval: 2 * time.Second, BaselineIntervals: 1, MinRequests: 5})
-	for _, g := range healthy {
-		m.Ingest(g)
-	}
 	// The faulty run's virtual clock restarts at 0; shift its CAGs after
 	// the healthy stream by reusing completion order only.
 	last := healthy[len(healthy)-1].End().Timestamp
@@ -258,6 +254,16 @@ func TestMonitorEndToEndWithFaultOnset(t *testing.T) {
 		for _, v := range g.Vertices() {
 			v.Timestamp += last
 		}
+	}
+	return append(healthy, faulty...)
+}
+
+func TestMonitorEndToEndWithFaultOnset(t *testing.T) {
+	// Full pipeline: run a healthy RUBiS session and a faulty one, stream
+	// the healthy CAGs first — the monitor must learn a baseline and then
+	// flag the fault's component.
+	m := NewMonitor(faultOnsetConfig)
+	for _, g := range faultOnsetStream(t) {
 		m.Ingest(g)
 	}
 	m.Flush()
@@ -384,5 +390,25 @@ func TestMonitorObserveDelivery(t *testing.T) {
 	tbl := m.HostLagTable()
 	if !strings.Contains(tbl, "delivered") || !strings.Contains(tbl, "db9") {
 		t.Fatalf("HostLagTable missing delivery view:\n%s", tbl)
+	}
+}
+
+// TestMonitorNegativeEndAligned is the alignment bugfix: buckets start at
+// multiples of Interval rounded down, so a graph ending at −3 s opens the
+// interval [−10 s, 0) instead of sharing [0, 10 s) with one ending at 4 s.
+func TestMonitorNegativeEndAligned(t *testing.T) {
+	m := NewMonitor(Config{Interval: 10 * time.Second, BaselineIntervals: 1, MinRequests: 1})
+	m.Ingest(buildGraph(t, -3*time.Second, 5*time.Millisecond, 2*time.Millisecond, 1))
+	m.Ingest(buildGraph(t, 4*time.Second, 5*time.Millisecond, 2*time.Millisecond, 2))
+	m.Flush()
+	hist := m.Stats().History
+	if len(hist) != 2 {
+		t.Fatalf("history = %+v, want two intervals", hist)
+	}
+	if hist[0].Start != -10*time.Second || hist[0].Requests != 1 {
+		t.Fatalf("first interval = %+v, want Start -10s with 1 request", hist[0])
+	}
+	if hist[1].Start != 0 || hist[1].Requests != 1 || hist[1].SkippedEmpty != 0 {
+		t.Fatalf("second interval = %+v, want Start 0 with 1 request", hist[1])
 	}
 }

@@ -33,6 +33,37 @@ func soloGraph(t testing.TB, endAt, latency time.Duration, prog string, salt int
 	return g
 }
 
+// twoPatternConfig and twoPatternStream are the equivalence suites'
+// synthetic workload: five 1 s intervals of a two-tier pattern whose hop
+// degrades from the fourth interval on (alerts past the baseline), plus
+// a second, sparser pattern with odd latencies to exercise the
+// truncating integer divisions.
+var twoPatternConfig = Config{
+	Interval:          time.Second,
+	BaselineIntervals: 2,
+	MinRequests:       5,
+	Detector:          analysis.Detector{ThresholdPoints: 10},
+	MaxPatterns:       64,
+}
+
+func twoPatternStream(t testing.TB) []*cag.Graph {
+	var graphs []*cag.Graph
+	for interval := 0; interval < 5; interval++ {
+		hop := 5 * time.Millisecond
+		if interval >= 3 {
+			hop = 60 * time.Millisecond
+		}
+		for i := 0; i < 8; i++ {
+			at := time.Duration(interval)*time.Second + time.Duration(100+i*20)*time.Millisecond
+			graphs = append(graphs, buildGraph(t, at, 10*time.Millisecond, hop, i))
+			if i%3 == 0 {
+				graphs = append(graphs, soloGraph(t, at+time.Millisecond, time.Duration(7+i)*time.Millisecond/3, "solo", i))
+			}
+		}
+	}
+	return graphs
+}
+
 // TestMonitorSketchedMatchesExact pins the sketched mode's equivalence
 // oracle: with ample capacity (no evictions), the sketched monitor's
 // history, summary and alerts are byte-identical to the exact monitor's
@@ -41,29 +72,11 @@ func soloGraph(t testing.TB, endAt, latency time.Duration, prog string, salt int
 // the exact scan.
 func TestMonitorSketchedMatchesExact(t *testing.T) {
 	feed := func(sketched bool) *Monitor {
-		m := NewMonitor(Config{
-			Interval:          time.Second,
-			BaselineIntervals: 2,
-			MinRequests:       5,
-			Detector:          analysis.Detector{ThresholdPoints: 10},
-			Sketched:          sketched,
-			MaxPatterns:       64,
-		})
-		at := time.Duration(0)
-		for interval := 0; interval < 5; interval++ {
-			hop := 5 * time.Millisecond
-			if interval >= 3 {
-				hop = 60 * time.Millisecond // degrade → alerts past baseline
-			}
-			for i := 0; i < 8; i++ {
-				at = time.Duration(interval)*time.Second + time.Duration(100+i*20)*time.Millisecond
-				m.Ingest(buildGraph(t, at, 10*time.Millisecond, hop, i))
-				// A second, sparser pattern with odd latencies to exercise
-				// the truncating integer divisions.
-				if i%3 == 0 {
-					m.Ingest(soloGraph(t, at+time.Millisecond, time.Duration(7+i)*time.Millisecond/3, "solo", i))
-				}
-			}
+		cfg := twoPatternConfig
+		cfg.Sketched = sketched
+		m := NewMonitor(cfg)
+		for _, g := range twoPatternStream(t) {
+			m.Ingest(g)
 		}
 		m.Flush()
 		return m
@@ -147,6 +160,32 @@ func TestMonitorSketchedAlertsUnderEviction(t *testing.T) {
 		}
 	}
 	t.Fatalf("no alert on the dominant pattern: %+v", st.Alerts)
+}
+
+// TestMonitorSketchedCategoryCacheBounded feeds bound graphs over 500
+// programs, one category each: exact mode caches every program pair's
+// category name once, sketched mode keeps at most 4×MaxPatterns.
+func TestMonitorSketchedCategoryCacheBounded(t *testing.T) {
+	const maxPatterns = 16
+	for _, sketched := range []bool{false, true} {
+		m := NewMonitor(Config{Interval: time.Second, MinRequests: 1, Sketched: sketched, MaxPatterns: maxPatterns})
+		for i := 0; i < 2000; i++ {
+			g := soloGraph(t, time.Duration(i)*10*time.Millisecond, time.Millisecond, fmt.Sprintf("svc%04d", i%500), i%97)
+			for j := 0; j < g.Len(); j++ {
+				activity.Bind(g.Vertex(j).Activity)
+			}
+			m.Ingest(g)
+		}
+		m.Flush()
+		got, want := len(m.catNames), 500
+		if sketched {
+			if got > 4*maxPatterns {
+				t.Fatalf("sketched: %d cached category names, cap %d", got, 4*maxPatterns)
+			}
+		} else if got != want {
+			t.Fatalf("exact: %d cached category names, want %d", got, want)
+		}
+	}
 }
 
 // TestMonitorSketchedCapacity is the bounded-memory gate (run longer by

@@ -59,8 +59,8 @@ type sessionPushEntry struct {
 }
 
 // monitorIngestEntry records the live monitor's per-CAG ingest cost in
-// exact vs sketched accounting (BenchmarkMonitorIngestSketched measures
-// the same path interactively).
+// exact vs sketched accounting (internal/live's BenchmarkMonitorIngest
+// measures the same path, with its allocations, for make bench-allocs).
 type monitorIngestEntry struct {
 	Mode        string  `json:"mode"` // exact | sketched
 	Graphs      int     `json:"graphs"`
@@ -168,48 +168,6 @@ func BenchmarkSessionPush(b *testing.B) {
 			}
 			perAct := float64(time.Since(start).Nanoseconds()) / float64(b.N*len(res.Trace))
 			b.ReportMetric(perAct, "ns/activity")
-		})
-	}
-}
-
-// BenchmarkMonitorIngestSketched compares the live monitor's two
-// accounting modes over a real correlated workload: exact (per-interval
-// CAG retention) vs sketched (space-saving + accumulators, bounded
-// memory). Reported in ns per ingested graph.
-func BenchmarkMonitorIngestSketched(b *testing.B) {
-	cfg := rubis.DefaultConfig(300)
-	cfg.Scale = 0.05
-	res, err := rubis.Run(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	out, err := core.New(core.Options{
-		Window: 10 * time.Millisecond, EntryPorts: []int{rubis.EntryPort}, IPToHost: res.IPToHost,
-	}).CorrelateTrace(res.Trace)
-	if err != nil {
-		b.Fatal(err)
-	}
-	graphs := out.Graphs
-	if len(graphs) == 0 {
-		b.Fatal("no graphs")
-	}
-	for _, bc := range []struct {
-		name        string
-		sketched    bool
-		maxPatterns int
-	}{
-		{"exact", false, 0},
-		{"sketched-64", true, 64},
-		{"sketched-16", true, 16},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				monitorFeed(graphs, bc.sketched, bc.maxPatterns)
-			}
-			perGraph := float64(time.Since(start).Nanoseconds()) / float64(b.N*len(graphs))
-			b.ReportMetric(perGraph, "ns/graph")
 		})
 	}
 }
