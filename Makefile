@@ -67,13 +67,14 @@ bench:
 #   down from 178,250 before dense interned identities, ~68k before the
 #   worker-pool ranker/engine reuse).
 ALLOCS_BUDGET ?= 65000
-#   seq-continuous (SealAfter horizon, per-component forced seals): 60,352
-#   measured with the partial-slice take-over (63,552 before, 63,550 with
-#   the collector), down from ~64.4k (64,447) when every release copied
-#   the held backlog, ~64k after the worker-pool reuse + flow key
-#   recycling, and ~139k when every sealed component rebuilt its ranker
-#   and engine.
-ALLOCS_BUDGET_CONTINUOUS ?= 77500
+#   seq-continuous (SealAfter horizon, per-component forced seals): 48,932
+#   measured once stage 1 recycled run arrays and component structs
+#   (60,352 before), 60,352 with the partial-slice take-over (63,552
+#   before, 63,550 with the collector), down from ~64.4k (64,447) when
+#   every release copied the held backlog, ~64k after the worker-pool
+#   reuse + flow key recycling, and ~139k when every sealed component
+#   rebuilt its ranker and engine.
+ALLOCS_BUDGET_CONTINUOUS ?= 62500
 # Byte budgets for the same two variants: allocs/op cannot see an object
 # shrink or grow, B/op can. The measured figure plus ~10%.
 #
@@ -82,9 +83,10 @@ ALLOCS_BUDGET_CONTINUOUS ?= 77500
 #   copied Type/Timestamp/Ctx/Chan and kept a child-edge list (232 B,
 #   240 B class).
 BYTES_BUDGET ?= 13500000
-#   seq-continuous: 11,663,000 B/op measured, 15,328,000 before the
-#   vertex change.
-BYTES_BUDGET_CONTINUOUS ?= 12900000
+#   seq-continuous: 10,229,000 B/op measured with recycled run arrays and
+#   component structs, 11,663,000 before, 15,328,000 before the vertex
+#   change.
+BYTES_BUDGET_CONTINUOUS ?= 11300000
 #   export-sinks (BenchmarkExportSinks: one RUBiS graph through the OTLP
 #   exporter and the DumpWriter): 0 measured with the append writers, 715
 #   with the span tree + encoding/json and the fmt dump. One allocation per

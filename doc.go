@@ -178,11 +178,17 @@
 // flow partition's bookkeeping for dispatched components is tombstoned
 // then pruned, so a forever-open Session's memory tracks recently-active
 // components. With the BEGIN-bounded watermark, graphs leave on the Drain
-// cadence rather than at Close; a never-idle component's own buffer is
-// still resident until it idles or its hosts close. A straggler that violates the horizon's sender-liveness
-// bound becomes a late link (Result.LateLinks): detached onto a fresh
-// component — possibly splitting its request's CAG — never resurrecting
-// a freed shard.
+// cadence rather than at Close. A never-idle component that holds no
+// BEGIN rolls: once its oldest record is two horizons old, Drain
+// correlates its records older than one horizon as a prefix and keeps
+// the rest under the same root, so its resident buffer stays within about
+// two horizons of traffic instead of everything since it opened. No later
+// graph can reach a rolled record — it would have to join through a
+// context or connection the graph already carries, after the graph's
+// BEGIN, which the liveness bound places at or above the cut. A straggler
+// that violates the horizon's sender-liveness bound becomes a late link
+// (Result.LateLinks): detached onto a fresh component — possibly
+// splitting its request's CAG — never resurrecting a freed shard.
 //
 // Horizons are per host (Options.SealAfterByHost): a component inherits
 // the largest horizon among the hosts that can still extend it, so one

@@ -112,7 +112,11 @@ type Options struct {
 	// bookkeeping is tombstoned at dispatch and pruned one further
 	// horizon later, so a forever-open Session's memory is bounded by the
 	// components active within ~2×SealAfter, not by every connection ever
-	// seen.
+	// seen. A component that never idles but holds no BEGIN (a noise
+	// connection, which can root no CAG) is rolled rather than sealed:
+	// once its oldest record is 2×SealAfter old, Drain correlates every
+	// record older than SealAfter as a prefix and keeps the rest, without
+	// counting a forced seal or a shard.
 	//
 	// The price is the no-guess guarantee: a forced seal asserts that no
 	// open stream will deliver an activity older than SealAfter behind the

@@ -80,7 +80,8 @@ func (s *Session) PushBatch(batch []*activity.Activity) error { return s.impl.Pu
 // decidable, returning the number of activities processed this call: it
 // force-seals components idle past their horizon (continuous mode), waits
 // for every dispatched component to finish correlating, and releases the
-// graphs the watermark permits.
+// graphs the watermark permits. Last, it correlates the aged records of
+// never-idle components that hold no BEGIN (see Options.SealAfter).
 func (s *Session) Drain() int { return s.impl.Drain() }
 
 // CloseHost marks one host's stream complete (its agent shut down). This

@@ -13,9 +13,9 @@ import "repro/internal/cag"
 //
 // Ownership: the graph and its vertices' Records are owned by the
 // pipeline's slab allocator and are immutable after emission. A sink
-// may retain the graph indefinitely (the monitor's interval buckets
-// do), but must not mutate vertices or records — later sinks in the
-// chain observe the same objects.
+// may retain the graph indefinitely (Collect does), but must not mutate
+// vertices or records — later sinks in the chain observe the same
+// objects.
 type GraphSink interface {
 	ConsumeGraph(g *cag.Graph)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"sync"
 	"time"
@@ -36,7 +37,9 @@ import (
 //	CloseHost / seal horizon ──> sealing: a component seals when no open
 //	         host can extend it (the completion watermark), or — with a
 //	         horizon configured — when it has idled past the largest
-//	         horizon of the hosts that could still extend it.
+//	         horizon of the hosts that could still extend it. A
+//	         BEGIN-less component that never idles rolls instead: its
+//	         aged records are correlated as a prefix, the rest stays.
 //	workers ──> each sealed component runs the unmodified sequential
 //	         ranker+engine pass (Correlator.drive), no shared state.
 //	Drain/Close ──> the watermark emitter pops finished CAGs off a
@@ -57,7 +60,10 @@ import (
 // clock, never wall time), the watermark treats quiet open streams as
 // bounded by their own host horizons, and dispatched components' flow
 // bookkeeping is tombstoned then pruned — memory stays bounded by
-// recently-active components even if CloseHost is never called.
+// recently-active components even if CloseHost is never called. A
+// never-idle component holding no BEGIN (a §5.3.3 noise connection)
+// rolls instead (rollPrefix), so it holds about two horizons of records,
+// not everything since it opened.
 // Per-host horizons (Options.SealAfterByHost) let one chronically
 // lagging agent extend only its own components' deadlines; Heartbeat
 // lets an idle-but-healthy agent advance the watermark without traffic.
@@ -92,6 +98,14 @@ type streamSession struct {
 	comps      map[int32]*sessComponent // keyed by current union-find root
 	nextCompID int
 
+	// runFree and compFree are stage 1's recycling: run arrays come back
+	// when a run outgrows one, when two runs merge and when a component's
+	// result is absorbed; component structs when one fuses away or is
+	// absorbed. Only stage 1 touches either — a worker is done with a
+	// component before its result lands.
+	runFree  runPool
+	compFree []*sessComponent
+
 	// chanOwner (debug only) maps each connection seen to the union-find
 	// node it first filed under, for the shard-closure assertion; nil
 	// unless debugShardClosure is set.
@@ -103,6 +117,10 @@ type streamSession struct {
 	// its records has been released — acceptable grouping, since records
 	// of one block arrive together and seal together.
 	slab []activity.Activity
+
+	// rollScratch is stage 1's own correlation machinery for rolled
+	// prefixes (rollStale); nil until the first roll.
+	rollScratch *shardScratch
 
 	// Pool plumbing. Stage 1 is the session goroutine: apply + flow
 	// partition + the seal decisions (which MUST stay on deterministic
@@ -232,22 +250,139 @@ type sessComponent struct {
 // watermark when nothing bounds it.
 const noBound = time.Duration(math.MaxInt64)
 
-func newSessComponent(id int, ts time.Duration, root int32) *sessComponent {
-	c := &sessComponent{id: id, minBegin: noBound, maxTs: ts, root: root}
-	c.runs = c.runs0[:0]
-	c.contrib = c.contrib0[:0]
+// newSessComponent draws a component struct from the free list (or
+// allocates one) and resets every field.
+func (s *streamSession) newSessComponent(id int, ts time.Duration, root int32) *sessComponent {
+	var c *sessComponent
+	if n := len(s.compFree); n > 0 {
+		c = s.compFree[n-1]
+		s.compFree[n-1] = nil
+		s.compFree = s.compFree[:n-1]
+	} else {
+		c = new(sessComponent)
+		c.runs = c.runs0[:0]
+		c.contrib = c.contrib0[:0]
+	}
+	*c = sessComponent{id: id, minBegin: noBound, maxTs: ts, root: root, runs: c.runs[:0], contrib: c.contrib[:0]}
 	return c
 }
 
-// appendRec buffers one record on the host's run.
-func (c *sessComponent) appendRec(h activity.Sym, r pushRec) {
+// recycleComponent returns a component struct no one references any
+// more to the free list. Its run arrays must already have been handed
+// on (fused into another component, or returned to runFree): only the
+// run headers are cleared here, so the list pins no records.
+func (s *streamSession) recycleComponent(c *sessComponent) {
+	clear(c.runs[:cap(c.runs)])
+	s.compFree = append(s.compFree, c)
+}
+
+// appendRec buffers one record on the host's run, growing the run
+// through the free list.
+func (c *sessComponent) appendRec(p *runPool, h activity.Sym, r pushRec) {
 	for i := range c.runs {
-		if c.runs[i].host == h {
-			c.runs[i].recs = append(c.runs[i].recs, r)
-			return
+		run := &c.runs[i]
+		if run.host != h {
+			continue
+		}
+		if len(run.recs) == cap(run.recs) {
+			grown := append(p.get(2*len(run.recs)), run.recs...)
+			p.release(run.recs)
+			run.recs = grown
+		}
+		run.recs = append(run.recs, r)
+		return
+	}
+	c.runs = append(c.runs, hostRun{host: h, recs: append(p.get(minRun), r)})
+}
+
+// minRun is the smallest run array: the first size class of runPool.
+const minRun = 4
+
+// runPool is stage 1's free list of run backing arrays, one LIFO stack
+// per power-of-two capacity class (minRun, 2×minRun, …). Components grow
+// their runs through it, fusion merges into arrays drawn from it, and
+// absorbed shards hand their arrays back, so a continuous session's
+// steady churn of components stops buying a fresh array per run and per
+// doubling. Arrays are cleared on return, so the list never pins slab
+// records.
+//
+// What it keeps is bounded by what live (unsealed) components hold:
+// held ≤ live at all times. A close-driven session dispatches every
+// component at the end, so its last absorptions keep — and clear —
+// nothing, and it ends with an empty list.
+type runPool struct {
+	free [][][]pushRec // free[k]: zeroed arrays of capacity minRun<<k
+	held int           // records of capacity on the list
+	live int           // records of capacity owned by live components
+}
+
+// runClass returns the size class whose capacity is the smallest power
+// of two ≥ max(n, minRun).
+func runClass(n int) int {
+	if n <= minRun {
+		return 0
+	}
+	return bits.Len(uint(n-1)) - bits.Len(minRun-1)
+}
+
+// get returns an empty array with room for at least n records, owned
+// from now on by a live component.
+func (p *runPool) get(n int) []pushRec {
+	k := runClass(n)
+	p.live += minRun << k
+	if k < len(p.free) {
+		if m := len(p.free[k]); m > 0 {
+			r := p.free[k][m-1]
+			p.free[k][m-1] = nil
+			p.free[k] = p.free[k][:m-1]
+			p.held -= cap(r)
+			return r
 		}
 	}
-	c.runs = append(c.runs, hostRun{host: h, recs: append(make([]pushRec, 0, 4), r)})
+	return make([]pushRec, 0, minRun<<k)
+}
+
+// release takes back an array a live component has outgrown.
+func (p *runPool) release(r []pushRec) {
+	p.shrink(cap(r))
+	p.put(r)
+}
+
+// dispatch accounts a component leaving the live set: its arrays now
+// belong to a shard job, and come back through put when it is absorbed.
+func (p *runPool) dispatch(c *sessComponent) {
+	for _, run := range c.runs {
+		p.shrink(cap(run.recs))
+	}
+}
+
+// put recycles an array no live component owns, unless keeping it would
+// let the list outgrow the live set.
+func (p *runPool) put(r []pushRec) {
+	c := cap(r)
+	if p.held+c > p.live {
+		return
+	}
+	clear(r[:c])
+	k := runClass(c)
+	for len(p.free) <= k {
+		p.free = append(p.free, nil)
+	}
+	p.free[k] = append(p.free[k], r[:0])
+	p.held += c
+}
+
+// shrink takes n records of capacity out of the live set, dropping
+// arrays off the list, largest first, until it is back within it.
+func (p *runPool) shrink(n int) {
+	p.live -= n
+	for k := len(p.free) - 1; k >= 0 && p.held > p.live; k-- {
+		for m := len(p.free[k]); m > 0 && p.held > p.live; m-- {
+			p.held -= cap(p.free[k][m-1])
+			p.free[k][m-1] = nil
+			p.free[k] = p.free[k][:m-1]
+		}
+	}
 }
 
 // noteHost marks a declared host as a possible future contributor.
@@ -611,7 +746,7 @@ func (s *streamSession) ingest(cp *activity.Activity, h *sessHost) {
 		// sealed here means a late link reached an already-dispatched
 		// component (possible only with an incomplete IPToHost map);
 		// start a fresh shard rather than touching in-flight buffers.
-		c = newSessComponent(s.nextCompID, cp.Timestamp, root)
+		c = s.newSessComponent(s.nextCompID, cp.Timestamp, root)
 		s.nextCompID++
 		s.comps[root] = c
 	}
@@ -621,7 +756,7 @@ func (s *streamSession) ingest(cp *activity.Activity, h *sessHost) {
 		// dispatched request — tag the provenance for downstream sinks.
 		c.late = true
 	}
-	c.appendRec(cp.CtxK.Host, pushRec{a: cp, seq: h.seq})
+	c.appendRec(&s.runFree, cp.CtxK.Host, pushRec{a: cp, seq: h.seq})
 	if cp.Type == activity.Begin {
 		c.minBegin = min(c.minBegin, cp.Timestamp)
 	}
@@ -725,7 +860,7 @@ func (s *streamSession) fuse(a, b *sessComponent, root int32) *sessComponent {
 		merged := false
 		for j := range a.runs {
 			if a.runs[j].host == br.host {
-				a.runs[j].recs = mergeRuns(a.runs[j].recs, br.recs)
+				a.runs[j].recs = s.runFree.mergeRuns(a.runs[j].recs, br.recs)
 				merged = true
 				break
 			}
@@ -745,18 +880,15 @@ func (s *streamSession) fuse(a, b *sessComponent, root int32) *sessComponent {
 	}
 	a.size += b.size
 	a.root = root
+	s.recycleComponent(b)
 	return a
 }
 
-// mergeRuns interleaves two (timestamp, push-sequence)-sorted host runs.
-func mergeRuns(x, y []pushRec) []pushRec {
-	if len(x) == 0 {
-		return y
-	}
-	if len(y) == 0 {
-		return x
-	}
-	out := make([]pushRec, 0, len(x)+len(y))
+// mergeRuns interleaves two (timestamp, push-sequence)-sorted runs of
+// live components into an array drawn from the list, and takes both
+// inputs back.
+func (p *runPool) mergeRuns(x, y []pushRec) []pushRec {
+	out := p.get(len(x) + len(y))
 	i, j := 0, 0
 	for i < len(x) && j < len(y) {
 		if y[j].a.Timestamp < x[i].a.Timestamp ||
@@ -770,6 +902,8 @@ func mergeRuns(x, y []pushRec) []pushRec {
 	}
 	out = append(out, x[i:]...)
 	out = append(out, y[j:]...)
+	p.release(x)
+	p.release(y)
 	return out
 }
 
@@ -855,6 +989,100 @@ func (s *streamSession) sealStale() {
 	s.sealReady = ready[:0]
 }
 
+// rollStale is the rolling seal's Drain-time scan: every live component
+// holding no BEGIN whose oldest record has fallen two horizons behind
+// gives up its records older than one horizon as a prefix (rollPrefix),
+// which stage 1 correlates and absorbs on the spot. Like sealStale it
+// runs against the activity clock only.
+//
+// The prefixes are correlated here, not by the pool, because the pool
+// must be free at the next Drain: a prefix still running on a worker
+// when the next Drain dispatches its seals takes that worker from the
+// seals, and every graph the Drain releases waits for it. Rolling is
+// Drain's last step, after emit, so no release waits on it either.
+func (s *streamSession) rollStale() {
+	if !s.continuous {
+		return
+	}
+	for _, c := range s.comps {
+		if c.sealed || c.minBegin != noBound {
+			continue
+		}
+		horizon := s.compHorizon(c)
+		if horizon <= 0 || c.oldest() >= s.maxTs-2*horizon {
+			continue
+		}
+		if s.rollScratch == nil {
+			s.rollScratch = newShardScratch(s.drv)
+		}
+		s.absorb(s.correlateComponent(s.rollScratch, s.rollPrefix(c, s.maxTs-horizon)))
+	}
+}
+
+// oldest returns the timestamp of the component's first-buffered record.
+func (c *sessComponent) oldest() time.Duration {
+	ts := noBound
+	for _, r := range c.runs {
+		ts = min(ts, r.recs[0].a.Timestamp)
+	}
+	return ts
+}
+
+// rollPrefix is the rolling seal: it splits off the records of a
+// BEGIN-less live component that lie older than floor (maxTs − horizon)
+// and returns them as a component of their own, ready to correlate,
+// while the rest lives on as the component under the same root. A
+// never-idle component — a §5.3.3 noise connection — would otherwise
+// hold every record it ever received until Close. rollStale rolls only
+// once the oldest record is two horizons old, so each prefix carries
+// about one horizon of records.
+//
+// The prefix is not tombstoned (its root lives on), takes no component
+// id of its own (it roots no graph, so emission tie-breaks cannot move),
+// counts in neither Shards nor ForcedSeals, and carries no provenance.
+//
+// Why no later graph can reference a rolled record. Every graph is
+// rooted at a BEGIN, and the component holds none, so no graph reaches
+// any of its records yet. A record joins a graph only through a context
+// or a channel that already carries that graph, and flow.Incremental
+// fuses on both when the record arrives; so a future graph reaches this
+// component's records only through records pushed later, all of which
+// follow the graph's BEGIN. That BEGIN is not yet pushed, and under the
+// sender-liveness presumption that watermark() and the forced seals
+// already rest on, no open stream delivers a record older than floor:
+// the BEGIN, and everything causally after it, lands at or above floor,
+// in the suffix this component keeps. A record older than floor arriving
+// later violates the presumption, as a late link does; the root is not
+// tombstoned, so it joins the suffix instead of being counted.
+// Per-host run order is preserved: each run gives up its leading
+// records only, so even an out-of-order replay run stays in push order.
+func (s *streamSession) rollPrefix(c *sessComponent, floor time.Duration) *sessComponent {
+	p := s.newSessComponent(c.id, c.maxTs, c.root)
+	kept := c.runs[:0]
+	for _, r := range c.runs {
+		k := 0
+		for k < len(r.recs) && r.recs[k].a.Timestamp < floor {
+			k++
+		}
+		if k == 0 {
+			kept = append(kept, r)
+			continue
+		}
+		if k < len(r.recs) {
+			// Sized for the whole run: the suffix grows back to about
+			// two horizons before it rolls again.
+			kept = append(kept, hostRun{host: r.host, recs: append(s.runFree.get(len(r.recs)), r.recs[k:]...)})
+		}
+		p.runs = append(p.runs, hostRun{host: r.host, recs: r.recs[:k]})
+		p.size += k
+		s.runFree.shrink(cap(r.recs)) // the whole array goes with the prefix
+	}
+	clear(c.runs[len(kept):])
+	c.runs = kept
+	c.size -= p.size
+	return p
+}
+
 // enqueue seals the given components and dispatches them to the worker
 // pool in deterministic creation order, as one batched ring push. In
 // continuous mode the flow partition tombstones each root, so a
@@ -873,6 +1101,7 @@ func (s *streamSession) enqueue(ready []*sessComponent) {
 	}
 	for _, c := range ready {
 		c.sealed = true
+		s.runFree.dispatch(c)
 		if s.continuous {
 			s.inc.Seal(c.root)
 			// Keep late-link detection alive exactly as long as the
@@ -959,6 +1188,10 @@ func (s *streamSession) absorb(r sessShardResult) {
 	if s.comps[r.comp.root] == r.comp {
 		delete(s.comps, r.comp.root)
 	}
+	for _, run := range r.comp.runs {
+		s.runFree.put(run.recs)
+	}
+	s.recycleComponent(r.comp)
 }
 
 // watermark returns the END-timestamp bound below which no future graph
@@ -1024,7 +1257,9 @@ func (s *streamSession) emit(all bool) {
 }
 
 // Drain force-seals stale components (continuous mode), finishes every
-// decidable (sealed) component, and releases what the watermark permits.
+// decidable (sealed) component, releases what the watermark permits, and
+// then rolls aged prefixes off never-idle BEGIN-less components. Rolling
+// comes last because a prefix roots no graph: no release waits on it.
 func (s *streamSession) Drain() int {
 	start := time.Now()
 	s.sealStale()
@@ -1033,6 +1268,7 @@ func (s *streamSession) Drain() int {
 		s.inc.PruneBefore(s.maxTs)
 	}
 	s.emit(false)
+	s.rollStale()
 	s.workTime += time.Since(start)
 	n := s.uncounted
 	s.uncounted = 0
