@@ -1,18 +1,28 @@
 package core
 
-// Golden-capture harness: dumps canonical fingerprints of the offline
-// and online correlation outputs so a refactor can prove byte-identity
-// against a pre-refactor checkout. Capture before the change, re-capture
-// after, diff the directories:
+// Golden fixed point: TestGoldenDump renders canonical fingerprints of
+// the offline and online correlation outputs and compares the SHA-256 of
+// each rendering against testdata/golden.sum, so any change to a graph's
+// output fails the default test run. A change that alters output on
+// purpose rewrites the file and says why:
+//
+//	go test -run TestGoldenDump ./internal/core -update
+//
+// To see what changed, write the full renderings on both sides and diff
+// the directories (the files' hashes are the ones golden.sum lists, so
+// `sha256sum -c` inside the directory checks it too):
 //
 //	GOLDEN_DUMP=/tmp/golden go test -run TestGoldenDump ./internal/core
-//
-// (This is how the four-paths-to-one-pipeline refactor proved the replay
-// path reproduces the historical sequential correlator exactly.)
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,14 +30,18 @@ import (
 	"repro/internal/rubis"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/golden.sum from this run's output")
+
+const goldenSum = "testdata/golden.sum"
+
 func TestGoldenDump(t *testing.T) {
-	dir := os.Getenv("GOLDEN_DUMP")
-	if dir == "" {
-		t.Skip("GOLDEN_DUMP not set")
+	g := &golden{dir: os.Getenv("GOLDEN_DUMP"), sums: map[string]string{}}
+	if g.dir != "" {
+		if err := os.MkdirAll(g.dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
+	dump := g.dump
 	cases := []struct {
 		name    string
 		clients int
@@ -60,7 +74,7 @@ func TestGoldenDump(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dump(t, dir, tc.name+"-trace-w1", out)
+		dump(t, tc.name+"-trace-w1", out)
 
 		// Offline CorrelateDir (sequential streaming).
 		td := t.TempDir()
@@ -74,7 +88,7 @@ func TestGoldenDump(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dump(t, dir, tc.name+"-dir-w1", dout)
+		dump(t, tc.name+"-dir-w1", dout)
 
 		// Online sequential session, arrival-order replay.
 		sess, err := NewSession(Options{
@@ -93,7 +107,7 @@ func TestGoldenDump(t *testing.T) {
 				sess.Drain()
 			}
 		}
-		dump(t, dir, tc.name+"-session-w1", sess.Close())
+		dump(t, tc.name+"-session-w1", sess.Close())
 
 		// PaperExactNoise sequential. Pre-refactor this file was produced
 		// by the dedicated global-buffer pass; the directory diff across
@@ -108,7 +122,7 @@ func TestGoldenDump(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dump(t, dir, tc.name+"-paperexact-w1", pout)
+		dump(t, tc.name+"-paperexact-w1", pout)
 
 		// Shard-aware exact mode across the worker pool and seal-horizon
 		// matrix: every variant must reproduce the paperexact-w1 dump —
@@ -146,21 +160,78 @@ func TestGoldenDump(t *testing.T) {
 				}
 			}
 			eout := esess.Close()
-			dump(t, dir, tc.name+"-"+v.name, eout)
+			dump(t, tc.name+"-"+v.name, eout)
 			assertSameGraphs(t, tc.name+"-"+v.name, pout, eout)
+		}
+	}
+	g.check(t)
+}
+
+// golden collects one SHA-256 per rendered result and, when dir is set,
+// writes the renderings themselves.
+type golden struct {
+	dir  string
+	sums map[string]string // file name → hex SHA-256
+}
+
+func (g *golden) dump(t *testing.T, name string, r *Result) {
+	t.Helper()
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "graphs=%d activities=%d unfinished=%d\n", len(r.Graphs), r.Activities, r.Unfinished())
+	for i, gr := range r.Graphs {
+		fmt.Fprintf(&b, "--- %d ---\n%s\n", i, fingerprint(gr))
+	}
+	file := name + ".txt"
+	g.sums[file] = fmt.Sprintf("%x", sha256.Sum256(b.Bytes()))
+	if g.dir != "" {
+		if err := os.WriteFile(filepath.Join(g.dir, file), b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
 
-func dump(t *testing.T, dir, name string, r *Result) {
+// check compares the collected hashes against goldenSum, or rewrites it
+// under -update. The file is in sha256sum's format.
+func (g *golden) check(t *testing.T) {
 	t.Helper()
-	f, err := os.Create(dir + "/" + name + ".txt")
-	if err != nil {
-		t.Fatal(err)
+	names := make([]string, 0, len(g.sums))
+	for n := range g.sums {
+		names = append(names, n)
 	}
-	defer f.Close()
-	fmt.Fprintf(f, "graphs=%d activities=%d unfinished=%d\n", len(r.Graphs), r.Activities, r.Unfinished())
-	for i, g := range r.Graphs {
-		fmt.Fprintf(f, "--- %d ---\n%s\n", i, fingerprint(g))
+	sort.Strings(names)
+	if *update {
+		var b strings.Builder
+		for _, n := range names {
+			fmt.Fprintf(&b, "%s  %s\n", g.sums[n], n)
+		}
+		if err := os.WriteFile(goldenSum, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(goldenSum)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		sum, n, ok := strings.Cut(line, "  ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", goldenSum, line)
+		}
+		want[n] = sum
+	}
+	for _, n := range names {
+		switch w, ok := want[n]; {
+		case !ok:
+			t.Errorf("%s: not in %s", n, goldenSum)
+		case w != g.sums[n]:
+			t.Errorf("%s: sha256 %s, %s has %s (GOLDEN_DUMP=dir writes the output to diff)", n, g.sums[n], goldenSum, w)
+		}
+	}
+	for n := range want {
+		if _, ok := g.sums[n]; !ok {
+			t.Errorf("%s: listed in %s but not produced", n, goldenSum)
+		}
 	}
 }
