@@ -15,18 +15,25 @@ GO ?= go
 # Minimum combined statement coverage for the correlator's concurrency
 # core (internal/core + internal/flow + internal/live) plus the live
 # analytics tier (internal/sketch + internal/export) and the pipeline's
-# handoff primitive (internal/ring) — the packages the sharded batch
-# pipeline, the sharded push-mode session (including the SealAfter
-# continuous mode), the ring-buffered dispatch, the online monitor and
-# its bounded-memory sketches and export sinks live in.
+# handoff primitive (internal/ring) — the packages the sharded streaming
+# session (including the SealAfter continuous mode), the ring-buffered
+# dispatch, the online monitor and its bounded-memory sketches and export
+# sinks live in.
 COVER_MIN ?= 85
 
-.PHONY: ci vet lint build test race cover bench bench-allocs bench-promote bench-scaling bench-smoke soak soak-short
+.PHONY: ci fmt vet lint build test race cover bench bench-allocs bench-promote bench-scaling bench-smoke soak soak-short
 
-ci: vet lint build test race cover bench bench-allocs bench-smoke soak-short
+ci: fmt vet lint build test race cover bench bench-allocs bench-smoke soak-short
 
+# Fails when any Go file (the bench module's included) is not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "fmt: gofmt -l lists:"; echo "$$out"; exit 1; fi
+
+# bench/ is a module of its own: `go vet ./...` never compiles it, so it
+# is vetted separately against the internal APIs it imports.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # staticcheck is the second linter gate (hosted CI installs it; see
 # .github/workflows/ci.yml). Local runs without the binary skip it with a

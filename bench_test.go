@@ -10,7 +10,6 @@ import (
 	"repro/internal/cag"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/flow"
 	"repro/internal/rubis"
 )
 
@@ -105,20 +104,6 @@ func BenchmarkCorrelateSharded(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkPartition isolates the shard-key stage (union-find closure
-// over channels and context epochs) of the concurrent pipeline.
-func BenchmarkPartition(b *testing.B) {
-	res := benchTrace(b)
-	classified := classify(res)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if comps := flow.Partition(classified, flow.ModeFlow); len(comps) == 0 {
-			b.Fatal("no components")
-		}
-	}
-	b.ReportMetric(float64(len(classified)), "activities/op")
 }
 
 // BenchmarkCorrelateWideWindow isolates the window-size cost (Fig. 10's

@@ -202,9 +202,7 @@
 // is pushed in order, every host is closed, and — when a horizon is
 // configured — the replay drains on a fixed record cadence, so a recorded
 // trace reproduces a continuous deployment's seals, splits and counters
-// deterministically. The batch partition stage also exists standalone
-// (flow.Partition), the reference the partition invariant tests and
-// BenchmarkPartition measure against.
+// deterministically.
 //
 // There are no exceptions: even the PaperExactNoise ablation runs this
 // engine. The literal Fig. 5 is_noise predicate asks whether a pending
@@ -251,7 +249,7 @@
 //
 // Because the session's output depends only on per-host record order —
 // which the sequence protocol preserves exactly — a networked run drains
-// an OnGraph stream byte-identical to an in-process replay of the same
+// a sink stream byte-identical to an in-process replay of the same
 // logs (TestNetworkedEquivalence), no matter how connections interleave,
 // bounce, or resume. What the interleaving does decide is how well the
 // run streams: the online partition over-merges whenever a RECEIVE
@@ -322,12 +320,11 @@
 // core.GraphSink. Options.Sinks (and IngestOptions.Sinks for the
 // networked front) register any number of sinks on the session's
 // emission chain; each finished graph is delivered to every sink, in
-// registration order, on the emitter goroutine, in the same
-// deterministic END-timestamp order the OnGraph callback gets (OnGraph
-// is the single-callback special case and fires first). Registering
-// any sink switches the session to streaming: Result.Graphs stays
-// empty, exactly as with OnGraph; core.Collect is the sink that gathers
-// graphs back into a slice when a consumer wants both. Ownership
+// registration order, on the emitter goroutine, in deterministic
+// END-timestamp order (core.GraphSinkFunc adapts a plain callback).
+// Registering any sink switches the session to streaming: Result.Graphs
+// stays empty; core.Collect is the sink that gathers graphs back into a
+// slice when a consumer wants both. Ownership
 // follows the pooled-record rules above: an emitted graph and its
 // vertices are immutable from emission on, so a sink may retain the
 // graph but must never mutate it — the underlying Records of a

@@ -42,27 +42,30 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		// Each run's virtual clock restarts; shift the trace to keep the
+		// monitor's wall time monotone across runs. Emitted graphs are
+		// immutable, so the shift happens before correlation.
+		last := res.Trace[len(res.Trace)-1].Timestamp
+		for _, a := range res.Trace {
+			a.Timestamp += shift
+		}
 		count := 0
-		// OnGraph streams each finished CAG as the correlator emits it —
-		// the engine never accumulates, the monitor sees requests "live".
+		// The monitor is a sink: it receives each finished CAG as the
+		// correlator emits it — the engine never accumulates, the monitor
+		// sees requests "live".
 		_, err = core.New(core.Options{
 			Window:     10 * time.Millisecond,
 			EntryPorts: []int{rubis.EntryPort},
 			IPToHost:   res.IPToHost,
-			OnGraph: func(g *cag.Graph) {
-				// Each run's virtual clock restarts; shift to keep the
-				// monitor's wall time monotone across runs.
-				for _, v := range g.Vertices() {
-					v.Timestamp += shift
-				}
-				monitor.Ingest(g)
-				count++
+			Sinks: []core.GraphSink{
+				monitor,
+				core.GraphSinkFunc(func(*cag.Graph) { count++ }),
 			},
 		}).CorrelateTrace(res.Trace)
 		if err != nil {
 			log.Fatal(err)
 		}
-		shift += res.Trace[len(res.Trace)-1].Timestamp + time.Second
+		shift += last + time.Second
 		fmt.Printf("streamed %5d CAGs from the %s run\n", count, label)
 	}
 

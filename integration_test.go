@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/activity"
 	"repro/internal/analysis"
-	"repro/internal/cag"
 	"repro/internal/core"
 	"repro/internal/groundtruth"
 	"repro/internal/live"
@@ -138,23 +137,22 @@ func TestOnlineWorkflow(t *testing.T) {
 			Window:     10 * time.Millisecond,
 			EntryPorts: []int{rubis.EntryPort},
 			IPToHost:   res.IPToHost,
-			OnGraph: func(g *cag.Graph) {
-				for _, v := range g.Vertices() {
-					v.Timestamp += shift
-				}
-				monitor.Ingest(g)
-			},
+			Sinks:      []core.GraphSink{monitor},
 		}, hosts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Emitted graphs are immutable: keep the monitor's clock monotone
+		// across runs by shifting the records before they are pushed.
+		last := res.Trace[len(res.Trace)-1].Timestamp
 		for _, a := range res.Trace {
+			a.Timestamp += shift
 			if err := sess.Push(a); err != nil {
 				t.Fatal(err)
 			}
 		}
 		sess.Close()
-		shift += res.Trace[len(res.Trace)-1].Timestamp + time.Second
+		shift += last + time.Second
 	}
 	stream(healthy)
 	stream(faulty)

@@ -71,22 +71,16 @@ type Options struct {
 	// liveness, which keeps accuracy at 100% under clock skew.
 	PaperExactNoise bool
 
-	// OnGraph, when non-nil, streams each finished CAG instead of
-	// accumulating all of them in the Result — bounding the output side
-	// for long traces. The watermark emitter invokes the callback from one
-	// goroutine in deterministic END-timestamp order, releasing graphs
-	// incrementally as the completion watermark advances; the offline
-	// replay fires the same callback while draining, before the Correlate
-	// call returns. OnGraph is the single-callback special case of Sinks;
-	// when both are set, OnGraph fires first.
-	OnGraph func(*cag.Graph)
-
-	// Sinks is the composable emission chain: every finished CAG is
-	// delivered to each sink in order, on the emitter goroutine, in the
-	// same deterministic END-timestamp order as OnGraph. Any registered
-	// sink streams the output (Result.Graphs stays empty); use a Collect
-	// sink to keep the batch view alongside streaming consumers. See
-	// GraphSink for the ownership contract.
+	// Sinks is the emission chain: every finished CAG is delivered to
+	// each sink in order, from one goroutine, in deterministic
+	// END-timestamp order, released incrementally as the completion
+	// watermark advances; the offline replay fires the chain while
+	// draining, before the Correlate call returns. Any registered sink
+	// streams the output instead of accumulating it (Result.Graphs stays
+	// empty), which bounds the output side for long traces; use a Collect
+	// sink to keep the batch view alongside streaming consumers. The
+	// session copies the slice at construction. See GraphSink for the
+	// ownership contract.
 	Sinks []GraphSink
 
 	// Workers sizes the streaming engine's correlation pool. 0 or 1 keeps
@@ -296,7 +290,7 @@ func ParseSealAfterSpec(spec string) (time.Duration, map[string]time.Duration, e
 // Result is the outcome of a correlation run.
 type Result struct {
 	// Graphs holds the finished CAGs in completion order (empty when
-	// streaming via OnGraph or Sinks).
+	// streaming to Sinks).
 	Graphs []*cag.Graph
 
 	// CorrelationTime is the wall-clock time spent ranking + constructing —
@@ -414,13 +408,13 @@ func (c *Correlator) CorrelateSources(sources []ranker.Source, totalHint int) (*
 	return c.replaySources(sources, totalHint)
 }
 
-// drive runs the ranker+engine pair to exhaustion over per-node sources —
-// the paper's sequential correlator. It is the single definition of the
-// hot loop: every sealed flow component of the streaming engine runs it
-// over the component's sources, so the execution modes cannot drift
-// apart.
-func (c *Correlator) drive(sources []ranker.Source, engOpts ...engine.Option) (*ranker.Ranker, *engine.Engine) {
-	eng := engine.New(engOpts...)
+// drive runs a fresh ranker+engine pair to exhaustion over per-node
+// sources — the paper's sequential correlator as one global pass, the
+// reference TestExactModeMatchesGlobalPass compares the sharded session
+// against. It shares driveLoop with driveOn, which every sealed flow
+// component of the streaming engine runs, so the two cannot drift apart.
+func (c *Correlator) drive(sources []ranker.Source) (*ranker.Ranker, *engine.Engine) {
+	eng := engine.New()
 	rk := ranker.New(c.rankerConfig(), eng, sources)
 	c.driveLoop(rk, eng)
 	return rk, eng

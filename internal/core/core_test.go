@@ -117,7 +117,7 @@ func TestStreamingOutput(t *testing.T) {
 	res := fastRun(t, 40, nil)
 	var streamed int
 	opts := options(res)
-	opts.OnGraph = func(*cag.Graph) { streamed++ }
+	opts.Sinks = []GraphSink{GraphSinkFunc(func(*cag.Graph) { streamed++ })}
 	out, err := New(opts).CorrelateTrace(res.Trace)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestCorrelateDirStreamsFromDisk(t *testing.T) {
 		var streamed int
 		opts := options(res)
 		opts.IPToHost = nil // force topology inference
-		opts.OnGraph = func(*cag.Graph) { streamed++ }
+		opts.Sinks = []GraphSink{GraphSinkFunc(func(*cag.Graph) { streamed++ })}
 		out, err := New(opts).CorrelateDir(dir)
 		if err != nil {
 			t.Fatal(err)

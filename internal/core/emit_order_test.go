@@ -13,7 +13,7 @@ import (
 	"repro/internal/rubis"
 )
 
-// assertEmitted checks an OnGraph stream against the reference graph set:
+// assertEmitted checks a sink stream against the reference graph set:
 // non-decreasing in END timestamp, and every reference graph delivered
 // exactly once — no duplicates, no drops.
 func assertEmitted(t *testing.T, label string, emitted, ref []*cag.Graph) {
@@ -48,7 +48,7 @@ func assertEmitted(t *testing.T, label string, emitted, ref []*cag.Graph) {
 // and seal-horizon configurations, on plain traces and on traces with
 // §5.3.3 noise (whose never-idle connections are BEGIN-less components
 // the watermark must not wait for, sometimes under PaperExactNoise), the
-// OnGraph stream must always be non-decreasing in END timestamp and must
+// sink stream must always be non-decreasing in END timestamp and must
 // deliver exactly the offline reference set.
 //
 // The horizons are chosen comfortably above the longest request span, so
@@ -101,7 +101,7 @@ func TestSessionEmitOrderRandomized(t *testing.T) {
 				opts.PaperExactNoise = rng.Intn(2) == 0
 			}
 			var emitted []*cag.Graph
-			opts.OnGraph = func(g *cag.Graph) { emitted = append(emitted, g) }
+			opts.Sinks = []GraphSink{GraphSinkFunc(func(g *cag.Graph) { emitted = append(emitted, g) })}
 			sess, err := NewSession(opts, hosts)
 			if err != nil {
 				t.Fatal(err)
@@ -195,7 +195,7 @@ func TestSessionEmitOrderChattyFusion(t *testing.T) {
 			label := fmt.Sprintf("workers=%d drain every %d", workers, every)
 			opts.Workers = workers
 			var emitted []*cag.Graph
-			opts.OnGraph = func(g *cag.Graph) { emitted = append(emitted, g) }
+			opts.Sinks = []GraphSink{GraphSinkFunc(func(g *cag.Graph) { emitted = append(emitted, g) })}
 			sess, err := NewSession(opts, []string{"app1", "web1"})
 			if err != nil {
 				t.Fatal(err)

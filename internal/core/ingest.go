@@ -38,7 +38,7 @@ type IngestOptions struct {
 
 	// OnApplied, when non-nil, observes every applied record (ts = its
 	// timestamp) and heartbeat, on the ingest goroutine — the same
-	// goroutine that fires the session's OnGraph, so a live.Monitor may be
+	// goroutine that fires the session's sinks, so a live.Monitor may be
 	// driven from both without extra locking. Application happens in
 	// merged timestamp order across hosts (see Ingest).
 	OnApplied func(host string, ts time.Duration)

@@ -67,7 +67,7 @@ func recordSteps(perHost map[string][]*activity.Activity) map[string][]frontStep
 func orderedSession(t *testing.T, opts Options, hosts []string, steps []frontStep) (*Result, []string) {
 	t.Helper()
 	var fps []string
-	opts.OnGraph = func(g *cag.Graph) { fps = append(fps, fingerprint(g)) }
+	opts.Sinks = []GraphSink{GraphSinkFunc(func(g *cag.Graph) { fps = append(fps, fingerprint(g)) })}
 	s, err := NewSession(opts, hosts)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ type frontRun struct {
 func newFrontRun(t *testing.T, opts Options, hosts []string, iopts IngestOptions) *frontRun {
 	t.Helper()
 	fr := &frontRun{}
-	opts.OnGraph = func(g *cag.Graph) { fr.fps = append(fr.fps, fingerprint(g)) }
+	opts.Sinks = []GraphSink{GraphSinkFunc(func(g *cag.Graph) { fr.fps = append(fr.fps, fingerprint(g)) })}
 	s, err := NewSession(opts, hosts)
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +348,7 @@ func TestIngestSkewedClocks(t *testing.T) {
 // keeps sending, db1's behaviour is the test's subject.
 func silentFixture(t *testing.T, sealAfter time.Duration) (*frontRun, []*activity.Activity) {
 	t.Helper()
-	opts := ingestOpts(nil)
+	opts := ingestOpts()
 	opts.SealAfter = sealAfter
 	fr := newFrontRun(t, opts, []string{"web1", "db1"}, IngestOptions{})
 	var web []*activity.Activity
@@ -446,7 +446,7 @@ func TestIngestSilentHost(t *testing.T) {
 func TestIngestReleaseExactlyOnce(t *testing.T) {
 	var mu sync.Mutex
 	released := make(map[*activity.Activity]int)
-	s, err := NewSession(ingestOpts(nil), []string{"web1", "db1", "app1"})
+	s, err := NewSession(ingestOpts(), []string{"web1", "db1", "app1"})
 	if err != nil {
 		t.Fatal(err)
 	}

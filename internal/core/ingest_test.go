@@ -11,12 +11,12 @@ import (
 	"repro/internal/cag"
 )
 
-func ingestOpts(onGraph func(*cag.Graph)) Options {
+func ingestOpts(sinks ...GraphSink) Options {
 	return Options{
 		Window:     10 * time.Millisecond,
 		EntryPorts: []int{80},
 		IPToHost:   map[string]string{"10.0.0.1": "web1", "10.0.0.2": "db1"},
-		OnGraph:    onGraph,
+		Sinks:      sinks,
 	}
 }
 
@@ -52,7 +52,7 @@ func TestIngestConcurrentProducers(t *testing.T) {
 		Window:     10 * time.Millisecond,
 		EntryPorts: []int{80},
 		IPToHost:   map[string]string{"10.0.0.1": "w0"},
-		OnGraph:    func(*cag.Graph) { emitted++ },
+		Sinks:      []GraphSink{GraphSinkFunc(func(*cag.Graph) { emitted++ })},
 	}, names)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestIngestConcurrentProducers(t *testing.T) {
 // TestIngestStickyHostError: a timestamp regression on one host surfaces
 // to that host's later calls and leaves other hosts flowing.
 func TestIngestStickyHostError(t *testing.T) {
-	s, err := NewSession(ingestOpts(nil), []string{"web1", "db1"})
+	s, err := NewSession(ingestOpts(), []string{"web1", "db1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestIngestStickyHostError(t *testing.T) {
 // TestIngestUnknownHost: ops for undeclared hosts error via the sticky
 // path (Heartbeat/CloseHost synchronously or on the next call).
 func TestIngestUnknownHost(t *testing.T) {
-	s, err := NewSession(ingestOpts(nil), []string{"web1"})
+	s, err := NewSession(ingestOpts(), []string{"web1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestIngestUnknownHost(t *testing.T) {
 // wall-clock drain is the only thing that can release them.
 func TestIngestWallClockFlush(t *testing.T) {
 	emitted := make(chan struct{}, 16)
-	opts := ingestOpts(func(*cag.Graph) { emitted <- struct{}{} })
+	opts := ingestOpts(GraphSinkFunc(func(*cag.Graph) { emitted <- struct{}{} }))
 	opts.SealAfter = 5 * time.Millisecond
 	s, err := NewSession(opts, []string{"web1"})
 	if err != nil {

@@ -110,16 +110,14 @@ func (s *Session) Close() *Result { return s.impl.Close() }
 
 // AddSink appends one sink to the session's emission chain (see
 // Options.Sinks). It must be called before the first Push: the chain is
-// rebuilt in place and is not synchronized against in-flight emission.
-// Registering any sink switches the session to streaming —
-// Result.Graphs stays empty.
+// not synchronized against in-flight emission. Registering any sink
+// switches the session to streaming — Result.Graphs stays empty.
 func (s *Session) AddSink(sink GraphSink) {
-	s.impl.opts.Sinks = append(s.impl.opts.Sinks, sink)
-	s.impl.deliver = s.impl.opts.emitter()
+	s.impl.sinks = append(s.impl.sinks, sink)
 }
 
-// Graphs returns the CAGs completed so far (when not streaming via
-// OnGraph or Sinks).
+// Graphs returns the CAGs completed so far (when not streaming to
+// sinks).
 func (s *Session) Graphs() []*cag.Graph { return s.impl.emitted }
 
 // Pending returns the number of activities buffered but not yet

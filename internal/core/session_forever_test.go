@@ -324,7 +324,7 @@ func TestSessionContinuousReplayEmitsBeforeClose(t *testing.T) {
 		opts := options(res)
 		opts.SealAfter = time.Second
 		opts.Workers = 2
-		opts.OnGraph = func(g *cag.Graph) { stream = append(stream, fingerprint(g)) }
+		opts.Sinks = []GraphSink{GraphSinkFunc(func(g *cag.Graph) { stream = append(stream, fingerprint(g)) })}
 		sess, err := NewSession(opts, hostsOf(res))
 		if err != nil {
 			t.Fatal(err)

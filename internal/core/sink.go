@@ -6,10 +6,8 @@ import "repro/internal/cag"
 // them — the composable form of the emission path. Sinks registered in
 // Options.Sinks (or IngestOptions.Sinks) are invoked in registration
 // order, on the emitter's goroutine, in deterministic END-timestamp
-// order; the legacy Options.OnGraph callback, when set, runs before
-// them. Registering any sink (or OnGraph) switches the session to
-// streaming: Result.Graphs stays empty and output memory is the sinks'
-// concern.
+// order. Registering any sink switches the session to streaming:
+// Result.Graphs stays empty and output memory is the sinks' concern.
 //
 // Ownership: the graph and its vertices' Records are owned by the
 // pipeline's slab allocator and are immutable after emission. A sink
@@ -35,25 +33,3 @@ type Collect struct {
 
 // ConsumeGraph implements GraphSink.
 func (c *Collect) ConsumeGraph(g *cag.Graph) { c.Graphs = append(c.Graphs, g) }
-
-// emitter folds OnGraph and the sink chain into one delivery function,
-// or nil when neither is configured (the session then accumulates into
-// Result.Graphs).
-func (o *Options) emitter() func(*cag.Graph) {
-	if o.OnGraph == nil && len(o.Sinks) == 0 {
-		return nil
-	}
-	if o.OnGraph != nil && len(o.Sinks) == 0 {
-		return o.OnGraph
-	}
-	on := o.OnGraph
-	sinks := append([]GraphSink(nil), o.Sinks...)
-	return func(g *cag.Graph) {
-		if on != nil {
-			on(g)
-		}
-		for _, s := range sinks {
-			s.ConsumeGraph(g)
-		}
-	}
-}

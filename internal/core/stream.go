@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -143,12 +144,12 @@ type streamSession struct {
 	colScratch []sessShardResult // harvest's swap buffer
 
 	finished graphHeap    // correlated, held back by the watermark
-	emitted  []*cag.Graph // released (when not streaming via OnGraph/Sinks)
+	emitted  []*cag.Graph // released (when no sink is registered)
 
-	// deliver is the fused emission chain (Options.OnGraph + every
-	// registered sink), nil when the session accumulates into emitted.
-	// Rebuilt by AddSink, which must run before the first Push.
-	deliver func(*cag.Graph)
+	// sinks is the emission chain: a copy of Options.Sinks, extended by
+	// AddSink before the first Push. Empty, the session accumulates into
+	// emitted.
+	sinks []GraphSink
 
 	pushed      int
 	pendingActs int
@@ -478,7 +479,6 @@ func newStreamSession(opts Options, hosts []string) *streamSession {
 	}
 	drvOpts := opts
 	drvOpts.Workers = 0
-	drvOpts.OnGraph = nil
 	drvOpts.Sinks = nil
 	// The jobs ring is deep enough that a burst of seals (one drain can
 	// retire hundreds of components) dispatches without stalling stage 1.
@@ -488,6 +488,7 @@ func newStreamSession(opts Options, hosts []string) *streamSession {
 	}
 	s := &streamSession{
 		opts:       opts,
+		sinks:      slices.Clone(opts.Sinks),
 		workers:    workers,
 		drv:        New(drvOpts),
 		cls:        activity.NewClassifier(opts.EntryPorts...),
@@ -498,7 +499,6 @@ func newStreamSession(opts Options, hosts []string) *streamSession {
 		maxHorizon: opts.maxHorizon(),
 	}
 	s.colReady.L = &s.colMu
-	s.deliver = opts.emitter()
 	s.inc = flow.NewIncremental(opts.ShardBy.flowMode(), s.mergeComponents)
 	if s.continuous {
 		// Continuous mode retires dispatched components; the close-driven
@@ -1248,10 +1248,12 @@ func (s *streamSession) emit(all bool) {
 	}
 	for len(s.finished) > 0 && (wm == noBound || s.finished[0].end < wm) {
 		g := s.finished.pop().g
-		if s.deliver != nil {
-			s.deliver(g)
-		} else {
+		if len(s.sinks) == 0 {
 			s.emitted = append(s.emitted, g)
+			continue
+		}
+		for _, k := range s.sinks {
+			k.ConsumeGraph(g)
 		}
 	}
 }

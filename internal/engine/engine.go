@@ -70,7 +70,6 @@ type Engine struct {
 	cmap map[activity.CtxKey]ctxEntry
 
 	outputs []*cag.Graph
-	onGraph func(*cag.Graph)
 	stats   Stats
 
 	// resident tracks vertices held in unfinished CAGs — the engine half of
@@ -80,25 +79,12 @@ type Engine struct {
 	peakResident int
 }
 
-// Option configures an Engine.
-type Option func(*Engine)
-
-// WithOutputFunc streams each finished CAG to fn instead of (in addition
-// to) accumulating it; pass fn that retains nothing to bound memory.
-func WithOutputFunc(fn func(*cag.Graph)) Option {
-	return func(e *Engine) { e.onGraph = fn }
-}
-
 // New returns an empty engine.
-func New(opts ...Option) *Engine {
-	e := &Engine{
+func New() *Engine {
+	return &Engine{
 		mmap: make(map[activity.ChanKey]pendingSend),
 		cmap: make(map[activity.CtxKey]ctxEntry),
 	}
-	for _, o := range opts {
-		o(e)
-	}
-	return e
 }
 
 // Reset returns the engine to its empty state while keeping the mmap and
@@ -139,18 +125,9 @@ func (e *Engine) PendingBytes(ch activity.ChanKey) int64 {
 	return p.remaining
 }
 
-// Outputs returns the finished CAGs accumulated so far (in completion
-// order). The engine keeps accumulating unless WithOutputFunc consumers
-// call DrainOutputs.
+// Outputs returns the finished CAGs accumulated since New or the last
+// Reset, in completion order.
 func (e *Engine) Outputs() []*cag.Graph { return e.outputs }
-
-// DrainOutputs returns finished CAGs and clears the accumulator — for
-// streaming callers that bound memory.
-func (e *Engine) DrainOutputs() []*cag.Graph {
-	out := e.outputs
-	e.outputs = nil
-	return out
-}
 
 // Unfinished returns the number of CAGs started but not yet completed.
 func (e *Engine) Unfinished() int {
@@ -254,11 +231,7 @@ func (e *Engine) handleEnd(a *activity.Activity) *cag.Graph {
 	g := parent.graph
 	e.addResident(1)
 	e.resident -= g.Len()
-	if e.onGraph != nil {
-		e.onGraph(g)
-	} else {
-		e.outputs = append(e.outputs, g)
-	}
+	e.outputs = append(e.outputs, g)
 	return g
 }
 

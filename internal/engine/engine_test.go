@@ -233,29 +233,6 @@ func TestReplacedSendCounted(t *testing.T) {
 	}
 }
 
-func TestOutputFuncStreams(t *testing.T) {
-	var streamed []*cag.Graph
-	e := New(WithOutputFunc(func(g *cag.Graph) { streamed = append(streamed, g) }))
-	feed(t, e, simpleRequest(0, 1))
-	if len(streamed) != 1 {
-		t.Fatalf("streamed %d CAGs, want 1", len(streamed))
-	}
-	if len(e.Outputs()) != 0 {
-		t.Fatal("accumulator should stay empty when streaming")
-	}
-}
-
-func TestDrainOutputs(t *testing.T) {
-	e := New()
-	feed(t, e, simpleRequest(0, 1))
-	if got := e.DrainOutputs(); len(got) != 1 {
-		t.Fatalf("drained %d", len(got))
-	}
-	if got := e.DrainOutputs(); len(got) != 0 {
-		t.Fatalf("second drain returned %d", len(got))
-	}
-}
-
 func TestInterleavedConcurrentRequests(t *testing.T) {
 	// Two requests through DIFFERENT worker entities, interleaved in time —
 	// the core concurrency case precise tracing must untangle.

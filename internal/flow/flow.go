@@ -1,5 +1,6 @@
-// Package flow partitions a classified activity trace into independent
-// correlation components — the shard key of the concurrent correlator.
+// Package flow partitions a classified activity stream into independent
+// correlation components as it arrives — the shard key of the concurrent
+// correlator.
 //
 // Two activities can influence each other's CAG only through one of the
 // engine's two index maps: mmap (keyed by the TCP channel) or cmap (keyed
@@ -13,7 +14,7 @@
 // per directed channel, and both directions of one TCP connection belong
 // together (request and reply share the socket pair), so the shard key
 // normalises the endpoint pair. The context relation is where the two
-// partition modes differ:
+// modes differ:
 //
 //   - ModeContext unions everything a context ever touches. Thread pools
 //     (one JBoss thread serving many connections over its lifetime) chain
@@ -31,33 +32,23 @@
 //
 // # The channel-closure guarantee
 //
-// Both partitioners — the batch Partition scan and the online
-// Incremental — maintain one invariant the shard-aware Fig. 5
-// is_noise predicate rests on: a ChanKey is never split across live
-// components. Structurally, every directed channel and its reverse share
-// one union-find node (the batch scan interns both directions to one
-// dense id; Incremental files ChanK.Reverse() under the same node), and
-// every branch of every scan either files the activity directly under its
-// connection's node or unions the activity's epoch/context node with it —
-// including the RECEIVE-before-SEND case, where the online scan joins the
+// Incremental maintains one invariant the shard-aware Fig. 5 is_noise
+// predicate rests on: a ChanKey is never split across live components.
+// Structurally, every directed channel and its reverse share one
+// union-find node (Incremental files ChanK.Reverse() under the same
+// node), and every branch of Add either files the activity directly
+// under its connection's node or unions the activity's epoch/context node
+// with it — including the RECEIVE-before-SEND case, where Add joins the
 // not-yet-sendful connection to the current epoch (an over-merge, never a
 // split). So all SENDs that could match a RECEIVE (same ChanKey) land in
 // the RECEIVE's component, and a per-shard pending/buffered-SEND lookup
-// equals the global one. TestChanKeyNeverSplits fuzzes the invariant over
-// random interleavings; the streaming session asserts it per push in
+// equals the global one. TestChanKeyNeverSplits fuzzes the invariant
+// over random interleavings; the streaming session asserts it per push in
 // debug builds (core's assertChanClosure). The only sanctioned exception
 // is a sealed component: its stragglers detach onto a fresh component by
 // design (late links), after the sealed shard's correlation is already
 // decided.
 package flow
-
-import (
-	"sort"
-	"time"
-
-	"repro/internal/activity"
-	"repro/internal/ranker"
-)
 
 // Mode selects how the context relation is closed over.
 type Mode int
@@ -121,117 +112,4 @@ func (d *dsu) union(a, b int32) (winner, loser int32, merged bool) {
 		d.rank[ra]++
 	}
 	return ra, rb, true
-}
-
-// Component is one independent shard of the trace. Activities keep each
-// host's local-clock order (the order the per-node sources need).
-type Component struct {
-	// Activities holds the member records grouped by host in sorted host
-	// order, each host run in local-timestamp order. Consumers can slice
-	// per-node sources out of it by cutting at host changes — no re-sort
-	// is ever needed.
-	Activities []*activity.Activity
-	// MinTimestamp is the earliest member timestamp — the deterministic
-	// component ordering key.
-	MinTimestamp time.Duration
-}
-
-// HostRuns cuts the component into its per-host runs, in sorted host
-// order. Each run is one node's log slice in local-timestamp order.
-func (c *Component) HostRuns() [][]*activity.Activity {
-	var runs [][]*activity.Activity
-	at := 0
-	for i := 1; i <= len(c.Activities); i++ {
-		if i == len(c.Activities) || c.Activities[i].Ctx.Host != c.Activities[at].Ctx.Host {
-			runs = append(runs, c.Activities[at:i])
-			at = i
-		}
-	}
-	return runs
-}
-
-// hostSyms sorts host symbols by their interned names — the deterministic
-// host order every partition variant scans in (dense keys bucket the
-// hosts, strings still define the order).
-func hostSyms(byHost map[activity.Sym][]*activity.Activity) []activity.Sym {
-	hosts := make([]activity.Sym, 0, len(byHost))
-	for h := range byHost {
-		hosts = append(hosts, h)
-	}
-	sort.Slice(hosts, func(i, j int) bool {
-		return activity.Syms.Name(hosts[i]) < activity.Syms.Name(hosts[j])
-	})
-	return hosts
-}
-
-// Partition splits a classified trace into independent components. The
-// result is deterministic for a given input order: components are sorted
-// by (earliest member timestamp, first appearance in the host-major scan),
-// and members preserve per-host stable timestamp order.
-//
-// The scan itself lives in partitionHosts (partition.go): contexts are
-// host-local, so the trace is scanned per host and the per-host forests
-// are stitched by a final union pass over the cross-host channel links.
-func Partition(trace []*activity.Activity, mode Mode) []Component {
-	if len(trace) == 0 {
-		return nil
-	}
-	byHost, hosts := splitHosts(trace)
-	return partitionHosts(byHost, hosts, mode)
-}
-
-// splitHosts buckets a merged trace into per-host node logs in
-// local-timestamp order and returns the host list sorted by name — the
-// paper's step 1 (each node log sorted by its local clock). It is also
-// the batch path's bind point: every record leaves with its dense keys
-// filled, so the per-host scans that follow only read them.
-func splitHosts(trace []*activity.Activity) (map[activity.Sym][]*activity.Activity, []activity.Sym) {
-	byHost := make(map[activity.Sym][]*activity.Activity)
-	for _, a := range trace {
-		if !a.CtxK.Bound() {
-			activity.Bind(a)
-		}
-		byHost[a.CtxK.Host] = append(byHost[a.CtxK.Host], a)
-	}
-	for _, log := range byHost {
-		// Node logs split from a merged trace are almost always already in
-		// local order; checking is ~10× cheaper than re-sorting. The
-		// fallback must be ranker.SortByTimestamp — shard-local source
-		// order has to match the sequential pass exactly.
-		for i := 1; i < len(log); i++ {
-			if log[i].Timestamp < log[i-1].Timestamp {
-				ranker.SortByTimestamp(log)
-				break
-			}
-		}
-	}
-	return byHost, hostSyms(byHost)
-}
-
-// group buckets the host-major scan by final union-find root, tracking
-// first-appearance order and minimum timestamp per component, and returns
-// the components in deterministic (MinTimestamp, first appearance) order —
-// the ordering contract every Partition variant shares.
-func group(scan []*activity.Activity, rootOf func(int) int32) []Component {
-	compIdx := make(map[int32]int)
-	var comps []Component
-	for i, a := range scan {
-		root := rootOf(i)
-		ci, ok := compIdx[root]
-		if !ok {
-			ci = len(comps)
-			compIdx[root] = ci
-			comps = append(comps, Component{MinTimestamp: a.Timestamp})
-		}
-		c := &comps[ci]
-		c.Activities = append(c.Activities, a)
-		if a.Timestamp < c.MinTimestamp {
-			c.MinTimestamp = a.Timestamp
-		}
-	}
-
-	sort.SliceStable(comps, func(i, j int) bool {
-		return comps[i].MinTimestamp < comps[j].MinTimestamp
-	})
-	return comps
 }

@@ -6,23 +6,20 @@ import (
 	"repro/internal/activity"
 )
 
-// Incremental is the online variant of Partition: it assigns each pushed
-// activity to a flow component *as it arrives*, merging components
+// Incremental partitions the activity stream online: it assigns each
+// pushed activity to a flow component *as it arrives*, merging components
 // whenever a TCP connection or a context epoch links them. It powers the
-// sharded push-mode Session (internal/core): the session keys its
-// per-component buffers on the roots returned by Add and fuses them in
-// the OnMerge callback.
+// streaming session (internal/core): the session keys its per-component
+// buffers on the roots returned by Add and fuses them in the OnMerge
+// callback.
 //
-// The closure computed is the same relation Partition closes over, with
-// one deliberate difference in ModeFlow: the batch scan can consult the
-// whole trace to see whether a directed channel ever carries a SEND (the
-// "inert receive" refinement — a RECEIVE on a send-less direction files
-// under its connection without touching the context's epoch). Online, a
-// RECEIVE may arrive before the SEND logged on its peer host, so the
-// send-less case cannot be distinguished from a not-yet-seen SEND. Add
+// A RECEIVE on a direction that has carried no SEND so far is the one
+// case Add cannot decide from what it has seen: the RECEIVE may be inert
+// noise whose sender is untraced (the engine can never match it), or the
+// SEND logged on its peer host may simply not have been pushed yet. Add
 // therefore joins such a RECEIVE to both its connection and the context's
-// current epoch. That can only *coarsen* components relative to the batch
-// partition — extra unions never remove closure links — so per-component
+// current epoch, without breaking the epoch. That coarsening only ever
+// adds unions — it never removes a closure link — so per-component
 // correlation stays exact; shards are merely sometimes larger. How much
 // larger is decided by the order of the Add calls: fed the cross-host
 // timestamp merge, a RECEIVE rarely precedes its SEND and components stay
@@ -112,8 +109,8 @@ func NewIncremental(mode Mode, onMerge func(winner, loser int32)) *Incremental {
 // EnablePruning turns on the reverse index Prune needs to free a
 // component's map entries. Must be called before the first Add: the
 // index is complete only if every key was recorded from the start.
-// Callers that never retire components (close-driven sessions, batch
-// scans) skip it and pay no per-key tracking cost.
+// Callers that never retire components (close-driven sessions) skip it
+// and pay no per-key tracking cost.
 func (in *Incremental) EnablePruning() {
 	in.keys = make(map[int32]*compKeys)
 }
@@ -264,9 +261,8 @@ func (in *Incremental) Add(a *activity.Activity) int32 {
 		return in.d.find(cn)
 	}
 
-	// ModeFlow: scope the context relation to request epochs, exactly as
-	// the batch scan does, except for the online inert-receive treatment
-	// documented on the type.
+	// ModeFlow: scope the context relation to request epochs, with the
+	// send-less RECEIVE coarsening documented on the type.
 	//
 	// A sealed current epoch matters only on the paths that would union
 	// into it (the channel() detach guarantees ch is never sealed, so the
@@ -292,11 +288,10 @@ func (in *Incremental) Add(a *activity.Activity) int32 {
 		case ok && in.d.find(e) == in.d.find(ch):
 			n = e
 		case !ci.sendful:
-			// No SEND seen on this direction *yet*. The batch scan would
-			// file a provably send-less RECEIVE under its connection
-			// alone; online the SEND may simply not have been pushed, so
-			// join the connection to the current epoch without breaking
-			// it — coarser, never under-merged.
+			// No SEND seen on this direction *yet*: the RECEIVE may be
+			// inert noise or may precede its SEND, so join the
+			// connection to the current epoch without breaking it —
+			// coarser, never under-merged.
 			if ok && in.sealed(e) {
 				// Fresh connection, retired epoch: a reused idle thread
 				// starting new work. Joining the old epoch was only the

@@ -106,10 +106,9 @@ func TestIncrementalMergeCallback(t *testing.T) {
 }
 
 // TestIncrementalOnlineReceiveNeverUnderMerges: when a RECEIVE arrives
-// before its SEND (the cross-host race the batch scan never sees), the
-// online partition must still keep the receive connected to both its
-// connection and its context's flow — coarser than the batch partition
-// is fine, finer is a correctness bug.
+// before its SEND (the cross-host race), the online partition must still
+// keep the receive connected to both its connection and its context's
+// flow — coarser is fine, finer is a correctness bug.
 func TestIncrementalOnlineReceiveNeverUnderMerges(t *testing.T) {
 	tr := twoRequests()[:6] // one request: BEGIN, SEND, RECEIVE, SEND, RECEIVE, END
 	// Arrival order: the app-side RECEIVE (index 2) arrives before the
@@ -267,8 +266,8 @@ func TestIncrementalPruneSkipsReopenedEpoch(t *testing.T) {
 
 // TestIncrementalNoiseReceiveKeepsChain: a receive on a direction that
 // never carries a SEND must not break the surrounding request's epoch
-// chain (the batch scan files it inert; online it may merge, but the
-// request must stay whole).
+// chain (the noise may merge into the request, but the request must stay
+// whole).
 func TestIncrementalNoiseReceiveKeepsChain(t *testing.T) {
 	tr := twoRequests()[:6]
 	noise := mk(99, activity.Receive, 2500*time.Microsecond, "web", 10, "10.0.0.99", "10.0.0.1", 6000, 22, 64)

@@ -14,8 +14,7 @@ import (
 // reuse, thread-pool reuse, send-less noise RECEIVEs and fully random
 // arrival orders — including RECEIVE arriving before its SEND, the
 // over-merge case — no ChanKey may ever land in two components. Checked
-// for the online Incremental partitioner in both modes and for the batch
-// Partition scan.
+// for the Incremental partitioner in both modes.
 func TestChanKeyNeverSplits(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -37,18 +36,6 @@ func TestChanKeyNeverSplits(t *testing.T) {
 						seed, mode, norm, prev, root)
 				}
 				owner[norm] = root
-			}
-
-			seen := make(map[activity.ChanKey]int)
-			for ci, c := range Partition(tr, mode) {
-				for _, a := range c.Activities {
-					norm := normChan(a.ChanK)
-					if prev, ok := seen[norm]; ok && prev != ci {
-						t.Fatalf("seed %d mode %s: ChanKey %v split across batch components %d and %d",
-							seed, mode, norm, prev, ci)
-					}
-					seen[norm] = ci
-				}
 			}
 		}
 	}

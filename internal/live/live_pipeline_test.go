@@ -6,13 +6,12 @@ import (
 	"time"
 
 	"repro/internal/activity"
-	"repro/internal/cag"
 	"repro/internal/core"
 	"repro/internal/rubis"
 )
 
 // TestMonitorFedByShardedPipeline drives the monitor from the concurrent
-// correlator's OnGraph stream (the livemon -workers >1 path) and checks
+// correlator's sink stream (the livemon -workers >1 path) and checks
 // that the interval history matches a sequential push-mode session feed:
 // the pipeline's END-timestamp merge order satisfies Ingest's ordering
 // contract, so bucketing, baselines and alerts must not change.
@@ -95,7 +94,7 @@ func TestMonitorFedByContinuousSession(t *testing.T) {
 		IPToHost:   res.IPToHost,
 		Workers:    4,
 		SealAfter:  500 * time.Millisecond,
-		OnGraph:    func(g *cag.Graph) { m.Ingest(g) },
+		Sinks:      []core.GraphSink{m},
 	}, hosts)
 	if err != nil {
 		t.Fatal(err)

@@ -93,13 +93,13 @@ func genTrace(nHosts, requests int) *trace {
 	return tr
 }
 
-func (tr *trace) opts(onGraph func(*cag.Graph)) core.Options {
+func (tr *trace) opts(sinks ...core.GraphSink) core.Options {
 	return core.Options{
 		Window:     10 * time.Millisecond,
 		EntryPorts: []int{80},
 		IPToHost:   tr.ipToHost,
 		Workers:    2,
-		OnGraph:    onGraph,
+		Sinks:      sinks,
 	}
 }
 
@@ -107,7 +107,7 @@ func (tr *trace) opts(onGraph func(*cag.Graph)) core.Options {
 func offlineFingerprints(t *testing.T, tr *trace) []string {
 	t.Helper()
 	var fps []string
-	s, err := core.NewSession(tr.opts(func(g *cag.Graph) { fps = append(fps, fingerprint(g)) }), tr.hosts)
+	s, err := core.NewSession(tr.opts(core.GraphSinkFunc(func(g *cag.Graph) { fps = append(fps, fingerprint(g)) })), tr.hosts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func offlineShards(t *testing.T, tr *trace) int {
 	}
 	// genTrace's timestamps are globally unique: no tie-break needed.
 	sort.Slice(merged, func(i, j int) bool { return merged[i].Timestamp < merged[j].Timestamp })
-	s, err := core.NewSession(tr.opts(nil), tr.hosts)
+	s, err := core.NewSession(tr.opts(), tr.hosts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func offlineShards(t *testing.T, tr *trace) int {
 }
 
 // startCollector wires listener → collector → serialized ingest → session
-// and returns the pieces plus the OnGraph fingerprint sink.
+// and returns the pieces.
 func startCollector(t *testing.T, tr *trace, opts core.Options, iopts core.IngestOptions) (*transport.Collector, *core.Ingest, net.Listener) {
 	t.Helper()
 	s, err := core.NewSession(opts, tr.hosts)
@@ -217,7 +217,7 @@ func feedAndClose(t *testing.T, addr, host string, recs []*activity.Activity, mi
 // TestNetworkedEquivalence is the tentpole's acceptance: a collector fed
 // by 9 concurrent loopback agents — one bounced (reconnect + resume), one
 // killed and replaced by a restarted agent re-offering its whole log —
-// drains an OnGraph stream byte-identical to the offline in-process
+// drains a sink stream byte-identical to the offline in-process
 // replay of the same records.
 func TestNetworkedEquivalence(t *testing.T) {
 	tr := genTrace(9, 240)
@@ -228,7 +228,7 @@ func TestNetworkedEquivalence(t *testing.T) {
 
 	var fps []string
 	col, in, ln := startCollector(t, tr,
-		tr.opts(func(g *cag.Graph) { fps = append(fps, fingerprint(g)) }),
+		tr.opts(core.GraphSinkFunc(func(g *cag.Graph) { fps = append(fps, fingerprint(g)) })),
 		core.IngestOptions{Buffer: 64, DrainEvery: 128})
 	defer ln.Close()
 
@@ -315,7 +315,7 @@ func TestDeadAgentSurfaces(t *testing.T) {
 	const dead = "b3"
 
 	mon := live.NewMonitor(live.Config{Interval: 100 * time.Millisecond})
-	opts := tr.opts(mon.Ingest)
+	opts := tr.opts(mon)
 	opts.SealAfter = 50 * time.Millisecond
 	col, in, ln := startCollector(t, tr, opts,
 		core.IngestOptions{Buffer: 64, DrainEvery: 32,
@@ -442,7 +442,7 @@ func TestTransportSoak(t *testing.T) {
 
 	var fps []string
 	col, in, ln := startCollector(t, tr,
-		tr.opts(func(g *cag.Graph) { fps = append(fps, fingerprint(g)) }),
+		tr.opts(core.GraphSinkFunc(func(g *cag.Graph) { fps = append(fps, fingerprint(g)) })),
 		core.IngestOptions{Buffer: 256, DrainEvery: 512})
 	defer ln.Close()
 
@@ -493,7 +493,7 @@ func TestTransportSoak(t *testing.T) {
 // protocol error, not an endless reconnect loop.
 func TestAgentRejectedByCollector(t *testing.T) {
 	tr := genTrace(2, 4)
-	col, in, ln := startCollector(t, tr, tr.opts(nil), core.IngestOptions{})
+	col, in, ln := startCollector(t, tr, tr.opts(), core.IngestOptions{})
 	defer func() { col.Shutdown(); ln.Close(); in.Close() }()
 
 	a, err := transport.NewAgent(agentConfig(ln.Addr().String(), "intruder", t))
