@@ -85,15 +85,18 @@ ALLOCS_BUDGET_CONTINUOUS ?= 62500
 # Byte budgets for the same two variants: allocs/op cannot see an object
 # shrink or grow, B/op can. The measured figure plus ~10%.
 #
-#   seq-close-driven: 12,263,000 B/op measured with cag.Vertex embedding
-#   its representative record (72 B, 80 B class), 15,927,000 when it
-#   copied Type/Timestamp/Ctx/Chan and kept a child-edge list (232 B,
-#   240 B class).
-BYTES_BUDGET ?= 13500000
-#   seq-continuous: 10,229,000 B/op measured with recycled run arrays and
+#   seq-close-driven: 9,679,000 B/op measured once activity.Activity
+#   carried one channel identity (120 B, in 64 KiB slabs), 11,735,000
+#   with the 176 B record (string Channel plus ChanKey), 12,263,000
+#   with cag.Vertex embedding its representative record (72 B, 80 B
+#   class), 15,927,000 when it copied Type/Timestamp/Ctx/Chan and kept
+#   a child-edge list (232 B, 240 B class).
+BYTES_BUDGET ?= 10650000
+#   seq-continuous: 8,173,000 B/op measured with the 120 B record
+#   (10,228,000 before), 10,229,000 with recycled run arrays and
 #   component structs, 11,663,000 before, 15,328,000 before the vertex
 #   change.
-BYTES_BUDGET_CONTINUOUS ?= 11300000
+BYTES_BUDGET_CONTINUOUS ?= 9000000
 #   export-sinks (BenchmarkExportSinks: one RUBiS graph through the OTLP
 #   exporter and the DumpWriter): 0 measured with the append writers, 715
 #   with the span tree + encoding/json and the fmt dump. One allocation per

@@ -208,7 +208,7 @@
 // engine. The literal Fig. 5 is_noise predicate asks whether a pending
 // matching SEND exists anywhere in the window, and the flow partition is
 // closed over channels — every SEND that could match a RECEIVE shares its
-// ChanKey and therefore its component — so each shard's own window buffer
+// Channel and therefore its component — so each shard's own window buffer
 // answers the global question exactly (ranker.matchingSendVisible states
 // the invariant; a debug assertion and a fuzz test in internal/flow
 // enforce it). Exact mode therefore shards, scales with Workers, and
@@ -274,22 +274,24 @@
 //
 // # The identity layer
 //
-// Every activity names its identities twice. The strings — hostname,
-// program, the two endpoint IPs — exist for the render and report edges,
-// and for nothing else. The hot path runs on dense symbols: both codecs
-// (the text parser and the binary decoder) bind each record against the
-// process-wide interner (activity.Syms) at the decode boundary, filling
-// its packed key forms activity.CtxKey and activity.ChanKey. Everything
-// between decode and CAG emission — the flow partition's union-find, the
-// engine's message map, the session's per-host state, the live monitor's
-// lag tables — keys on those flat integer structs; hashing one is a
-// memhash over a few words, and the interner canonicalizes the strings
-// so a million records share one copy of "web1" instead of pinning a
-// million log-line buffers.
+// Identities are interned at the decode boundary: both codecs (the text
+// parser and the binary decoder) map each record's host, program and IP
+// strings to dense symbols in the process-wide interner (activity.Syms).
+// A channel is held only in that form — activity.Channel is two
+// symbol-and-port endpoints, 16 pointer-free bytes — and its addresses
+// are resolved through Syms.Name at the edges (codecs, OTLP, lint). A
+// context keeps its strings for the render and report edges next to its
+// packed key activity.CtxKey. Everything between decode and CAG emission
+// — the flow partition's union-find, the engine's message and context
+// maps, the session's per-host state, the live monitor's lag tables —
+// keys on those flat integer structs; hashing one is a memhash over a few
+// words, and the interner canonicalizes the context strings so a million
+// records share one copy of "web1" instead of pinning a million log-line
+// buffers.
 //
 // Only the bounded identity vocabulary is interned, never the unbounded
 // tuples: ephemeral ports make the channel space grow with connection
-// count, so ChanKey is a self-contained packed struct (its Reverse is a
+// count, so Channel is a self-contained packed struct (its Reverse is a
 // field swap), and a forever-open collector's interner stays
 // deployment-sized while flow.Incremental prunes per-channel state.
 // Consumers that meet a hand-built record call activity.Bind lazily —

@@ -64,14 +64,14 @@ func ParseType(s string) (Type, error) {
 	}
 }
 
-// Context is the execution-entity identifier tuple
-// (hostname, program name, process ID, thread ID). It is comparable and is
-// used directly as the key of the engine's cmap.
+// Context is the execution-entity identifier tuple (hostname, program
+// name, process ID, thread ID); both decoders reject PIDs and TIDs wider
+// than 32 bits, which would alias another thread in CtxKey.
 type Context struct {
 	Host    string
 	Program string
-	PID     int
-	TID     int
+	PID     int32
+	TID     int32
 }
 
 // String implements fmt.Stringer.
@@ -92,10 +92,15 @@ func (c Context) AppendTo(b []byte) []byte {
 	return append(b, ']')
 }
 
-// Endpoint is one side of a TCP channel.
+// Endpoint is one side of a TCP channel; Syms.Name(IP) is its address.
 type Endpoint struct {
-	IP   string
-	Port int
+	IP   Sym
+	Port int32
+}
+
+// EP returns the endpoint ip:port, interning ip in Syms.
+func EP(ip string, port int) Endpoint {
+	return Endpoint{IP: Syms.Intern(ip), Port: int32(port)}
 }
 
 // String implements fmt.Stringer.
@@ -106,16 +111,17 @@ func (e Endpoint) String() string {
 
 // AppendTo appends e's String form, ip:port, to b.
 func (e Endpoint) AppendTo(b []byte) []byte {
-	b = append(b, e.IP...)
+	b = append(b, Syms.Name(e.IP)...)
 	b = append(b, ':')
 	return strconv.AppendInt(b, int64(e.Port), 10)
 }
 
 // Channel is the directed end-to-end communication channel part of the
-// message identifier: (sender ip:port, receiver ip:port). It is comparable
-// and is used directly as the key of the engine's mmap; the size component
+// message identifier: (sender ip:port, receiver ip:port). It is 16
+// pointer-free bytes and is used directly as the key of the engine's
+// mmap, the ranker's SEND index and the flow partition; the size component
 // of the paper's message-identifier tuple lives on the Activity because it
-// varies per segment.
+// varies per segment. Order channels by Syms.Name, never by symbol value.
 type Channel struct {
 	Src Endpoint
 	Dst Endpoint
@@ -139,7 +145,8 @@ func (ch Channel) AppendTo(b []byte) []byte {
 
 // Activity is one logged kernel interaction activity. Timestamp is the
 // *node-local* time of the logging node; the correlator never assumes any
-// cross-node clock relationship.
+// cross-node clock relationship. The session copies every record it
+// buffers: 120 bytes, pinned by TestActivityLayout.
 type Activity struct {
 	// ID uniquely identifies the record within one trace (assignment order
 	// = log order). It exists for bookkeeping and ground-truth checking; the
@@ -152,13 +159,11 @@ type Activity struct {
 	Chan      Channel
 	Size      int64
 
-	// CtxK and ChanK are the dense key forms of Ctx and Chan (see
-	// symbols.go), filled by Bind at the decode boundary and used as the
-	// map/union-find keys on every hot path. They are derived, carry no
-	// information of their own, and stay zero on hand-built records until
-	// a consumer binds them lazily.
-	CtxK  CtxKey
-	ChanK ChanKey
+	// CtxK is the dense key form of Ctx (see symbols.go), filled by Bind
+	// at the decode boundary and used as the map/union-find key on every
+	// hot path. It is derived, carries no information of its own, and
+	// stays zero on hand-built records until a consumer binds it lazily.
+	CtxK CtxKey
 
 	// Ground truth, available only when the trace was produced by the
 	// simulated testbed (the real system would not have these). ReqID is the

@@ -14,8 +14,8 @@ func sample() *Activity {
 		Timestamp: 12*time.Second + 345678*time.Microsecond,
 		Ctx:       Context{Host: "node1", Program: "httpd", PID: 2301, TID: 2301},
 		Chan: Channel{
-			Src: Endpoint{IP: "10.0.0.1", Port: 34001},
-			Dst: Endpoint{IP: "10.0.0.2", Port: 8009},
+			Src: EP("10.0.0.1", 34001),
+			Dst: EP("10.0.0.2", 8009),
 		},
 		Size:  512,
 		ReqID: 42,
@@ -123,11 +123,13 @@ func TestParseRecordPaperExample(t *testing.T) {
 func TestParseRecordErrors(t *testing.T) {
 	bad := []string{
 		"",
-		"12.0 node1 httpd 1 1 SEND 10.0.0.1:1-10.0.0.2:2",          // missing size
-		"12.0 node1 httpd x 1 SEND 10.0.0.1:1-10.0.0.2:2 10",       // bad pid
-		"12.0 node1 httpd 1 1 NOPE 10.0.0.1:1-10.0.0.2:2 10",       // bad type
-		"12.0 node1 httpd 1 1 SEND 10.0.0.1:1_10.0.0.2:2 10",       // bad channel
-		"12.0 node1 httpd 1 1 SEND 10.0.0.1:1-10.0.0.2:2 10 extra", // extra field
+		"12.0 node1 httpd 1 1 SEND 10.0.0.1:1-10.0.0.2:2",             // missing size
+		"12.0 node1 httpd x 1 SEND 10.0.0.1:1-10.0.0.2:2 10",          // bad pid
+		"12.0 node1 httpd 4294967297 1 SEND 10.0.0.1:1-10.0.0.2:2 10", // pid past 32 bits
+		"12.0 node1 httpd 1 2147483648 SEND 10.0.0.1:1-10.0.0.2:2 10", // tid past 32 bits
+		"12.0 node1 httpd 1 1 NOPE 10.0.0.1:1-10.0.0.2:2 10",          // bad type
+		"12.0 node1 httpd 1 1 SEND 10.0.0.1:1_10.0.0.2:2 10",          // bad channel
+		"12.0 node1 httpd 1 1 SEND 10.0.0.1:1-10.0.0.2:2 10 extra",    // extra field
 	}
 	for _, line := range bad {
 		if _, err := ParseRecord(line); err == nil {
@@ -191,8 +193,8 @@ func TestChannelReverse(t *testing.T) {
 func TestClassifier(t *testing.T) {
 	c := NewClassifier(80)
 	recv := &Activity{Type: Receive, Chan: Channel{
-		Src: Endpoint{IP: "10.0.0.9", Port: 5123},
-		Dst: Endpoint{IP: "10.0.0.1", Port: 80},
+		Src: EP("10.0.0.9", 5123),
+		Dst: EP("10.0.0.1", 80),
 	}}
 	if got := c.Classify(recv); got != Begin {
 		t.Fatalf("RECEIVE to :80 = %v, want BEGIN", got)
@@ -202,8 +204,8 @@ func TestClassifier(t *testing.T) {
 		t.Fatalf("SEND from :80 = %v, want END", got)
 	}
 	inner := &Activity{Type: Send, Chan: Channel{
-		Src: Endpoint{IP: "10.0.0.1", Port: 34001},
-		Dst: Endpoint{IP: "10.0.0.2", Port: 8009},
+		Src: EP("10.0.0.1", 34001),
+		Dst: EP("10.0.0.2", 8009),
 	}}
 	if got := c.Classify(inner); got != Send {
 		t.Fatalf("inner SEND = %v, want SEND", got)
@@ -217,8 +219,8 @@ func TestClassifier(t *testing.T) {
 func TestClassifierApply(t *testing.T) {
 	c := NewClassifier(80)
 	as := []*Activity{
-		{Type: Receive, Chan: Channel{Src: Endpoint{"10.0.0.9", 5000}, Dst: Endpoint{"10.0.0.1", 80}}},
-		{Type: Send, Chan: Channel{Src: Endpoint{"10.0.0.1", 80}, Dst: Endpoint{"10.0.0.9", 5000}}},
+		{Type: Receive, Chan: Channel{Src: EP("10.0.0.9", 5000), Dst: EP("10.0.0.1", 80)}},
+		{Type: Send, Chan: Channel{Src: EP("10.0.0.1", 80), Dst: EP("10.0.0.9", 5000)}},
 	}
 	c.Apply(as)
 	if as[0].Type != Begin || as[1].Type != End {
@@ -261,10 +263,10 @@ func TestPropertyRecordRoundTrip(t *testing.T) {
 		a := &Activity{
 			Type:      Receive,
 			Timestamp: time.Duration(tsMicros) * time.Microsecond,
-			Ctx:       Context{Host: "h", Program: "p", PID: int(pid), TID: int(tid)},
+			Ctx:       Context{Host: "h", Program: "p", PID: int32(pid), TID: int32(tid)},
 			Chan: Channel{
-				Src: Endpoint{IP: "10.0.0.1", Port: int(sport)},
-				Dst: Endpoint{IP: "10.0.0.2", Port: int(dport)},
+				Src: EP("10.0.0.1", int(sport)),
+				Dst: EP("10.0.0.2", int(dport)),
 			},
 			Size:  int64(size),
 			ReqID: int64(req),

@@ -16,7 +16,7 @@ import (
 //	timestamp varint  nanoseconds (full Duration precision — the text
 //	                  format truncates to µs; the binary one must not)
 //	host, program     string
-//	pid, tid          varint
+//	pid, tid          varint  (must fit in 32 bits)
 //	src ip            string
 //	src port          uvarint
 //	dst ip            string
@@ -27,9 +27,9 @@ import (
 //	req, msg          varint  (ground truth; -1 when absent)
 //
 // The codec is structural, not semantic: like ParseRecord it validates
-// shape (type tag, string bounds, port range) and trusts content. Decode
-// never reads past the given buffer and never panics on malformed input
-// (FuzzBinaryDecode).
+// shape (type tag, string bounds, pid/tid and port range) and trusts
+// content. Decode never reads past the given buffer and never panics on
+// malformed input (FuzzBinaryDecode).
 
 // maxBinaryString caps decoded string lengths — far above any real
 // hostname/program/address, far below anything that could OOM a decoder
@@ -45,9 +45,9 @@ func AppendBinary(buf []byte, a *Activity) []byte {
 	buf = appendBinaryString(buf, a.Ctx.Program)
 	buf = binary.AppendVarint(buf, int64(a.Ctx.PID))
 	buf = binary.AppendVarint(buf, int64(a.Ctx.TID))
-	buf = appendBinaryString(buf, a.Chan.Src.IP)
+	buf = appendBinaryString(buf, Syms.Name(a.Chan.Src.IP))
 	buf = binary.AppendUvarint(buf, uint64(uint16(a.Chan.Src.Port)))
-	buf = appendBinaryString(buf, a.Chan.Dst.IP)
+	buf = appendBinaryString(buf, Syms.Name(a.Chan.Dst.IP))
 	buf = binary.AppendUvarint(buf, uint64(uint16(a.Chan.Dst.Port)))
 	buf = binary.AppendVarint(buf, a.Size)
 	buf = binary.AppendVarint(buf, a.ID)
@@ -71,9 +71,9 @@ func DecodeBinary(buf []byte) (*Activity, int, error) {
 // DecodeBinaryInto decodes one record from the front of buf into *a
 // (overwriting every field), returning the number of bytes consumed. It
 // is the allocation-free decode boundary: identity strings resolve to
-// their interned canonical copies (no per-record string allocation once
-// the vocabulary is warm) and the dense keys come out bound, so a pooled
-// record (NewRecord) can be reused across frames.
+// their interned canonical copies and symbols (no per-record string
+// allocation once the vocabulary is warm) and CtxK comes out bound, so a
+// pooled record (NewRecord) can be reused across frames.
 func DecodeBinaryInto(a *Activity, buf []byte) (int, error) {
 	d := binDecoder{buf: buf}
 	*a = Activity{}
@@ -88,12 +88,12 @@ func DecodeBinaryInto(a *Activity, buf []byte) (int, error) {
 	a.Timestamp = time.Duration(d.varint())
 	a.Ctx.Host, a.CtxK.Host = d.symString()
 	a.Ctx.Program, a.CtxK.Prog = d.symString()
-	a.Ctx.PID = int(d.varint())
-	a.Ctx.TID = int(d.varint())
-	a.Chan.Src.IP, a.ChanK.SrcIP = d.symString()
-	a.Chan.Src.Port = int(d.port())
-	a.Chan.Dst.IP, a.ChanK.DstIP = d.symString()
-	a.Chan.Dst.Port = int(d.port())
+	a.Ctx.PID = d.int32("pid")
+	a.Ctx.TID = d.int32("tid")
+	_, a.Chan.Src.IP = d.symString()
+	a.Chan.Src.Port = d.port()
+	_, a.Chan.Dst.IP = d.symString()
+	a.Chan.Dst.Port = d.port()
 	a.Size = d.varint()
 	a.ID = d.varint()
 	a.ReqID = d.varint()
@@ -102,10 +102,7 @@ func DecodeBinaryInto(a *Activity, buf []byte) (int, error) {
 		*a = Activity{}
 		return 0, d.err
 	}
-	a.CtxK.PID = int32(a.Ctx.PID)
-	a.CtxK.TID = int32(a.Ctx.TID)
-	a.ChanK.SrcPort = int32(a.Chan.Src.Port)
-	a.ChanK.DstPort = int32(a.Chan.Dst.Port)
+	a.CtxK.PID, a.CtxK.TID = a.Ctx.PID, a.Ctx.TID
 	return d.off, nil
 }
 
@@ -167,13 +164,24 @@ func (d *binDecoder) uvarint() uint64 {
 	return v
 }
 
-func (d *binDecoder) port() uint64 {
+// int32 reads a varint that must fit in 32 bits: a wider pid or tid would
+// alias a different thread once narrowed into CtxK.
+func (d *binDecoder) int32(what string) int32 {
+	v := d.varint()
+	if d.err == nil && int64(int32(v)) != v {
+		d.fail(what)
+		return 0
+	}
+	return int32(v)
+}
+
+func (d *binDecoder) port() int32 {
 	v := d.uvarint()
 	if d.err == nil && v > 65535 {
 		d.fail("port")
 		return 0
 	}
-	return v
+	return int32(v)
 }
 
 // symString reads a string and interns it in one step: on the hit path

@@ -2,6 +2,8 @@ package activity
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -13,8 +15,8 @@ func binSample() *Activity {
 		Timestamp: 12*time.Second + 345678901*time.Nanosecond, // sub-µs: binary keeps it
 		Ctx:       Context{Host: "web1", Program: "httpd", PID: 2301, TID: 2304},
 		Chan: Channel{
-			Src: Endpoint{IP: "2001:db8::1", Port: 33210},
-			Dst: Endpoint{IP: "10.0.0.1", Port: 80},
+			Src: EP("2001:db8::1", 33210),
+			Dst: EP("10.0.0.1", 80),
 		},
 		Size:  512,
 		ReqID: 7,
@@ -22,7 +24,7 @@ func binSample() *Activity {
 	}
 }
 
-// boundSample is binSample with the dense keys filled — what DecodeBinary
+// boundSample is binSample with CtxK filled — what DecodeBinary
 // emits, since the binary codec binds at the decode boundary.
 func boundSample() *Activity {
 	a := binSample()
@@ -109,10 +111,10 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		}
 		a := &Activity{
 			ID: id, Type: Type(typ), Timestamp: time.Duration(ts),
-			Ctx: Context{Host: host, Program: prog, PID: pid, TID: tid},
+			Ctx: Context{Host: host, Program: prog, PID: int32(pid), TID: int32(tid)},
 			Chan: Channel{
-				Src: Endpoint{IP: srcIP, Port: int(srcPort)},
-				Dst: Endpoint{IP: dstIP, Port: int(dstPort)},
+				Src: EP(srcIP, int(srcPort)),
+				Dst: EP(dstIP, int(dstPort)),
 			},
 			Size: size, ReqID: req, MsgID: msg,
 		}
@@ -137,6 +139,8 @@ func FuzzBinaryDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
 	f.Add(AppendBinary(nil, binSample()))
+	f.Add(rawBinary(1<<32+1, 1))
+	f.Add(rawBinary(1, -1<<31-1))
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		a, n, err := DecodeBinary(buf)
 		if err != nil {
@@ -153,4 +157,61 @@ func FuzzBinaryDecode(f *testing.F) {
 			t.Fatalf("accepted record not a fixed point:\n in: %+v\nout: %+v", a, back)
 		}
 	})
+}
+
+// rawBinary encodes a SEND record field by field, as AppendBinary lays it
+// out, but with pid and tid of any width: the bytes a buggy or hostile
+// agent could send.
+func rawBinary(pid, tid int64) []byte {
+	str := func(b []byte, s string) []byte { return append(binary.AppendUvarint(b, uint64(len(s))), s...) }
+	b := []byte{byte(Send)}
+	b = binary.AppendVarint(b, int64(time.Second))
+	b = str(b, "web1")
+	b = str(b, "httpd")
+	b = binary.AppendVarint(b, pid)
+	b = binary.AppendVarint(b, tid)
+	b = str(b, "10.0.0.1")
+	b = binary.AppendUvarint(b, 80)
+	b = str(b, "10.0.0.9")
+	b = binary.AppendUvarint(b, 5000)
+	for _, v := range []int64{512, 1, -1, -1} { // size, id, req, msg
+		b = binary.AppendVarint(b, v)
+	}
+	return b
+}
+
+// TestPIDTIDRange: both decoders accept exactly the 32-bit PIDs and TIDs.
+// A wider value used to be truncated into CtxK, so PID 1 and PID 2^32+1
+// on one host, program and TID became one engine context.
+func TestPIDTIDRange(t *testing.T) {
+	const line = "1.000000 web1 httpd %d %d SEND 10.0.0.1:80-10.0.0.9:5000 512"
+	cases := []struct {
+		pid, tid int64
+		ok       bool
+	}{
+		{1, 1, true},
+		{1<<31 - 1, -1 << 31, true},
+		{1<<32 + 1, 1, false},
+		{1 << 31, 1, false},
+		{-1<<31 - 1, 1, false},
+		{1, 1 << 31, false},
+		{1, -1<<31 - 1, false},
+		{1, 1<<32 + 7, false},
+	}
+	for _, c := range cases {
+		a, _, err := DecodeBinary(rawBinary(c.pid, c.tid))
+		if (err == nil) != c.ok {
+			t.Errorf("binary pid=%d tid=%d: err %v, want ok=%v", c.pid, c.tid, err, c.ok)
+		} else if c.ok && (int64(a.Ctx.PID) != c.pid || int64(a.Ctx.TID) != c.tid ||
+			a.CtxK.PID != a.Ctx.PID || a.CtxK.TID != a.Ctx.TID) {
+			t.Errorf("binary pid=%d tid=%d decoded as %+v / %+v", c.pid, c.tid, a.Ctx, a.CtxK)
+		}
+		text := fmt.Sprintf(line, c.pid, c.tid)
+		p, err := ParseRecord(text)
+		if (err == nil) != c.ok {
+			t.Errorf("text %q: err %v, want ok=%v", text, err, c.ok)
+		} else if c.ok && (int64(p.Ctx.PID) != c.pid || int64(p.Ctx.TID) != c.tid) {
+			t.Errorf("text %q parsed as %+v", text, p.Ctx)
+		}
+	}
 }

@@ -27,11 +27,11 @@ func NewClassifier(entryPorts ...int) *Classifier {
 func (c *Classifier) Classify(a *Activity) Type {
 	switch a.Type {
 	case Receive:
-		if c.entryPorts[a.Chan.Dst.Port] {
+		if c.entryPorts[int(a.Chan.Dst.Port)] {
 			return Begin
 		}
 	case Send:
-		if c.entryPorts[a.Chan.Src.Port] {
+		if c.entryPorts[int(a.Chan.Src.Port)] {
 			return End
 		}
 	case Begin, End, MaxType:

@@ -14,8 +14,8 @@ func hostLogs() map[string][]*Activity {
 				Type:      Send,
 				Timestamp: time.Duration(i) * time.Millisecond,
 				Ctx:       Context{Host: host, Program: "p", PID: 1, TID: 1},
-				Chan: Channel{Src: Endpoint{IP: "10.0.0.1", Port: 1000 + i},
-					Dst: Endpoint{IP: "10.0.0.2", Port: 80}},
+				Chan: Channel{Src: EP("10.0.0.1", 1000+i),
+					Dst: EP("10.0.0.2", 80)},
 				Size:  int64(10 + i),
 				ReqID: int64(i), MsgID: int64(i),
 			})

@@ -12,6 +12,8 @@ func FuzzParseRecord(f *testing.F) {
 	f.Add("")
 	f.Add("garbage")
 	f.Add("-1.5 h p 0 0 BEGIN a:1-b:2 0")
+	f.Add("1.0 h p 4294967297 1 SEND a:1-b:2 1")
+	f.Add("1.0 h p -2147483648 2147483647 SEND a:1-b:2 1")
 	f.Fuzz(func(t *testing.T, line string) {
 		a, err := ParseRecord(line)
 		if err != nil {

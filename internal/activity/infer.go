@@ -7,14 +7,20 @@ package activity
 func InferIPToHost(trace []*Activity) map[string]string {
 	m := make(map[string]string)
 	for _, a := range trace {
-		switch a.Type {
-		case Send, End:
-			m[a.Chan.Src.IP] = a.Ctx.Host
-		case Receive, Begin:
-			m[a.Chan.Dst.IP] = a.Ctx.Host
-		case MaxType:
-			// Sentinel; ignore.
-		}
+		NoteIPOwner(m, a)
 	}
 	return m
+}
+
+// NoteIPOwner records in m that a's own end of its channel belongs to
+// a's host.
+func NoteIPOwner(m map[string]string, a *Activity) {
+	switch a.Type {
+	case Send, End:
+		m[Syms.Name(a.Chan.Src.IP)] = a.Ctx.Host
+	case Receive, Begin:
+		m[Syms.Name(a.Chan.Dst.IP)] = a.Ctx.Host
+	case MaxType:
+		// Sentinel; ignore.
+	}
 }

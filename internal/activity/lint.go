@@ -44,7 +44,8 @@ func Lint(trace []*Activity) []LintIssue {
 			errf("record %d: empty context (%v)", i, a)
 			continue
 		}
-		if a.Chan.Src.IP == "" || a.Chan.Dst.IP == "" || a.Chan.Src.Port <= 0 || a.Chan.Dst.Port <= 0 {
+		srcIP, dstIP := Syms.Name(a.Chan.Src.IP), Syms.Name(a.Chan.Dst.IP)
+		if srcIP == "" || dstIP == "" || a.Chan.Src.Port <= 0 || a.Chan.Dst.Port <= 0 {
 			errf("record %d: malformed channel %v", i, a.Chan)
 		}
 		if a.Size <= 0 {
@@ -58,15 +59,15 @@ func Lint(trace []*Activity) []LintIssue {
 
 		switch a.Type {
 		case Send, End:
-			if owner, ok := ipOwner[a.Chan.Src.IP]; ok && owner != a.Ctx.Host {
+			if owner, ok := ipOwner[srcIP]; ok && owner != a.Ctx.Host {
 				errf("record %d: SEND logged on %s but source %s belongs to %s",
-					i, a.Ctx.Host, a.Chan.Src.IP, owner)
+					i, a.Ctx.Host, srcIP, owner)
 			}
 			sentBytes[a.Chan] += a.Size
 		case Receive, Begin:
-			if owner, ok := ipOwner[a.Chan.Dst.IP]; ok && owner != a.Ctx.Host {
+			if owner, ok := ipOwner[dstIP]; ok && owner != a.Ctx.Host {
 				errf("record %d: RECEIVE logged on %s but destination %s belongs to %s",
-					i, a.Ctx.Host, a.Chan.Dst.IP, owner)
+					i, a.Ctx.Host, dstIP, owner)
 			}
 			recvBytes[a.Chan] += a.Size
 		case MaxType:
@@ -80,7 +81,7 @@ func Lint(trace []*Activity) []LintIssue {
 	// untraced endpoint, which is only a warning).
 	for ch, rb := range recvBytes {
 		sb := sentBytes[ch]
-		_, srcTraced := ipOwner[ch.Src.IP]
+		_, srcTraced := ipOwner[Syms.Name(ch.Src.IP)]
 		switch {
 		case sb == 0 && srcTraced:
 			errf("channel %v: %d bytes received, none sent (lost SEND records?)", ch, rb)

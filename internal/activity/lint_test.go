@@ -10,8 +10,8 @@ func cleanPair() []*Activity {
 	send := &Activity{
 		Type: Send, Timestamp: time.Millisecond,
 		Ctx: Context{Host: "web1", Program: "httpd", PID: 1, TID: 1},
-		Chan: Channel{Src: Endpoint{IP: "10.0.0.1", Port: 4000},
-			Dst: Endpoint{IP: "10.0.0.2", Port: 8009}},
+		Chan: Channel{Src: EP("10.0.0.1", 4000),
+			Dst: EP("10.0.0.2", 8009)},
 		Size: 100, ReqID: -1, MsgID: -1,
 	}
 	recv := &Activity{
@@ -44,7 +44,7 @@ func TestLintWrongNodeForSend(t *testing.T) {
 	// A SEND whose source IP belongs to app1 but logged on web1.
 	bad := *tr[0]
 	bad.Timestamp = 3 * time.Millisecond
-	bad.Chan = Channel{Src: Endpoint{IP: "10.0.0.2", Port: 5000}, Dst: Endpoint{IP: "10.0.0.1", Port: 80}}
+	bad.Chan = Channel{Src: EP("10.0.0.2", 5000), Dst: EP("10.0.0.1", 80)}
 	tr = append(tr, &bad)
 	found := false
 	for _, i := range Lint(tr) {
@@ -81,8 +81,8 @@ func TestLintReceiveWithoutSend(t *testing.T) {
 	other := &Activity{
 		Type: Send, Timestamp: 3 * time.Millisecond,
 		Ctx: Context{Host: "web1", Program: "httpd", PID: 1, TID: 1},
-		Chan: Channel{Src: Endpoint{IP: "10.0.0.1", Port: 4001},
-			Dst: Endpoint{IP: "10.0.0.2", Port: 8009}},
+		Chan: Channel{Src: EP("10.0.0.1", 4001),
+			Dst: EP("10.0.0.2", 8009)},
 		Size: 50, ReqID: -1, MsgID: -1,
 	}
 	tr = append(tr, other)

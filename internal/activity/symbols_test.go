@@ -83,16 +83,16 @@ func TestCodecKeyEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fromText.CtxK.Bound() || !fromText.ChanK.Bound() {
+	if !fromText.CtxK.Bound() || fromText.Chan.Src.IP == 0 || fromText.Chan.Dst.IP == 0 {
 		t.Fatalf("text parser left record unbound: %+v", fromText)
 	}
 	if fromText.CtxK != fromBin.CtxK {
 		t.Fatalf("context keys differ by codec: text %+v, binary %+v", fromText.CtxK, fromBin.CtxK)
 	}
-	if fromText.ChanK != fromBin.ChanK {
-		t.Fatalf("channel keys differ by codec: text %+v, binary %+v", fromText.ChanK, fromBin.ChanK)
+	if fromText.Chan != fromBin.Chan {
+		t.Fatalf("channels differ by codec: text %+v, binary %+v", fromText.Chan, fromBin.Chan)
 	}
-	if fromText.Ctx != fromBin.Ctx || fromText.Chan != fromBin.Chan {
+	if fromText.Ctx != fromBin.Ctx {
 		t.Fatalf("identity strings differ by codec: text %+v/%+v, binary %+v/%+v",
 			fromText.Ctx, fromText.Chan, fromBin.Ctx, fromBin.Chan)
 	}
@@ -100,7 +100,10 @@ func TestCodecKeyEquality(t *testing.T) {
 	if Syms.Name(fromText.CtxK.Host) != orig.Ctx.Host {
 		t.Fatalf("Name(%d) = %q, want %q", fromText.CtxK.Host, Syms.Name(fromText.CtxK.Host), orig.Ctx.Host)
 	}
-	if k := fromText.ChanK; k.Reverse().Reverse() != k {
+	if Syms.Name(fromText.Chan.Src.IP) != Syms.Name(orig.Chan.Src.IP) {
+		t.Fatalf("source IP %q, want %q", Syms.Name(fromText.Chan.Src.IP), Syms.Name(orig.Chan.Src.IP))
+	}
+	if k := fromText.Chan; k.Reverse().Reverse() != k {
 		t.Fatalf("Reverse not an involution: %+v", k)
 	}
 }
@@ -123,8 +126,8 @@ func FuzzSymbolStability(f *testing.F) {
 			Timestamp: time.Second,
 			Ctx:       Context{Host: host, Program: prog, PID: 1, TID: 2},
 			Chan: Channel{
-				Src: Endpoint{IP: src, Port: int(sport)},
-				Dst: Endpoint{IP: dst, Port: int(dport)},
+				Src: EP(src, int(sport)),
+				Dst: EP(dst, int(dport)),
 			},
 		}
 		buf := AppendBinary(nil, rec)
@@ -132,10 +135,10 @@ func FuzzSymbolStability(f *testing.F) {
 		if _, err := DecodeBinaryInto(first, buf); err != nil {
 			t.Fatalf("first decode: %v", err)
 		}
-		k1, c1 := first.CtxK, first.ChanK
+		k1, c1 := first.CtxK, first.Chan
 		names := [4]string{
 			Syms.Name(k1.Host), Syms.Name(k1.Prog),
-			Syms.Name(c1.SrcIP), Syms.Name(c1.DstIP),
+			Syms.Name(c1.Src.IP), Syms.Name(c1.Dst.IP),
 		}
 		ReleaseRecord(first)
 
@@ -145,20 +148,75 @@ func FuzzSymbolStability(f *testing.F) {
 		if _, err := DecodeBinaryInto(second, buf); err != nil {
 			t.Fatalf("resend decode: %v", err)
 		}
-		if second.CtxK != k1 || second.ChanK != c1 {
+		if second.CtxK != k1 || second.Chan != c1 {
 			t.Fatalf("resend bound differently: first %+v/%+v, resend %+v/%+v",
-				k1, c1, second.CtxK, second.ChanK)
+				k1, c1, second.CtxK, second.Chan)
 		}
 		if got := [4]string{
 			Syms.Name(second.CtxK.Host), Syms.Name(second.CtxK.Prog),
-			Syms.Name(second.ChanK.SrcIP), Syms.Name(second.ChanK.DstIP),
+			Syms.Name(second.Chan.Src.IP), Syms.Name(second.Chan.Dst.IP),
 		}; got != names {
 			t.Fatalf("symbol names drifted across re-decode: %q vs %q", names, got)
 		}
 		if second.Ctx.Host != host || second.Ctx.Program != prog ||
-			second.Chan.Src.IP != src || second.Chan.Dst.IP != dst {
+			Syms.Name(second.Chan.Src.IP) != src || Syms.Name(second.Chan.Dst.IP) != dst {
 			t.Fatalf("canonicalized strings changed content: %+v %+v", second.Ctx, second.Chan)
 		}
 		ReleaseRecord(second)
 	})
+}
+
+// TestSymbolsNameLockFree: Name reads the name table without a lock while
+// Intern grows it across several chunks. Readers look up the newest
+// symbol Len publishes, with no other synchronisation, so under -race this
+// is the proof that publication orders the slot write before the length.
+// Name must not allocate.
+func TestSymbolsNameLockFree(t *testing.T) {
+	s := NewSymbols()
+	const n = 3*symChunk + 17
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				sym := Sym(s.Len())
+				if sym == 0 {
+					continue
+				}
+				if got, want := s.Name(sym), fmt.Sprintf("ip-%d", sym); got != want {
+					t.Errorf("Name(%d) = %q, want %q", sym, got, want)
+					return
+				}
+				if got := s.Name(sym + n); got != "" {
+					t.Errorf("Name(%d) past the table = %q", sym+n, got)
+					return
+				}
+			}
+		}()
+	}
+	for i := 1; i <= n; i++ {
+		// The vocabulary is "ip-<sym>", so a reader can check any symbol.
+		if sym := s.Intern(fmt.Sprintf("ip-%d", i)); sym != Sym(i) {
+			t.Errorf("Intern #%d gave symbol %d", i, sym)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if s.Len() != n {
+		t.Fatalf("Len = %d, want %d", s.Len(), n)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = s.Name(Sym(n / 2)) }); allocs != 0 {
+		t.Fatalf("Name allocates %.1f times per call", allocs)
+	}
 }

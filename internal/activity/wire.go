@@ -82,19 +82,14 @@ func FormatRecord(a *Activity, withTruth bool) string {
 	b.WriteByte(' ')
 	b.WriteString(a.Ctx.Program)
 	b.WriteByte(' ')
-	b.WriteString(strconv.Itoa(a.Ctx.PID))
+	b.WriteString(strconv.Itoa(int(a.Ctx.PID)))
 	b.WriteByte(' ')
-	b.WriteString(strconv.Itoa(a.Ctx.TID))
+	b.WriteString(strconv.Itoa(int(a.Ctx.TID)))
 	b.WriteByte(' ')
 	b.WriteString(a.Type.String())
 	b.WriteByte(' ')
-	b.WriteString(a.Chan.Src.IP)
-	b.WriteByte(':')
-	b.WriteString(strconv.Itoa(a.Chan.Src.Port))
-	b.WriteByte('-')
-	b.WriteString(a.Chan.Dst.IP)
-	b.WriteByte(':')
-	b.WriteString(strconv.Itoa(a.Chan.Dst.Port))
+	var ch [64]byte
+	b.Write(a.Chan.AppendTo(ch[:0]))
 	b.WriteByte(' ')
 	b.WriteString(strconv.FormatInt(a.Size, 10))
 	if withTruth {
@@ -123,11 +118,11 @@ func ParseRecord(line string) (*Activity, error) {
 	if err != nil {
 		return nil, err
 	}
-	pid, err := strconv.Atoi(fields[3])
+	pid, err := strconv.ParseInt(fields[3], 10, 32)
 	if err != nil {
 		return nil, fmt.Errorf("pid %q: %w", fields[3], err)
 	}
-	tid, err := strconv.Atoi(fields[4])
+	tid, err := strconv.ParseInt(fields[4], 10, 32)
 	if err != nil {
 		return nil, fmt.Errorf("tid %q: %w", fields[4], err)
 	}
@@ -146,7 +141,7 @@ func ParseRecord(line string) (*Activity, error) {
 	a := &Activity{
 		Type:      typ,
 		Timestamp: ts,
-		Ctx:       Context{Host: fields[1], Program: fields[2], PID: pid, TID: tid},
+		Ctx:       Context{Host: fields[1], Program: fields[2], PID: int32(pid), TID: int32(tid)},
 		Chan:      ch,
 		Size:      size,
 		ReqID:     -1,
@@ -157,8 +152,8 @@ func ParseRecord(line string) (*Activity, error) {
 			return nil, err
 		}
 	}
-	// Decode boundary: intern the identity strings (canonical copies stop
-	// the record from pinning the parsed line) and fill the dense keys.
+	// Decode boundary: intern the context strings (canonical copies stop
+	// the record from pinning the parsed line) and fill the dense key.
 	Bind(a)
 	return a, nil
 }
@@ -199,7 +194,7 @@ func parseEndpoint(s string) (Endpoint, error) {
 	if port < 0 || port > 65535 {
 		return Endpoint{}, fmt.Errorf("endpoint %q: port %d out of range", s, port)
 	}
-	return Endpoint{IP: ip, Port: port}, nil
+	return EP(ip, port), nil
 }
 
 func parseTruth(s string, a *Activity) error {

@@ -16,11 +16,11 @@ func TestParseEndpoint(t *testing.T) {
 		want Endpoint
 		ok   bool
 	}{
-		{"10.0.0.1:80", Endpoint{IP: "10.0.0.1", Port: 80}, true},
-		{"10.0.0.1:65535", Endpoint{IP: "10.0.0.1", Port: 65535}, true},
-		{"2001:db8::1:8080", Endpoint{IP: "2001:db8::1", Port: 8080}, true},
-		{"::1:3306", Endpoint{IP: "::1", Port: 3306}, true},
-		{"fe80::aa:bb:cc:80", Endpoint{IP: "fe80::aa:bb:cc", Port: 80}, true},
+		{"10.0.0.1:80", EP("10.0.0.1", 80), true},
+		{"10.0.0.1:65535", EP("10.0.0.1", 65535), true},
+		{"2001:db8::1:8080", EP("2001:db8::1", 8080), true},
+		{"::1:3306", EP("::1", 3306), true},
+		{"fe80::aa:bb:cc:80", EP("fe80::aa:bb:cc", 80), true},
 		{"nocolon", Endpoint{}, false},
 		{":80", Endpoint{}, false},       // empty address
 		{"10.0.0.1:", Endpoint{}, false}, // empty port
@@ -29,7 +29,7 @@ func TestParseEndpoint(t *testing.T) {
 		{"10.0.0.1:65536", Endpoint{}, false},
 		// A bare v6 address is inherently ambiguous with address:port (the
 		// final group is a valid port number); the parser takes the split.
-		{"2001:db8::1", Endpoint{IP: "2001:db8:", Port: 1}, true},
+		{"2001:db8::1", EP("2001:db8:", 1), true},
 	}
 	for _, c := range cases {
 		got, err := parseEndpoint(c.in)
@@ -58,8 +58,8 @@ func TestRecordRoundTripIPv6(t *testing.T) {
 		Timestamp: 12345 * time.Microsecond,
 		Ctx:       Context{Host: "web1", Program: "httpd", PID: 10, TID: 11},
 		Chan: Channel{
-			Src: Endpoint{IP: "2001:db8::1", Port: 8080},
-			Dst: Endpoint{IP: "fe80::42", Port: 80},
+			Src: EP("2001:db8::1", 8080),
+			Dst: EP("fe80::42", 80),
 		},
 		Size:  512,
 		ReqID: -1, MsgID: -1,

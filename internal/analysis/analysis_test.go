@@ -16,10 +16,10 @@ func vx(a activity.Activity) *cag.Vertex { return cag.NewVertex(&a) }
 // the given (program, host) hops with fixed per-hop latency.
 func buildPath(t *testing.T, hop time.Duration, salt int) *cag.Graph {
 	t.Helper()
-	httpd := activity.Context{Host: "web1", Program: "httpd", PID: salt, TID: salt}
-	java := activity.Context{Host: "app1", Program: "java", PID: 2, TID: 100 + salt}
-	cch := activity.Channel{Src: activity.Endpoint{IP: "c", Port: 1000 + salt}, Dst: activity.Endpoint{IP: "w", Port: 80}}
-	wch := activity.Channel{Src: activity.Endpoint{IP: "w", Port: 2000 + salt}, Dst: activity.Endpoint{IP: "a", Port: 8009}}
+	httpd := activity.Context{Host: "web1", Program: "httpd", PID: int32(salt), TID: int32(salt)}
+	java := activity.Context{Host: "app1", Program: "java", PID: 2, TID: int32(100 + salt)}
+	cch := activity.Channel{Src: activity.EP("c", 1000+salt), Dst: activity.EP("w", 80)}
+	wch := activity.Channel{Src: activity.EP("w", 2000+salt), Dst: activity.EP("a", 8009)}
 
 	ts := func(i int) time.Duration { return time.Duration(i) * hop }
 	g := cag.New(vx(activity.Activity{Type: activity.Begin, Timestamp: ts(0), Ctx: httpd, Chan: cch}))
@@ -123,7 +123,7 @@ func TestDominantPatternSkipsStatic(t *testing.T) {
 func staticGraph(t *testing.T) *cag.Graph {
 	t.Helper()
 	httpd := activity.Context{Host: "web1", Program: "httpd", PID: 9, TID: 9}
-	ch := activity.Channel{Src: activity.Endpoint{IP: "c", Port: 5}, Dst: activity.Endpoint{IP: "w", Port: 80}}
+	ch := activity.Channel{Src: activity.EP("c", 5), Dst: activity.EP("w", 80)}
 	g := cag.New(vx(activity.Activity{Type: activity.Begin, Ctx: httpd, Chan: ch}))
 	if err := g.AddVertex(vx(activity.Activity{Type: activity.End, Timestamp: time.Millisecond, Ctx: httpd, Chan: ch.Reverse()}), cag.ContextEdge, g.Root()); err != nil {
 		t.Fatal(err)

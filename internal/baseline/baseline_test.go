@@ -92,7 +92,7 @@ func TestNestingDegradesUnderSkew(t *testing.T) {
 
 func TestNestingDropsWithoutContext(t *testing.T) {
 	ctx := activity.Context{Host: "app1", Program: "java", PID: 1, TID: 1}
-	ch := activity.Channel{Src: activity.Endpoint{IP: "a", Port: 1}, Dst: activity.Endpoint{IP: "b", Port: 2}}
+	ch := activity.Channel{Src: activity.EP("a", 1), Dst: activity.EP("b", 2)}
 	out := Nesting([]*activity.Activity{
 		{Type: activity.Send, Timestamp: time.Millisecond, Ctx: ctx, Chan: ch, Size: 10, ReqID: -1, MsgID: -1},
 	}, NestingConfig{})
@@ -103,8 +103,8 @@ func TestNestingDropsWithoutContext(t *testing.T) {
 
 func TestNestingContextGapTimeout(t *testing.T) {
 	httpd := activity.Context{Host: "web1", Program: "httpd", PID: 1, TID: 1}
-	cch := activity.Channel{Src: activity.Endpoint{IP: "c", Port: 9}, Dst: activity.Endpoint{IP: "w", Port: 80}}
-	wch := activity.Channel{Src: activity.Endpoint{IP: "w", Port: 7}, Dst: activity.Endpoint{IP: "a", Port: 8009}}
+	cch := activity.Channel{Src: activity.EP("c", 9), Dst: activity.EP("w", 80)}
+	wch := activity.Channel{Src: activity.EP("w", 7), Dst: activity.EP("a", 8009)}
 	trace := []*activity.Activity{
 		{Type: activity.Begin, Timestamp: 0, Ctx: httpd, Chan: cch, Size: 10, ReqID: 1, MsgID: -1},
 		// SEND 10 seconds later: beyond the 500ms context gap.

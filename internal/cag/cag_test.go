@@ -20,13 +20,13 @@ func vx(a activity.Activity) *Vertex { return NewVertex(&a) }
 //	SEND(java->httpd) -m-> RECV(httpd) -c-> END(httpd)
 func buildThreeTier(t *testing.T, base time.Duration, pidSalt int) *Graph {
 	t.Helper()
-	httpd := activity.Context{Host: "web1", Program: "httpd", PID: 100 + pidSalt, TID: 100 + pidSalt}
-	java := activity.Context{Host: "app1", Program: "java", PID: 200, TID: 300 + pidSalt}
-	mysql := activity.Context{Host: "db1", Program: "mysqld", PID: 400, TID: 500 + pidSalt}
+	httpd := activity.Context{Host: "web1", Program: "httpd", PID: int32(100 + pidSalt), TID: int32(100 + pidSalt)}
+	java := activity.Context{Host: "app1", Program: "java", PID: 200, TID: int32(300 + pidSalt)}
+	mysql := activity.Context{Host: "db1", Program: "mysqld", PID: 400, TID: int32(500 + pidSalt)}
 
-	clientCh := activity.Channel{Src: activity.Endpoint{IP: "10.0.0.9", Port: 4000 + pidSalt}, Dst: activity.Endpoint{IP: "10.0.0.1", Port: 80}}
-	webApp := activity.Channel{Src: activity.Endpoint{IP: "10.0.0.1", Port: 34000 + pidSalt}, Dst: activity.Endpoint{IP: "10.0.0.2", Port: 8009}}
-	appDB := activity.Channel{Src: activity.Endpoint{IP: "10.0.0.2", Port: 45000 + pidSalt}, Dst: activity.Endpoint{IP: "10.0.0.3", Port: 3306}}
+	clientCh := activity.Channel{Src: activity.EP("10.0.0.9", 4000+pidSalt), Dst: activity.EP("10.0.0.1", 80)}
+	webApp := activity.Channel{Src: activity.EP("10.0.0.1", 34000+pidSalt), Dst: activity.EP("10.0.0.2", 8009)}
+	appDB := activity.Channel{Src: activity.EP("10.0.0.2", 45000+pidSalt), Dst: activity.EP("10.0.0.3", 3306)}
 
 	at := func(ms int) time.Duration { return base + time.Duration(ms)*time.Millisecond }
 	mk := func(typ activity.Type, ts time.Duration, ctx activity.Context, ch activity.Channel) *Vertex {
@@ -163,7 +163,7 @@ func TestSignatureDistinguishesShapes(t *testing.T) {
 	g1 := buildThreeTier(t, 0, 1)
 	// A one-tier static request: BEGIN -> END.
 	httpd := activity.Context{Host: "web1", Program: "httpd", PID: 1, TID: 1}
-	ch := activity.Channel{Src: activity.Endpoint{IP: "10.0.0.9", Port: 4000}, Dst: activity.Endpoint{IP: "10.0.0.1", Port: 80}}
+	ch := activity.Channel{Src: activity.EP("10.0.0.9", 4000), Dst: activity.EP("10.0.0.1", 80)}
 	g2 := New(vx(activity.Activity{Type: activity.Begin, Ctx: httpd, Chan: ch}))
 	if err := g2.AddVertex(vx(activity.Activity{Type: activity.End, Timestamp: time.Millisecond, Ctx: httpd, Chan: ch.Reverse()}), ContextEdge, g2.Root()); err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestAggregate(t *testing.T) {
 func TestAggregateRejectsMixedPatterns(t *testing.T) {
 	g1 := buildThreeTier(t, 0, 1)
 	httpd := activity.Context{Host: "web1", Program: "httpd", PID: 1, TID: 1}
-	ch := activity.Channel{Src: activity.Endpoint{IP: "c", Port: 1}, Dst: activity.Endpoint{IP: "s", Port: 80}}
+	ch := activity.Channel{Src: activity.EP("c", 1), Dst: activity.EP("s", 80)}
 	g2 := New(vx(activity.Activity{Type: activity.Begin, Ctx: httpd, Chan: ch}))
 	if err := g2.AddVertex(vx(activity.Activity{Type: activity.End, Ctx: httpd, Chan: ch.Reverse()}), ContextEdge, g2.Root()); err != nil {
 		t.Fatal(err)
@@ -291,7 +291,7 @@ func TestClassify(t *testing.T) {
 	}
 	// One singleton with a different shape.
 	httpd := activity.Context{Host: "web1", Program: "httpd", PID: 1, TID: 1}
-	ch := activity.Channel{Src: activity.Endpoint{IP: "c", Port: 1}, Dst: activity.Endpoint{IP: "s", Port: 80}}
+	ch := activity.Channel{Src: activity.EP("c", 1), Dst: activity.EP("s", 80)}
 	g := New(vx(activity.Activity{Type: activity.Begin, Ctx: httpd, Chan: ch}))
 	if err := g.AddVertex(vx(activity.Activity{Type: activity.End, Ctx: httpd, Chan: ch.Reverse()}), ContextEdge, g.Root()); err != nil {
 		t.Fatal(err)
@@ -335,7 +335,7 @@ func TestRequestAndRecordIDs(t *testing.T) {
 func TestValidateCatchesCrossContextEdge(t *testing.T) {
 	httpd := activity.Context{Host: "web1", Program: "httpd", PID: 1, TID: 1}
 	other := activity.Context{Host: "web1", Program: "httpd", PID: 2, TID: 2}
-	ch := activity.Channel{Src: activity.Endpoint{IP: "c", Port: 1}, Dst: activity.Endpoint{IP: "s", Port: 80}}
+	ch := activity.Channel{Src: activity.EP("c", 1), Dst: activity.EP("s", 80)}
 	g := New(vx(activity.Activity{Type: activity.Begin, Ctx: httpd, Chan: ch}))
 	// Context edge to a vertex in a different context is invalid.
 	if err := g.AddVertex(vx(activity.Activity{Type: activity.End, Ctx: other, Chan: ch}), ContextEdge, g.Root()); err != nil {

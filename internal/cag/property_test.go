@@ -20,15 +20,15 @@ func randomChain(seed int64) *Graph {
 		ctxs[i] = activity.Context{
 			Host:    string(rune('a' + i)),
 			Program: "p" + string(rune('0'+i)),
-			PID:     1 + rng.Intn(5),
-			TID:     1 + rng.Intn(50),
+			PID:     int32(1 + rng.Intn(5)),
+			TID:     int32(1 + rng.Intn(50)),
 		}
 	}
 	chans := make([]activity.Channel, tiers)
 	for i := range chans {
 		chans[i] = activity.Channel{
-			Src: activity.Endpoint{IP: string(rune('a' + i)), Port: 1000 + rng.Intn(50000)},
-			Dst: activity.Endpoint{IP: string(rune('a'+i)) + "x", Port: 80},
+			Src: activity.EP(string(rune('a'+i)), 1000+rng.Intn(50000)),
+			Dst: activity.EP(string(rune('a'+i))+"x", 80),
 		}
 	}
 	ts := time.Duration(rng.Intn(1000)) * time.Millisecond

@@ -64,7 +64,7 @@ type Options struct {
 	// ranker.Config. Like every other mode it runs on the streaming
 	// engine: the predicate's pending-SEND question is served per shard,
 	// which equals the global answer because the flow partition never
-	// splits a ChanKey across components (the channel-closure invariant —
+	// splits a Channel across components (the channel-closure invariant —
 	// see ranker.matchingSendVisible). Exact mode therefore shards,
 	// accepts seal horizons and heartbeats, and scales with Workers. For
 	// ablation only: the default predicate additionally consults sender

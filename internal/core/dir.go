@@ -148,13 +148,7 @@ func inferTopology(dir string, names []string) (map[string]string, error) {
 			if a == nil {
 				break
 			}
-			switch a.Type {
-			case activity.Send, activity.End:
-				m[a.Chan.Src.IP] = a.Ctx.Host
-			case activity.Receive, activity.Begin:
-				m[a.Chan.Dst.IP] = a.Ctx.Host
-			case activity.MaxType:
-			}
+			activity.NoteIPOwner(m, a)
 		}
 		err = fs.Err()
 		if cerr := fs.Close(); err == nil {

@@ -100,10 +100,8 @@ func (s *streamSession) earlyCloseSafe(trace []*activity.Activity) bool {
 		return false
 	}
 	for _, a := range trace {
-		if !a.CtxK.Bound() {
-			activity.Bind(a)
-		}
-		if s.ipHost[a.ChanK.SrcIP] != a.CtxK.Host && s.ipHost[a.ChanK.DstIP] != a.CtxK.Host {
+		activity.Bind(a)
+		if s.ipHost[a.Chan.Src.IP] != a.CtxK.Host && s.ipHost[a.Chan.Dst.IP] != a.CtxK.Host {
 			return false
 		}
 	}

@@ -208,10 +208,10 @@ func TestParallelSessionStaggeredClose(t *testing.T) {
 func mkRaw(id int64, typ activity.Type, ts time.Duration, host, program string, tid int, src, dst string, srcPort, dstPort int) *activity.Activity {
 	return &activity.Activity{
 		ID: id, Type: typ, Timestamp: ts,
-		Ctx: activity.Context{Host: host, Program: program, PID: 1, TID: tid},
+		Ctx: activity.Context{Host: host, Program: program, PID: 1, TID: int32(tid)},
 		Chan: activity.Channel{
-			Src: activity.Endpoint{IP: src, Port: srcPort},
-			Dst: activity.Endpoint{IP: dst, Port: dstPort},
+			Src: activity.EP(src, srcPort),
+			Dst: activity.EP(dst, dstPort),
 		},
 		Size: 64, ReqID: -1, MsgID: -1,
 	}

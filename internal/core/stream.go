@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/activity"
 	"repro/internal/cag"
@@ -26,7 +27,7 @@ import (
 // ablation: the Fig. 5 predicate's pending-SEND question is answered from
 // each shard's own window buffer, which the channel-closure invariant
 // makes equal to the global answer — every SEND that could match a
-// RECEIVE shares its ChanKey and therefore its component (see
+// RECEIVE shares its Channel and therefore its component (see
 // ranker.matchingSendVisible, and assertChanClosure below for the debug
 // check).
 //
@@ -110,7 +111,7 @@ type streamSession struct {
 	// chanOwner (debug only) maps each connection seen to the union-find
 	// node it first filed under, for the shard-closure assertion; nil
 	// unless debugShardClosure is set.
-	chanOwner map[activity.ChanKey]int32
+	chanOwner map[activity.Channel]int32
 
 	// slab is the block allocator for the per-push buffered copy: pushes
 	// carve records out of slabSize blocks instead of allocating one
@@ -180,8 +181,9 @@ type streamSession struct {
 	final  *Result
 }
 
-// slabSize is how many buffered-copy records one slab block holds.
-const slabSize = 512
+// slabSize is how many buffered-copy records fit in 64 KiB, a whole
+// number of pages, so less than one record's worth of a block goes unused.
+const slabSize = 64 << 10 / int(unsafe.Sizeof(activity.Activity{}))
 
 // workerPullBatch is how many sealed components one worker takes per
 // jobs-ring wakeup. PopBatch is adaptive — a batch only forms under
@@ -643,9 +645,7 @@ func (s *streamSession) Push(a *activity.Activity) error {
 	if s.closed {
 		return fmt.Errorf("core: push on closed session")
 	}
-	if !a.CtxK.Bound() {
-		activity.Bind(a)
-	}
+	activity.Bind(a)
 	h, ok := s.hosts[a.CtxK.Host]
 	if !ok {
 		return fmt.Errorf("core: unknown host %q (declare it in NewSession)", a.Ctx.Host)
@@ -680,9 +680,7 @@ func (s *streamSession) PushBatch(batch []*activity.Activity) error {
 // pass accepted per-host disorder too, producing whatever the ranker
 // makes of it).
 func (s *streamSession) replayPush(cp *activity.Activity) {
-	if !cp.CtxK.Bound() {
-		activity.Bind(cp)
-	}
+	activity.Bind(cp)
 	h := s.hosts[cp.CtxK.Host]
 	if h == nil {
 		// A source whose records carry an undeclared host name: declare it
@@ -694,7 +692,7 @@ func (s *streamSession) replayPush(cp *activity.Activity) {
 }
 
 // debugShardClosure turns on assertChanClosure in every streamSession:
-// the per-push check that no ChanKey ever resolves to two live
+// the per-push check that no Channel ever resolves to two live
 // components — the invariant the shard-aware Fig. 5 predicate rests on
 // (ranker.matchingSendVisible). Tests flip it directly; set
 // CORE_DEBUG_SHARD_CLOSURE=1 to enable it in a normal build.
@@ -708,9 +706,9 @@ var debugShardClosure = os.Getenv("CORE_DEBUG_SHARD_CLOSURE") != ""
 // growing.
 func (s *streamSession) assertChanClosure(cp *activity.Activity, root int32) {
 	if s.chanOwner == nil {
-		s.chanOwner = make(map[activity.ChanKey]int32)
+		s.chanOwner = make(map[activity.Channel]int32)
 	}
-	key := cp.ChanK
+	key := cp.Chan
 	n, ok := s.chanOwner[key]
 	if !ok {
 		if rn, rok := s.chanOwner[key.Reverse()]; rok {
@@ -729,7 +727,7 @@ func (s *streamSession) assertChanClosure(cp *activity.Activity, root int32) {
 		s.chanOwner[key] = root // previous owner dispatched: late-link detach
 		return
 	}
-	panic(fmt.Sprintf("core: ChanKey split across two live components (roots %d and %d) — channel-closure invariant violated", prev, root))
+	panic(fmt.Sprintf("core: channel split across two live components (roots %d and %d) — channel-closure invariant violated", prev, root))
 }
 
 // ingest assigns one classified activity to its flow component and
@@ -764,8 +762,8 @@ func (s *streamSession) ingest(cp *activity.Activity, h *sessHost) {
 	s.maxTs = max(s.maxTs, cp.Timestamp)
 	c.size++
 	c.noteHost(cp.CtxK.Host)
-	s.noteEndpoint(c, cp.ChanK.SrcIP)
-	s.noteEndpoint(c, cp.ChanK.DstIP)
+	s.noteEndpoint(c, cp.Chan.Src.IP)
+	s.noteEndpoint(c, cp.Chan.Dst.IP)
 	h.seq++
 	if cp.Timestamp > h.last || !h.any {
 		h.last = cp.Timestamp

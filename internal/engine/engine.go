@@ -63,10 +63,10 @@ type ctxEntry struct {
 }
 
 // Engine builds CAGs from ranked candidate activities. Both index maps
-// key on the dense activity keys (activity.ChanKey / activity.CtxKey):
+// key on the dense activity keys (activity.Channel / activity.CtxKey):
 // string-free fixed-width hashing on the per-candidate hot path.
 type Engine struct {
-	mmap map[activity.ChanKey]pendingSend
+	mmap map[activity.Channel]pendingSend
 	cmap map[activity.CtxKey]ctxEntry
 
 	outputs []*cag.Graph
@@ -82,7 +82,7 @@ type Engine struct {
 // New returns an empty engine.
 func New() *Engine {
 	return &Engine{
-		mmap: make(map[activity.ChanKey]pendingSend),
+		mmap: make(map[activity.Channel]pendingSend),
 		cmap: make(map[activity.CtxKey]ctxEntry),
 	}
 }
@@ -107,7 +107,7 @@ func (e *Engine) Stats() Stats { return e.stats }
 // HasPendingSend reports whether mmap holds an unmatched SEND for the
 // given channel (by dense key) — the query behind the ranker's Rule 1 and
 // is_noise.
-func (e *Engine) HasPendingSend(ch activity.ChanKey) bool {
+func (e *Engine) HasPendingSend(ch activity.Channel) bool {
 	p, ok := e.mmap[ch]
 	return ok && p.remaining > 0
 }
@@ -117,7 +117,7 @@ func (e *Engine) HasPendingSend(ch activity.ChanKey) bool {
 // The ranker's size-aware Rule 1 uses it: a RECEIVE only becomes a
 // candidate once every SEND segment it covers has reached the engine,
 // otherwise the byte countdown of Fig. 4 would go negative.
-func (e *Engine) PendingBytes(ch activity.ChanKey) int64 {
+func (e *Engine) PendingBytes(ch activity.Channel) int64 {
 	p, ok := e.mmap[ch]
 	if !ok || p.remaining < 0 {
 		return 0
@@ -157,11 +157,7 @@ func (e *Engine) addResident(n int) {
 // Handle processes one candidate activity — one iteration of the Fig. 3
 // while loop. It returns the CAG finished by this activity, if any.
 func (e *Engine) Handle(a *activity.Activity) *cag.Graph {
-	if !a.CtxK.Bound() {
-		// Hand-built records reach the engine unbound; decode-boundary
-		// records arrive with their keys already filled.
-		activity.Bind(a)
-	}
+	activity.Bind(a) // hand-built records reach the engine unbound
 	switch a.Type {
 	case activity.Begin:
 		e.handleBegin(a)
@@ -183,7 +179,7 @@ func (e *Engine) Handle(a *activity.Activity) *cag.Graph {
 // Fig. 4 merges SEND segments.
 func (e *Engine) handleBegin(a *activity.Activity) {
 	if parent, ok := e.cmap[a.CtxK]; ok && !parent.graph.Finished() &&
-		parent.vertex.Type == activity.Begin && parent.vertex.ChanK == a.ChanK &&
+		parent.vertex.Type == activity.Begin && parent.vertex.Chan == a.Chan &&
 		parent.graph.Len() == 1 {
 		parent.vertex.Size += a.Size
 		parent.vertex.Records = append(parent.vertex.Records, a)
@@ -204,7 +200,7 @@ func (e *Engine) handleEnd(a *activity.Activity) *cag.Graph {
 		e.stats.DiscardedEnds++
 		return nil
 	}
-	if parent.vertex.Type == activity.End && parent.vertex.ChanK == a.ChanK {
+	if parent.vertex.Type == activity.End && parent.vertex.Chan == a.Chan {
 		// Trailing segment of a multi-segment response: merge into the END
 		// vertex even though the graph is already finished — only the
 		// vertex's records and byte count change, not the structure.
@@ -246,13 +242,13 @@ func (e *Engine) handleSend(a *activity.Activity) {
 		e.stats.DiscardedSends++
 		return
 	}
-	if parent.vertex.Type == activity.Send && parent.vertex.ChanK == a.ChanK {
+	if parent.vertex.Type == activity.Send && parent.vertex.Chan == a.Chan {
 		// Line 15–16: consecutive SEND segments of one message — merge.
 		parent.vertex.Size += a.Size
 		parent.vertex.Records = append(parent.vertex.Records, a)
-		if p, ok := e.mmap[a.ChanK]; ok && p.vertex == parent.vertex {
+		if p, ok := e.mmap[a.Chan]; ok && p.vertex == parent.vertex {
 			p.remaining += a.Size
-			e.mmap[a.ChanK] = p
+			e.mmap[a.Chan] = p
 		}
 		e.stats.MergedSends++
 		return
@@ -263,12 +259,12 @@ func (e *Engine) handleSend(a *activity.Activity) {
 		return
 	}
 	e.cmap[a.CtxK] = ctxEntry{vertex: v, graph: parent.graph}
-	if old, ok := e.mmap[a.ChanK]; ok && old.remaining > 0 {
+	if old, ok := e.mmap[a.Chan]; ok && old.remaining > 0 {
 		// A fresh message started on a channel whose previous message was
 		// never fully received: only possible with activity loss.
 		e.stats.ReplacedSends++
 	}
-	e.mmap[a.ChanK] = pendingSend{vertex: v, graph: parent.graph, remaining: a.Size}
+	e.mmap[a.Chan] = pendingSend{vertex: v, graph: parent.graph, remaining: a.Size}
 	e.stats.Sends++
 	e.addResident(1)
 }
@@ -278,7 +274,7 @@ func (e *Engine) handleSend(a *activity.Activity) {
 // the context edge only if both parents sit in the same CAG (thread-reuse
 // check).
 func (e *Engine) handleReceive(a *activity.Activity) {
-	p, ok := e.mmap[a.ChanK]
+	p, ok := e.mmap[a.Chan]
 	if !ok || p.remaining <= 0 {
 		e.stats.DiscardedReceives++
 		return
@@ -287,7 +283,7 @@ func (e *Engine) handleReceive(a *activity.Activity) {
 	if p.remaining > 0 {
 		p.partial = append(p.partial, a)
 		e.stats.PartialReceives++
-		e.mmap[a.ChanK] = p
+		e.mmap[a.Chan] = p
 		return
 	}
 	if p.remaining < 0 {
@@ -319,7 +315,7 @@ func (e *Engine) handleReceive(a *activity.Activity) {
 		}
 	}
 	e.cmap[a.CtxK] = ctxEntry{vertex: v, graph: p.graph}
-	delete(e.mmap, a.ChanK)
+	delete(e.mmap, a.Chan)
 	e.stats.Receives++
 	e.addResident(1)
 }

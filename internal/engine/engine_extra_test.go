@@ -117,7 +117,7 @@ func TestSendMergeRequiresSameChannel(t *testing.T) {
 	e := New()
 	e.Handle(act(activity.Begin, 0, httpdCtx, clientCh, 200, 1))
 	e.Handle(act(activity.Send, 2, httpdCtx, webApp, 300, 1))
-	other := activity.Channel{Src: activity.Endpoint{IP: "10.0.0.1", Port: 35000}, Dst: activity.Endpoint{IP: "10.0.0.3", Port: 3306}}
+	other := activity.Channel{Src: activity.EP("10.0.0.1", 35000), Dst: activity.EP("10.0.0.3", 3306)}
 	e.Handle(act(activity.Send, 3, httpdCtx, other, 300, 1))
 	if e.Stats().MergedSends != 0 {
 		t.Fatalf("cross-channel SENDs merged: %+v", e.Stats())

@@ -13,9 +13,9 @@ var (
 	javaCtx  = activity.Context{Host: "app1", Program: "java", PID: 20, TID: 21}
 	mysqlCtx = activity.Context{Host: "db1", Program: "mysqld", PID: 30, TID: 31}
 
-	clientCh = activity.Channel{Src: activity.Endpoint{IP: "10.0.0.9", Port: 4001}, Dst: activity.Endpoint{IP: "10.0.0.1", Port: 80}}
-	webApp   = activity.Channel{Src: activity.Endpoint{IP: "10.0.0.1", Port: 34001}, Dst: activity.Endpoint{IP: "10.0.0.2", Port: 8009}}
-	appDB    = activity.Channel{Src: activity.Endpoint{IP: "10.0.0.2", Port: 45001}, Dst: activity.Endpoint{IP: "10.0.0.3", Port: 3306}}
+	clientCh = activity.Channel{Src: activity.EP("10.0.0.9", 4001), Dst: activity.EP("10.0.0.1", 80)}
+	webApp   = activity.Channel{Src: activity.EP("10.0.0.1", 34001), Dst: activity.EP("10.0.0.2", 8009)}
+	appDB    = activity.Channel{Src: activity.EP("10.0.0.2", 45001), Dst: activity.EP("10.0.0.3", 3306)}
 )
 
 var nextID int64
@@ -180,25 +180,18 @@ func TestEndWithoutContextDiscarded(t *testing.T) {
 	}
 }
 
-// chanKey builds the dense key for a channel the way Bind would.
-func chanKey(ch activity.Channel) activity.ChanKey {
-	a := activity.Activity{Chan: ch, Ctx: activity.Context{Host: "h"}}
-	activity.Bind(&a)
-	return a.ChanK
-}
-
 func TestHasPendingSend(t *testing.T) {
 	e := New()
-	if e.HasPendingSend(chanKey(webApp)) {
+	if e.HasPendingSend(webApp) {
 		t.Fatal("empty engine should have no pending send")
 	}
 	e.Handle(act(activity.Begin, 0, httpdCtx, clientCh, 200, 1))
 	e.Handle(act(activity.Send, 2, httpdCtx, webApp, 300, 1))
-	if !e.HasPendingSend(chanKey(webApp)) {
+	if !e.HasPendingSend(webApp) {
 		t.Fatal("pending send should be visible")
 	}
 	e.Handle(act(activity.Receive, 5, javaCtx, webApp, 300, 1))
-	if e.HasPendingSend(chanKey(webApp)) {
+	if e.HasPendingSend(webApp) {
 		t.Fatal("fully received send should be cleared")
 	}
 }
@@ -239,9 +232,9 @@ func TestInterleavedConcurrentRequests(t *testing.T) {
 	httpd2 := activity.Context{Host: "web1", Program: "httpd", PID: 11, TID: 11}
 	java2 := activity.Context{Host: "app1", Program: "java", PID: 20, TID: 22}
 	mysql2 := activity.Context{Host: "db1", Program: "mysqld", PID: 30, TID: 32}
-	client2 := activity.Channel{Src: activity.Endpoint{IP: "10.0.0.8", Port: 4002}, Dst: activity.Endpoint{IP: "10.0.0.1", Port: 80}}
-	webApp2 := activity.Channel{Src: activity.Endpoint{IP: "10.0.0.1", Port: 34002}, Dst: activity.Endpoint{IP: "10.0.0.2", Port: 8009}}
-	appDB2 := activity.Channel{Src: activity.Endpoint{IP: "10.0.0.2", Port: 45002}, Dst: activity.Endpoint{IP: "10.0.0.3", Port: 3306}}
+	client2 := activity.Channel{Src: activity.EP("10.0.0.8", 4002), Dst: activity.EP("10.0.0.1", 80)}
+	webApp2 := activity.Channel{Src: activity.EP("10.0.0.1", 34002), Dst: activity.EP("10.0.0.2", 8009)}
+	appDB2 := activity.Channel{Src: activity.EP("10.0.0.2", 45002), Dst: activity.EP("10.0.0.3", 3306)}
 
 	r1 := simpleRequest(0, 1)
 	var r2 []*activity.Activity

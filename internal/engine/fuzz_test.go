@@ -31,10 +31,10 @@ func FuzzEngineHandle(f *testing.F) {
 				ID:        int64(i),
 				Type:      typ,
 				Timestamp: time.Duration(i) * time.Millisecond,
-				Ctx:       activity.Context{Host: host, Program: prog, PID: 1, TID: tid},
+				Ctx:       activity.Context{Host: host, Program: prog, PID: 1, TID: int32(tid)},
 				Chan: activity.Channel{
-					Src: activity.Endpoint{IP: host, Port: 1000 + int(b%16)},
-					Dst: activity.Endpoint{IP: hosts[(int(b)+1)%len(hosts)], Port: port},
+					Src: activity.EP(host, 1000+int(b%16)),
+					Dst: activity.EP(hosts[(int(b)+1)%len(hosts)], port),
 				},
 				Size:  int64(b%32) + 1,
 				ReqID: -1, MsgID: -1,

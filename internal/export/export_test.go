@@ -33,10 +33,10 @@ func vx(a activity.Activity) *cag.Vertex { return cag.NewVertex(&a) }
 // tests use.
 func buildPath(t testing.TB, hop time.Duration, salt int) *cag.Graph {
 	t.Helper()
-	httpd := activity.Context{Host: "web1", Program: "httpd", PID: salt, TID: salt}
-	java := activity.Context{Host: "app1", Program: "java", PID: 2, TID: 100 + salt}
-	cch := activity.Channel{Src: activity.Endpoint{IP: "c", Port: 1000 + salt}, Dst: activity.Endpoint{IP: "w", Port: 80}}
-	wch := activity.Channel{Src: activity.Endpoint{IP: "w", Port: 2000 + salt}, Dst: activity.Endpoint{IP: "a", Port: 8009}}
+	httpd := activity.Context{Host: "web1", Program: "httpd", PID: int32(salt), TID: int32(salt)}
+	java := activity.Context{Host: "app1", Program: "java", PID: 2, TID: int32(100 + salt)}
+	cch := activity.Channel{Src: activity.EP("c", 1000+salt), Dst: activity.EP("w", 80)}
+	wch := activity.Channel{Src: activity.EP("w", 2000+salt), Dst: activity.EP("a", 8009)}
 
 	ts := func(i int) time.Duration { return time.Duration(i) * hop }
 	g := cag.New(vx(activity.Activity{Type: activity.Begin, Timestamp: ts(0), Ctx: httpd, Chan: cch}))
@@ -522,7 +522,7 @@ func awkwardGraphs(t *testing.T) []*cag.Graph {
 			v := g.Vertex(j)
 			if v.Ctx.Host == "app1" {
 				v.Ctx.Host, v.Ctx.Program = n.host, n.prog
-				v.Chan.Src.IP = n.host
+				v.Chan.Src.IP = activity.Syms.Intern(n.host)
 			}
 		}
 		g.SetProvenance(i%2 == 1, i/2%2 == 1)
@@ -859,7 +859,8 @@ func Trace(g *cag.Graph) Request {
 		}
 		if v.Chan != (activity.Channel{}) {
 			sp.Attributes = append(sp.Attributes, Str("net.channel",
-				fmt.Sprintf("%s:%d-%s:%d", v.Chan.Src.IP, v.Chan.Src.Port, v.Chan.Dst.IP, v.Chan.Dst.Port)))
+				fmt.Sprintf("%s:%d-%s:%d", activity.Syms.Name(v.Chan.Src.IP), v.Chan.Src.Port,
+					activity.Syms.Name(v.Chan.Dst.IP), v.Chan.Dst.Port)))
 		}
 		if v.Size > 0 {
 			sp.Attributes = append(sp.Attributes, Int("cag.size_bytes", v.Size))

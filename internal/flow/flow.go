@@ -33,14 +33,14 @@
 // # The channel-closure guarantee
 //
 // Incremental maintains one invariant the shard-aware Fig. 5 is_noise
-// predicate rests on: a ChanKey is never split across live components.
+// predicate rests on: a Channel is never split across live components.
 // Structurally, every directed channel and its reverse share one
-// union-find node (Incremental files ChanK.Reverse() under the same
+// union-find node (Incremental files Chan.Reverse() under the same
 // node), and every branch of Add either files the activity directly
 // under its connection's node or unions the activity's epoch/context node
 // with it — including the RECEIVE-before-SEND case, where Add joins the
 // not-yet-sendful connection to the current epoch (an over-merge, never a
-// split). So all SENDs that could match a RECEIVE (same ChanKey) land in
+// split). So all SENDs that could match a RECEIVE (same Channel) land in
 // the RECEIVE's component, and a per-shard pending/buffered-SEND lookup
 // equals the global one. TestChanKeyNeverSplits fuzzes the invariant
 // over random interleavings; the streaming session asserts it per push in

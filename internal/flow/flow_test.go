@@ -13,10 +13,10 @@ func mk(id int64, typ activity.Type, ts time.Duration, host string, tid int, src
 		ID:        id,
 		Type:      typ,
 		Timestamp: ts,
-		Ctx:       activity.Context{Host: host, Program: "p", PID: 1, TID: tid},
+		Ctx:       activity.Context{Host: host, Program: "p", PID: 1, TID: int32(tid)},
 		Chan: activity.Channel{
-			Src: activity.Endpoint{IP: src, Port: srcPort},
-			Dst: activity.Endpoint{IP: dst, Port: dstPort},
+			Src: activity.EP(src, srcPort),
+			Dst: activity.EP(dst, dstPort),
 		},
 		Size:  size,
 		ReqID: -1, MsgID: -1,

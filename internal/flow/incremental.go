@@ -34,7 +34,7 @@ import (
 // Add upholds the package's channel-closure guarantee (see the package
 // doc): every branch below either files the activity under its
 // connection's node or unions the epoch/context node with it, so a
-// ChanKey never splits across live components — the invariant the
+// Channel never splits across live components — the invariant the
 // shard-aware exact is_noise predicate relies on, fuzzed by
 // TestChanKeyNeverSplits.
 //
@@ -52,7 +52,7 @@ import (
 type Incremental struct {
 	mode    Mode
 	d       dsu
-	dir     map[activity.ChanKey]chanInfo
+	dir     map[activity.Channel]chanInfo
 	epoch   map[activity.CtxKey]int32 // ModeFlow: current request epoch
 	ctxNode map[activity.CtxKey]int32 // ModeContext: whole-lifetime node
 	onMerge func(winner, loser int32)
@@ -87,7 +87,7 @@ type chanInfo struct {
 // go stale (a context's epoch moves to another root); Prune re-resolves
 // each key before deleting.
 type compKeys struct {
-	chans []activity.ChanKey
+	chans []activity.Channel
 	ctxs  []activity.CtxKey
 }
 
@@ -98,7 +98,7 @@ type compKeys struct {
 func NewIncremental(mode Mode, onMerge func(winner, loser int32)) *Incremental {
 	return &Incremental{
 		mode:       mode,
-		dir:        make(map[activity.ChanKey]chanInfo),
+		dir:        make(map[activity.Channel]chanInfo),
 		epoch:      make(map[activity.CtxKey]int32),
 		ctxNode:    make(map[activity.CtxKey]int32),
 		onMerge:    onMerge,
@@ -171,7 +171,7 @@ func (in *Incremental) recycleKeys(k *compKeys) {
 	in.keyPool = append(in.keyPool, k)
 }
 
-func (in *Incremental) noteChan(ch activity.ChanKey, n int32) {
+func (in *Incremental) noteChan(ch activity.Channel, n int32) {
 	if in.keys == nil {
 		return
 	}
@@ -192,13 +192,13 @@ func (in *Incremental) noteCtx(ctx activity.CtxKey, n int32) {
 // direction has carried a SEND/END so far. late reports that an existing
 // entry resolved to a sealed root and was detached onto a fresh node.
 func (in *Incremental) channel(a *activity.Activity) (ci chanInfo, late bool) {
-	ci, ok := in.dir[a.ChanK]
+	ci, ok := in.dir[a.Chan]
 	if ok && in.sealed(ci.node) {
-		delete(in.dir, a.ChanK)
+		delete(in.dir, a.Chan)
 		ok, late = false, true
 	}
 	if !ok {
-		revKey := a.ChanK.Reverse()
+		revKey := a.Chan.Reverse()
 		rev, revOK := in.dir[revKey]
 		if revOK && in.sealed(rev.node) {
 			delete(in.dir, revKey)
@@ -209,12 +209,12 @@ func (in *Incremental) channel(a *activity.Activity) (ci chanInfo, late bool) {
 		} else {
 			ci = chanInfo{node: in.d.node()}
 		}
-		in.dir[a.ChanK] = ci
-		in.noteChan(a.ChanK, ci.node)
+		in.dir[a.Chan] = ci
+		in.noteChan(a.Chan, ci.node)
 	}
 	if (a.Type == activity.Send || a.Type == activity.End) && !ci.sendful {
 		ci.sendful = true
-		in.dir[a.ChanK] = ci
+		in.dir[a.Chan] = ci
 	}
 	return ci, late
 }
@@ -229,11 +229,7 @@ func (in *Incremental) channel(a *activity.Activity) (ci chanInfo, late bool) {
 // entries are re-interned on fresh nodes — so it starts (or joins) a
 // fresh component and the dispatched one is never returned again.
 func (in *Incremental) Add(a *activity.Activity) int32 {
-	if !a.CtxK.Bound() {
-		// Hand-built records reach the partitioner unbound; session-owned
-		// records arrive with dense keys already filled.
-		activity.Bind(a)
-	}
+	activity.Bind(a) // hand-built records reach the partitioner unbound
 	ci, late := in.channel(a)
 	ch := ci.node
 

@@ -188,9 +188,9 @@ func TestIncrementalPruneBoundsMaps(t *testing.T) {
 			for _, a := range tr {
 				// Distinct ports/threads per round: every round is a new
 				// connection the maps would otherwise remember forever.
-				a.Chan.Src.Port += r * 10
-				a.Chan.Dst.Port += r * 10
-				a.Ctx.TID += r * 10
+				a.Chan.Src.Port += int32(r) * 10
+				a.Chan.Dst.Port += int32(r) * 10
+				a.Ctx.TID += int32(r) * 10
 				a.Timestamp += time.Duration(r) * 10 * time.Millisecond
 				openRoot = inc.Add(a)
 			}

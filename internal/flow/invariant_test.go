@@ -13,7 +13,7 @@ import (
 // ranker.matchingSendVisible): under random request topologies, port
 // reuse, thread-pool reuse, send-less noise RECEIVEs and fully random
 // arrival orders — including RECEIVE arriving before its SEND, the
-// over-merge case — no ChanKey may ever land in two components. Checked
+// over-merge case — no Channel may ever land in two components. Checked
 // for the Incremental partitioner in both modes.
 func TestChanKeyNeverSplits(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
@@ -27,12 +27,12 @@ func TestChanKeyNeverSplits(t *testing.T) {
 			for i, a := range tr {
 				roots[i] = inc.Add(a)
 			}
-			owner := make(map[activity.ChanKey]int32)
+			owner := make(map[activity.Channel]int32)
 			for i, a := range tr {
-				norm := normChan(a.ChanK)
+				norm := normChan(a.Chan)
 				root := inc.Root(roots[i])
 				if prev, ok := owner[norm]; ok && prev != root {
-					t.Fatalf("seed %d mode %s: ChanKey %v split across components %d and %d (incremental)",
+					t.Fatalf("seed %d mode %s: channel %v split across components %d and %d (incremental)",
 						seed, mode, norm, prev, root)
 				}
 				owner[norm] = root
@@ -55,15 +55,15 @@ func TestChanKeySplitsOnlyAtSeals(t *testing.T) {
 		for _, mode := range []Mode{ModeFlow, ModeContext} {
 			inc := NewIncremental(mode, nil)
 			inc.EnablePruning()
-			owner := make(map[activity.ChanKey]int32)
+			owner := make(map[activity.Channel]int32)
 			var added []int32
 			for _, a := range tr {
 				n := inc.Add(a)
-				norm := normChan(a.ChanK)
+				norm := normChan(a.Chan)
 				if prev, ok := owner[norm]; ok {
 					pr := inc.Root(prev)
 					if pr != n && !inc.sealed(pr) {
-						t.Fatalf("seed %d mode %s: ChanKey %v moved from live component %d to %d without a seal",
+						t.Fatalf("seed %d mode %s: channel %v moved from live component %d to %d without a seal",
 							seed, mode, norm, pr, n)
 					}
 				}
@@ -80,14 +80,11 @@ func TestChanKeySplitsOnlyAtSeals(t *testing.T) {
 	}
 }
 
-// normChan collapses a ChanKey and its reverse onto one representative,
-// so both directions of a connection count as the same key.
-func normChan(k activity.ChanKey) activity.ChanKey {
-	r := k.Reverse()
-	if r.SrcIP < k.SrcIP ||
-		(r.SrcIP == k.SrcIP && (r.SrcPort < k.SrcPort ||
-			(r.SrcPort == k.SrcPort && (r.DstIP < k.DstIP ||
-				(r.DstIP == k.DstIP && r.DstPort < k.DstPort))))) {
+// normChan collapses a channel and its reverse onto one representative,
+// so both directions of a connection count as the same key. It picks by
+// the printed form, never by symbol value.
+func normChan(k activity.Channel) activity.Channel {
+	if r := k.Reverse(); r.String() < k.String() {
 		return r
 	}
 	return k

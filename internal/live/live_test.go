@@ -20,10 +20,10 @@ func vx(a activity.Activity) *cag.Vertex { return cag.NewVertex(&a) }
 // hop.
 func buildGraph(t testing.TB, endAt time.Duration, frontWork, hop time.Duration, salt int) *cag.Graph {
 	t.Helper()
-	front := activity.Context{Host: "web1", Program: "front", PID: salt, TID: salt}
-	back := activity.Context{Host: "app1", Program: "back", PID: 7, TID: 100 + salt}
-	cch := activity.Channel{Src: activity.Endpoint{IP: "c", Port: 30000 + salt}, Dst: activity.Endpoint{IP: "w", Port: 80}}
-	wch := activity.Channel{Src: activity.Endpoint{IP: "w", Port: 40000 + salt}, Dst: activity.Endpoint{IP: "a", Port: 9000}}
+	front := activity.Context{Host: "web1", Program: "front", PID: int32(salt), TID: int32(salt)}
+	back := activity.Context{Host: "app1", Program: "back", PID: 7, TID: int32(100 + salt)}
+	cch := activity.Channel{Src: activity.EP("c", 30000+salt), Dst: activity.EP("w", 80)}
+	wch := activity.Channel{Src: activity.EP("w", 40000+salt), Dst: activity.EP("a", 9000)}
 
 	total := frontWork + hop + hop + frontWork
 	start := endAt - total

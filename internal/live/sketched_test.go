@@ -20,8 +20,8 @@ var soakScale = flag.Int("live.soakscale", 10, "sketched-capacity stream multipl
 // distinct signatures.
 func soloGraph(t testing.TB, endAt, latency time.Duration, prog string, salt int) *cag.Graph {
 	t.Helper()
-	ctx := activity.Context{Host: "web1", Program: prog, PID: salt, TID: salt}
-	ch := activity.Channel{Src: activity.Endpoint{IP: "c", Port: 30000 + salt%1000}, Dst: activity.Endpoint{IP: "w", Port: 80}}
+	ctx := activity.Context{Host: "web1", Program: prog, PID: int32(salt), TID: int32(salt)}
+	ch := activity.Channel{Src: activity.EP("c", 30000+salt%1000), Dst: activity.EP("w", 80)}
 	g := cag.New(vx(activity.Activity{Type: activity.Begin, Timestamp: endAt - latency, Ctx: ctx, Chan: ch}))
 	end := vx(activity.Activity{Type: activity.End, Timestamp: endAt, Ctx: ctx, Chan: ch.Reverse()})
 	if err := g.AddVertex(end, cag.ContextEdge, g.Root()); err != nil {

@@ -15,7 +15,7 @@ import (
 // (Rule 2's tie broken by type priority alone), and flows reduced to a
 // single activity.
 func TestRankEdgeCases(t *testing.T) {
-	webApp2 := activity.Channel{Src: activity.Endpoint{IP: "10.0.0.1", Port: 34002}, Dst: activity.Endpoint{IP: "10.0.0.2", Port: 8009}}
+	webApp2 := activity.Channel{Src: activity.EP("10.0.0.1", 34002), Dst: activity.EP("10.0.0.2", 8009)}
 
 	cases := []struct {
 		name  string
@@ -82,7 +82,7 @@ func TestRankEdgeCases(t *testing.T) {
 			// it (no candidate emitted) instead of force-popping.
 			trace: []*activity.Activity{
 				act(activity.Receive, 0, httpdCtx,
-					activity.Channel{Src: activity.Endpoint{IP: "10.9.9.9", Port: 5000}, Dst: activity.Endpoint{IP: "10.0.0.1", Port: 80}},
+					activity.Channel{Src: activity.EP("10.9.9.9", 5000), Dst: activity.EP("10.0.0.1", 80)},
 					64, -1),
 			},
 			wantTypes: nil,

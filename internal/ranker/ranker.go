@@ -111,13 +111,13 @@ func SplitByHost(as []*activity.Activity) map[string][]*activity.Activity {
 type MsgIndex interface {
 	// HasPendingSend reports whether an unmatched SEND exists for the
 	// channel (the is_noise query).
-	HasPendingSend(ch activity.ChanKey) bool
+	HasPendingSend(ch activity.Channel) bool
 	// PendingBytes returns how many bytes of that SEND remain unconsumed
 	// (the size-aware Rule 1 query): a RECEIVE becomes a candidate only
 	// when the pending SEND covers its byte count, so that the engine's
 	// Fig. 4 countdown never goes negative when the sender's segments are
 	// still queued behind it.
-	PendingBytes(ch activity.ChanKey) int64
+	PendingBytes(ch activity.Channel) int64
 }
 
 // Filter inspects an activity at fetch time and returns true to drop it —
@@ -132,16 +132,20 @@ type AttributeFilter struct {
 	DenyPorts    map[int]bool
 }
 
-// Func returns the Filter closure.
+// Func returns the Filter closure; it interns the denied IPs once.
 func (f AttributeFilter) Func() Filter {
+	denyIPs := make(map[activity.Sym]bool, len(f.DenyIPs))
+	for ip, deny := range f.DenyIPs {
+		denyIPs[activity.Syms.Intern(ip)] = deny
+	}
 	return func(a *activity.Activity) bool {
 		if f.DenyPrograms[a.Ctx.Program] {
 			return true
 		}
-		if f.DenyIPs[a.Chan.Src.IP] || f.DenyIPs[a.Chan.Dst.IP] {
+		if denyIPs[a.Chan.Src.IP] || denyIPs[a.Chan.Dst.IP] {
 			return true
 		}
-		if f.DenyPorts[a.Chan.Src.Port] || f.DenyPorts[a.Chan.Dst.Port] {
+		if f.DenyPorts[int(a.Chan.Src.Port)] || f.DenyPorts[int(a.Chan.Dst.Port)] {
 			return true
 		}
 		return false
@@ -243,8 +247,9 @@ type Ranker struct {
 
 	// bufferedSends counts SEND activities currently in the buffer, per
 	// channel — the "buffer of ranker" half of the is_noise predicate.
-	bufferedSends map[activity.ChanKey]int
+	bufferedSends map[activity.Channel]int
 	buffered      int
+	ipHost        map[activity.Sym]string // cfg.IPToHost by interned IP
 }
 
 // New builds a ranker over the given per-node sources. Sources are ranked
@@ -256,7 +261,11 @@ func New(cfg Config, index MsgIndex, sources []Source) *Ranker {
 	r := &Ranker{
 		cfg:           cfg,
 		index:         index,
-		bufferedSends: make(map[activity.ChanKey]int),
+		bufferedSends: make(map[activity.Channel]int),
+		ipHost:        make(map[activity.Sym]string, len(cfg.IPToHost)),
+	}
+	for ip, host := range cfg.IPToHost {
+		r.ipHost[activity.Syms.Intern(ip)] = host
 	}
 	for _, s := range sources {
 		r.queues = append(r.queues, &queue{host: s.Host(), src: s})
@@ -323,11 +332,7 @@ func (r *Ranker) fetchOne(q *queue) bool {
 		if a == nil {
 			return false
 		}
-		if !a.CtxK.Bound() {
-			// Hand-built sources reach the ranker unbound; decoded traces
-			// arrive with dense keys already filled.
-			activity.Bind(a)
-		}
+		activity.Bind(a) // hand-built sources reach the ranker unbound
 		if r.cfg.Filter != nil && r.cfg.Filter(a) {
 			r.stats.FilterDropped++
 			continue
@@ -338,7 +343,7 @@ func (r *Ranker) fetchOne(q *queue) bool {
 			r.stats.PeakBuffered = r.buffered
 		}
 		if a.Type == activity.Send {
-			r.bufferedSends[a.ChanK]++
+			r.bufferedSends[a.Chan]++
 		}
 		r.stats.Fetched++
 		return true
@@ -391,10 +396,10 @@ func (r *Ranker) take(q *queue) *activity.Activity {
 	a := q.pop()
 	r.buffered--
 	if a.Type == activity.Send {
-		if n := r.bufferedSends[a.ChanK]; n <= 1 {
-			delete(r.bufferedSends, a.ChanK)
+		if n := r.bufferedSends[a.Chan]; n <= 1 {
+			delete(r.bufferedSends, a.Chan)
 		} else {
-			r.bufferedSends[a.ChanK] = n - 1
+			r.bufferedSends[a.Chan] = n - 1
 		}
 	}
 	r.stats.Delivered++
@@ -415,7 +420,7 @@ func (r *Ranker) Rank() *activity.Activity {
 		for _, q := range r.queues {
 			h := q.peek()
 			if h != nil && h.Type == activity.Receive &&
-				r.index.HasPendingSend(h.ChanK) && r.index.PendingBytes(h.ChanK) >= h.Size {
+				r.index.HasPendingSend(h.Chan) && r.index.PendingBytes(h.Chan) >= h.Size {
 				return r.take(q)
 			}
 		}
@@ -529,24 +534,24 @@ func (r *Ranker) dropNoiseHead() bool {
 // partition (internal/flow) is a union-find closed over channels — every
 // activity unions with its connection's node, and both directions of a
 // connection share one node — so every SEND that could ever match a
-// RECEIVE (same ChanKey: the mmap and buffer lookups key on exactly that)
+// RECEIVE (same Channel: the mmap and buffer lookups key on exactly that)
 // is in the RECEIVE's component, and therefore feeds the same
 // ranker+engine pair. A shard-local "no" is a global "no". The streaming
 // session asserts the component side of this at ingest when Debug is set
-// (no ChanKey resolves to two live components), internal/flow's
+// (no Channel resolves to two live components), internal/flow's
 // TestChanKeyNeverSplits fuzzes it, and Debug mode cross-checks the
 // bufferedSends index against a brute-force buffer scan here.
-func (r *Ranker) matchingSendVisible(ch activity.ChanKey) bool {
+func (r *Ranker) matchingSendVisible(ch activity.Channel) bool {
 	return r.index.HasPendingSend(ch) || r.bufferedSends[ch] > 0
 }
 
 // assertNoBufferedSend (Debug only) re-derives "no SEND for ch is
 // buffered" by brute force before an exact-mode noise drop commits to it,
 // catching any rot in the bufferedSends counter the fast path trusts.
-func (r *Ranker) assertNoBufferedSend(ch activity.ChanKey) {
+func (r *Ranker) assertNoBufferedSend(ch activity.Channel) {
 	for _, q := range r.queues {
 		for i := 0; i < q.len(); i++ {
-			if x := q.at(i); x.Type == activity.Send && x.ChanK == ch {
+			if x := q.at(i); x.Type == activity.Send && x.Chan == ch {
 				panic("ranker: bufferedSends index missed a buffered SEND (is_noise would drop a matchable RECEIVE)")
 			}
 		}
@@ -554,16 +559,16 @@ func (r *Ranker) assertNoBufferedSend(ch activity.ChanKey) {
 }
 
 func (r *Ranker) isNoise(a *activity.Activity) bool {
-	if r.matchingSendVisible(a.ChanK) {
+	if r.matchingSendVisible(a.Chan) {
 		return false
 	}
 	if r.cfg.PaperExactNoise {
 		if Debug {
-			r.assertNoBufferedSend(a.ChanK)
+			r.assertNoBufferedSend(a.Chan)
 		}
 		return true
 	}
-	senderHost, traced := r.cfg.IPToHost[a.Chan.Src.IP]
+	senderHost, traced := r.ipHost[a.Chan.Src.IP]
 	if !traced {
 		return true // the sender is outside the traced deployment
 	}

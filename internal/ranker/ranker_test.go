@@ -13,9 +13,9 @@ var (
 	javaCtx  = activity.Context{Host: "app1", Program: "java", PID: 20, TID: 21}
 	mysqlCtx = activity.Context{Host: "db1", Program: "mysqld", PID: 30, TID: 31}
 
-	clientCh = activity.Channel{Src: activity.Endpoint{IP: "10.0.0.9", Port: 4001}, Dst: activity.Endpoint{IP: "10.0.0.1", Port: 80}}
-	webApp   = activity.Channel{Src: activity.Endpoint{IP: "10.0.0.1", Port: 34001}, Dst: activity.Endpoint{IP: "10.0.0.2", Port: 8009}}
-	appDB    = activity.Channel{Src: activity.Endpoint{IP: "10.0.0.2", Port: 45001}, Dst: activity.Endpoint{IP: "10.0.0.3", Port: 3306}}
+	clientCh = activity.Channel{Src: activity.EP("10.0.0.9", 4001), Dst: activity.EP("10.0.0.1", 80)}
+	webApp   = activity.Channel{Src: activity.EP("10.0.0.1", 34001), Dst: activity.EP("10.0.0.2", 8009)}
+	appDB    = activity.Channel{Src: activity.EP("10.0.0.2", 45001), Dst: activity.EP("10.0.0.3", 3306)}
 )
 
 var ipToHost = map[string]string{
@@ -119,12 +119,12 @@ func TestManyConcurrentRequestsInterleaved(t *testing.T) {
 	var trace []*activity.Activity
 	for i := 0; i < 50; i++ {
 		req := int64(i)
-		h := activity.Context{Host: "web1", Program: "httpd", PID: 100 + i, TID: 100 + i}
-		j := activity.Context{Host: "app1", Program: "java", PID: 20, TID: 200 + i}
-		m := activity.Context{Host: "db1", Program: "mysqld", PID: 30, TID: 300 + i}
-		cch := activity.Channel{Src: activity.Endpoint{IP: "10.0.0.9", Port: 5000 + i}, Dst: activity.Endpoint{IP: "10.0.0.1", Port: 80}}
-		wch := activity.Channel{Src: activity.Endpoint{IP: "10.0.0.1", Port: 30000 + i}, Dst: activity.Endpoint{IP: "10.0.0.2", Port: 8009}}
-		dch := activity.Channel{Src: activity.Endpoint{IP: "10.0.0.2", Port: 40000 + i}, Dst: activity.Endpoint{IP: "10.0.0.3", Port: 3306}}
+		h := activity.Context{Host: "web1", Program: "httpd", PID: int32(100 + i), TID: int32(100 + i)}
+		j := activity.Context{Host: "app1", Program: "java", PID: 20, TID: int32(200 + i)}
+		m := activity.Context{Host: "db1", Program: "mysqld", PID: 30, TID: int32(300 + i)}
+		cch := activity.Channel{Src: activity.EP("10.0.0.9", 5000+i), Dst: activity.EP("10.0.0.1", 80)}
+		wch := activity.Channel{Src: activity.EP("10.0.0.1", 30000+i), Dst: activity.EP("10.0.0.2", 8009)}
+		dch := activity.Channel{Src: activity.EP("10.0.0.2", 40000+i), Dst: activity.EP("10.0.0.3", 3306)}
 		base := time.Duration(i) * 3 * time.Millisecond // heavy overlap
 		ms := func(n int) time.Duration { return base + time.Duration(n)*time.Millisecond }
 		trace = append(trace,
@@ -157,7 +157,7 @@ func TestManyConcurrentRequestsInterleaved(t *testing.T) {
 
 func TestAttributeFilterDropsByProgram(t *testing.T) {
 	sshCtx := activity.Context{Host: "web1", Program: "sshd", PID: 999, TID: 999}
-	sshCh := activity.Channel{Src: activity.Endpoint{IP: "10.0.0.77", Port: 2222}, Dst: activity.Endpoint{IP: "10.0.0.1", Port: 22}}
+	sshCh := activity.Channel{Src: activity.EP("10.0.0.77", 2222), Dst: activity.EP("10.0.0.1", 22)}
 	trace := request(0, 1, 0, 0, 0)
 	trace = append(trace,
 		act(activity.Receive, 3*time.Millisecond, sshCtx, sshCh, 64, -1),
@@ -178,7 +178,7 @@ func TestIsNoiseDropsUntracedReceive(t *testing.T) {
 	// port as legitimate traffic, sender untraced => only is_noise can
 	// remove the RECEIVEs.
 	noiseCtx := activity.Context{Host: "db1", Program: "mysqld", PID: 30, TID: 99}
-	noiseCh := activity.Channel{Src: activity.Endpoint{IP: "10.0.0.200", Port: 6000}, Dst: activity.Endpoint{IP: "10.0.0.3", Port: 3306}}
+	noiseCh := activity.Channel{Src: activity.EP("10.0.0.200", 6000), Dst: activity.EP("10.0.0.3", 3306)}
 	trace := request(0, 1, 0, 0, 0)
 	trace = append(trace,
 		act(activity.Receive, 9*time.Millisecond, noiseCtx, noiseCh, 77, -1),
@@ -208,10 +208,10 @@ func TestConcurrencyDisturbanceSwap(t *testing.T) {
 	p2 := activity.Context{Host: "app1", Program: "java", PID: 2, TID: 2}
 	p3 := activity.Context{Host: "web1", Program: "httpd", PID: 3, TID: 3}
 	p4 := activity.Context{Host: "app1", Program: "java", PID: 4, TID: 4}
-	ch12 := activity.Channel{Src: activity.Endpoint{IP: "10.0.0.1", Port: 1000}, Dst: activity.Endpoint{IP: "10.0.0.2", Port: 2000}}
-	ch21 := activity.Channel{Src: activity.Endpoint{IP: "10.0.0.2", Port: 3000}, Dst: activity.Endpoint{IP: "10.0.0.1", Port: 4000}}
-	cl1 := activity.Channel{Src: activity.Endpoint{IP: "10.0.0.9", Port: 71}, Dst: activity.Endpoint{IP: "10.0.0.1", Port: 80}}
-	cl2 := activity.Channel{Src: activity.Endpoint{IP: "10.0.0.9", Port: 72}, Dst: activity.Endpoint{IP: "10.0.0.2", Port: 80}}
+	ch12 := activity.Channel{Src: activity.EP("10.0.0.1", 1000), Dst: activity.EP("10.0.0.2", 2000)}
+	ch21 := activity.Channel{Src: activity.EP("10.0.0.2", 3000), Dst: activity.EP("10.0.0.1", 4000)}
+	cl1 := activity.Channel{Src: activity.EP("10.0.0.9", 71), Dst: activity.EP("10.0.0.1", 80)}
+	cl2 := activity.Channel{Src: activity.EP("10.0.0.9", 72), Dst: activity.EP("10.0.0.2", 80)}
 
 	trace := []*activity.Activity{
 		// Roots so the SENDs have context parents.
@@ -247,7 +247,7 @@ func TestSwapPreservesContextOrder(t *testing.T) {
 	recv := act(activity.Receive, 1*time.Millisecond, javaCtx, webApp, 10, 1)
 	send := act(activity.Send, 2*time.Millisecond, javaCtx, appDB, 10, 1)
 	q.buf = []*activity.Activity{recv, send}
-	r := &Ranker{queues: []*queue{q}, bufferedSends: map[activity.ChanKey]int{}}
+	r := &Ranker{queues: []*queue{q}, bufferedSends: map[activity.Channel]int{}}
 	if r.swapBlockedHead() {
 		t.Fatal("swap must not reorder same-context activities")
 	}
@@ -343,6 +343,54 @@ func TestWindowSizeDoesNotAffectCorrectness(t *testing.T) {
 		}
 		if eng.Outputs()[0].Len() != 10 {
 			t.Fatalf("window %v: vertices = %d", w, eng.Outputs()[0].Len())
+		}
+	}
+}
+
+// TestRule2TimestampTieBreak: when the queue heads share a type priority,
+// Rule 2 picks the earlier timestamp, whichever host is ranked first.
+func TestRule2TimestampTieBreak(t *testing.T) {
+	early := act(activity.Begin, 10*time.Millisecond, httpdCtx, clientCh, 200, 1)
+	late := act(activity.Begin, 20*time.Millisecond, javaCtx, webApp, 300, 2)
+	for _, order := range [][]Source{
+		{NewSliceSource("late", []*activity.Activity{late}), NewSliceSource("early", []*activity.Activity{early})},
+		{NewSliceSource("early", []*activity.Activity{early}), NewSliceSource("late", []*activity.Activity{late})},
+	} {
+		r := New(Config{Window: time.Second}, engine.New(), order)
+		if got := r.Rank(); got != early {
+			t.Fatalf("sources %s,%s: first candidate %v, want the earlier BEGIN %v",
+				order[0].Host(), order[1].Host(), got, early)
+		}
+		if got := r.Rank(); got != late {
+			t.Fatalf("sources %s,%s: second candidate %v, want %v", order[0].Host(), order[1].Host(), got, late)
+		}
+	}
+}
+
+// TestAttributeFilter: each deny-list matches on either end of the
+// channel, and the interned IP set answers exactly like the string map.
+func TestAttributeFilter(t *testing.T) {
+	drop := AttributeFilter{
+		DenyPrograms: map[string]bool{"sshd": true},
+		DenyIPs:      map[string]bool{"10.0.0.77": true, "10.0.0.3": false},
+		DenyPorts:    map[int]bool{22: true},
+	}.Func()
+	ssh := activity.Context{Host: "web1", Program: "sshd", PID: 5, TID: 5}
+	cases := []struct {
+		a    *activity.Activity
+		want bool
+	}{
+		{act(activity.Send, 0, httpdCtx, webApp, 1, -1), false},
+		{act(activity.Send, 0, ssh, webApp, 1, -1), true},
+		{act(activity.Send, 0, httpdCtx, activity.Channel{Src: activity.EP("10.0.0.77", 1), Dst: activity.EP("10.0.0.1", 80)}, 1, -1), true},
+		{act(activity.Send, 0, httpdCtx, activity.Channel{Src: activity.EP("10.0.0.1", 80), Dst: activity.EP("10.0.0.77", 1)}, 1, -1), true},
+		{act(activity.Send, 0, javaCtx, appDB, 1, -1), false}, // 10.0.0.3 listed but not denied
+		{act(activity.Send, 0, httpdCtx, activity.Channel{Src: activity.EP("10.0.0.1", 5000), Dst: activity.EP("10.0.0.8", 22)}, 1, -1), true},
+		{act(activity.Send, 0, httpdCtx, activity.Channel{Src: activity.EP("10.0.0.1", 22), Dst: activity.EP("10.0.0.8", 5000)}, 1, -1), true},
+	}
+	for i, c := range cases {
+		if got := drop(c.a); got != c.want {
+			t.Errorf("case %d (%v): dropped %v, want %v", i, c.a, got, c.want)
 		}
 	}
 }

@@ -204,7 +204,7 @@ func TestActivityShapes(t *testing.T) {
 	types := map[activity.Type]int{}
 	for _, a := range res.Trace {
 		types[a.Type]++
-		if a.Ctx.Host == "" || a.Chan.Src.IP == "" || a.Size <= 0 {
+		if a.Ctx.Host == "" || activity.Syms.Name(a.Chan.Src.IP) == "" || a.Size <= 0 {
 			t.Fatalf("malformed activity %v", a)
 		}
 	}

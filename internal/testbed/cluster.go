@@ -108,9 +108,10 @@ func (n *Node) AllocPID() int {
 	return p
 }
 
-// Endpoint returns this node's address for the given port.
+// Endpoint returns this node's address for the given port, interning the
+// IP; Dial calls it once per connection end.
 func (n *Node) Endpoint(port int) activity.Endpoint {
-	return activity.Endpoint{IP: n.IP, Port: port}
+	return activity.EP(n.IP, port)
 }
 
 // LocalTime returns the node's current local-clock reading.
@@ -157,7 +158,7 @@ type Entity struct {
 func (n *Node) NewEntity(program string, pid, tid int) Entity {
 	return Entity{
 		Node: n,
-		Ctx:  activity.Context{Host: n.Name, Program: program, PID: pid, TID: tid},
+		Ctx:  activity.Context{Host: n.Name, Program: program, PID: int32(pid), TID: int32(tid)},
 	}
 }
 

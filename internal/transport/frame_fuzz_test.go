@@ -16,7 +16,7 @@ func seedItems(first uint64) []item {
 		return &activity.Activity{
 			ID: id, Type: typ, Timestamp: time.Duration(id) * time.Millisecond,
 			Ctx:  activity.Context{Host: "web", Program: "httpd", PID: 2301, TID: 2302},
-			Chan: activity.Channel{Src: activity.Endpoint{IP: "10.0.0.1", Port: port}, Dst: activity.Endpoint{IP: "10.0.0.9", Port: 80}},
+			Chan: activity.Channel{Src: activity.EP("10.0.0.1", port), Dst: activity.EP("10.0.0.9", 80)},
 			Size: 512, ReqID: -1, MsgID: -1,
 		}
 	}

@@ -75,7 +75,7 @@ func genTrace(nHosts, requests int) *trace {
 		tr.perHost[host] = append(tr.perHost[host], &activity.Activity{
 			ID: id, Type: typ, Timestamp: ts,
 			Ctx:  activity.Context{Host: host, Program: "srv", PID: 100, TID: 100},
-			Chan: activity.Channel{Src: activity.Endpoint{IP: srcIP, Port: srcPort}, Dst: activity.Endpoint{IP: dstIP, Port: dstPort}},
+			Chan: activity.Channel{Src: activity.EP(srcIP, srcPort), Dst: activity.EP(dstIP, dstPort)},
 			Size: size, ReqID: -1, MsgID: -1,
 		})
 	}

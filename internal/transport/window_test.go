@@ -71,7 +71,7 @@ func offerSeq(a *Agent, seq int) error {
 	return a.Record(&activity.Activity{
 		ID: int64(seq), Type: activity.Send, Timestamp: time.Duration(seq) * time.Millisecond,
 		Ctx:  activity.Context{Host: "h", Program: "p", PID: 1, TID: 1},
-		Chan: activity.Channel{Src: activity.Endpoint{IP: "10.0.0.1", Port: 80}, Dst: activity.Endpoint{IP: "10.0.0.2", Port: 9000}},
+		Chan: activity.Channel{Src: activity.EP("10.0.0.1", 80), Dst: activity.EP("10.0.0.2", 9000)},
 		Size: 1, ReqID: -1, MsgID: -1,
 	})
 }
