@@ -21,9 +21,9 @@ GO ?= go
 # sinks live in.
 COVER_MIN ?= 85
 
-.PHONY: ci fmt vet lint build test race cover bench bench-allocs bench-promote bench-scaling bench-smoke soak soak-short
+.PHONY: ci fmt vet lint build test race cover bench bench-allocs bench-scaling bench-smoke soak soak-short
 
-ci: fmt vet lint build test race cover bench bench-allocs bench-smoke soak-short
+ci: fmt vet lint build test race cover bench bench-allocs bench-scaling bench-smoke soak-short
 
 # Fails when any Go file (the bench module's included) is not gofmt-clean.
 fmt:
@@ -175,10 +175,11 @@ bench-allocs:
 			exit bad \
 		}'
 
-# Scaling-efficiency gate: parallel efficiency (speedup/workers) at the
-# largest benchmark scale with workers=NumCPU must stay above
-# SCALING_FLOOR. Skips itself on single-CPU hosts and under -race; the
-# hosted bench job runs it on every push (see .github/workflows/ci.yml).
+# Scaling gate (TestScalingEfficiencyGate): at the largest benchmark
+# scale, workers=NumCPU must beat the sequential pass and keep its
+# parallel efficiency (speedup/workers) above SCALING_FLOOR. Skips itself
+# on single-CPU hosts and under -race. `make ci` runs it, so the hosted
+# ci job does too (see .github/workflows/ci.yml).
 SCALING_FLOOR ?= 0.30
 
 bench-scaling:
@@ -192,19 +193,6 @@ bench-scaling:
 # the ingest front's ordering.
 bench-smoke:
 	cd bench && $(GO) test .
-
-# Promote a downloaded CI bench run into the checked-in baseline: the
-# hosted bench job runs TestPipelineSpeedupTrajectory with
-# BENCH_PIPELINE_OUT=BENCH_pipeline.json (unset, the test measures and
-# asserts but writes nothing) and uploads that file + bench.txt as the
-# "bench" artifact; unpack it and point BENCH_ARTIFACT at the directory.
-# benchpromote validates the matrix and folds the -benchmem allocs/op
-# figures from bench.txt into the session_push entries before rewriting
-# BENCH_pipeline.json.
-BENCH_ARTIFACT ?= bench-artifact
-
-bench-promote:
-	$(GO) run ./cmd/benchpromote -artifact $(BENCH_ARTIFACT) -out BENCH_pipeline.json
 
 # Loopback soak of the network ingestion tier: many concurrent agents
 # shipping a sustained load through collector → ingest → session, with a

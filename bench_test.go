@@ -82,8 +82,8 @@ func BenchmarkCorrelate(b *testing.B) {
 }
 
 // BenchmarkCorrelateSharded measures the concurrent pipeline against the
-// sequential pass on one trace — the speedup trajectory lives in
-// BENCH_pipeline.json (see TestPipelineSpeedupTrajectory).
+// sequential pass on one trace; the asserted speedup check is
+// TestScalingEfficiencyGate (make bench-scaling).
 func BenchmarkCorrelateSharded(b *testing.B) {
 	res := benchTrace(b)
 	for _, workers := range []int{1, 2, 4, 8} {

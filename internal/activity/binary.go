@@ -27,9 +27,9 @@ import (
 //	req, msg          varint  (ground truth; -1 when absent)
 //
 // The codec is structural, not semantic: like ParseRecord it validates
-// shape (type tag, string bounds, pid/tid and port range) and trusts
-// content. Decode never reads past the given buffer and never panics on
-// malformed input (FuzzBinaryDecode).
+// shape (type tag, string bounds, non-empty addresses, pid/tid and port
+// range) and trusts content. Decode never reads past the given buffer and
+// never panics on malformed input (FuzzBinaryDecode).
 
 // maxBinaryString caps decoded string lengths — far above any real
 // hostname/program/address, far below anything that could OOM a decoder
@@ -90,9 +90,9 @@ func DecodeBinaryInto(a *Activity, buf []byte) (int, error) {
 	a.Ctx.Program, a.CtxK.Prog = d.symString()
 	a.Ctx.PID = d.int32("pid")
 	a.Ctx.TID = d.int32("tid")
-	_, a.Chan.Src.IP = d.symString()
+	a.Chan.Src.IP = d.ip("src ip")
 	a.Chan.Src.Port = d.port()
-	_, a.Chan.Dst.IP = d.symString()
+	a.Chan.Dst.IP = d.ip("dst ip")
 	a.Chan.Dst.Port = d.port()
 	a.Size = d.varint()
 	a.ID = d.varint()
@@ -182,6 +182,15 @@ func (d *binDecoder) port() int32 {
 		return 0
 	}
 	return int32(v)
+}
+
+// ip reads an endpoint address, rejecting an empty one as ParseRecord does.
+func (d *binDecoder) ip(what string) Sym {
+	s, sym := d.symString()
+	if s == "" {
+		d.fail(what) // a no-op when symString already failed
+	}
+	return sym
 }
 
 // symString reads a string and interns it in one step: on the hit path

@@ -94,9 +94,24 @@ func TestBinaryDecodeMalformed(t *testing.T) {
 	if _, _, err := DecodeBinary(nil); err == nil {
 		t.Fatal("empty buffer accepted")
 	}
+	// An empty source or destination IP, which ParseRecord rejects too.
+	if _, _, err := DecodeBinary(rawBinary(1, 1, "10.0.0.1", "10.0.0.9")); err != nil {
+		t.Fatalf("well-formed raw record rejected: %v", err)
+	}
+	for _, c := range []struct{ src, dst string }{{"", "10.0.0.9"}, {"10.0.0.1", ""}} {
+		if a, _, err := DecodeBinary(rawBinary(1, 1, c.src, c.dst)); err == nil {
+			t.Errorf("src %q dst %q: empty IP decoded to channel %v", c.src, c.dst, a.Chan)
+		}
+		line := fmt.Sprintf("1.000000 web1 httpd 1 1 SEND %s:80-%s:5000 512", c.src, c.dst)
+		if _, err := ParseRecord(line); err == nil {
+			t.Errorf("text %q: empty IP parsed", line)
+		}
+	}
 }
 
-// FuzzBinaryRoundTrip: decode(encode(x)) == x for arbitrary field values.
+// FuzzBinaryRoundTrip: decode(encode(x)) == x for arbitrary field values
+// with non-empty IPs; decode rejects a record with an empty IP, as
+// ParseRecord does.
 func FuzzBinaryRoundTrip(f *testing.F) {
 	f.Add(uint8(2), int64(12345), "web1", "httpd", 10, 11, "10.0.0.1", uint16(80), "2001:db8::1", uint16(3306), int64(512), int64(1), int64(-1), int64(-1))
 	f.Add(uint8(4), int64(-1), "", "", -1, 0, "", uint16(0), "::", uint16(65535), int64(0), int64(-9), int64(7), int64(13))
@@ -121,6 +136,12 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		buf := AppendBinary(nil, a)
 		Bind(a) // decode emits bound records; bind the expectation too
 		got, n, err := DecodeBinary(buf)
+		if srcIP == "" || dstIP == "" {
+			if err == nil {
+				t.Fatalf("record with an empty IP decoded: %+v", got)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
@@ -139,8 +160,9 @@ func FuzzBinaryDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
 	f.Add(AppendBinary(nil, binSample()))
-	f.Add(rawBinary(1<<32+1, 1))
-	f.Add(rawBinary(1, -1<<31-1))
+	f.Add(rawBinary(1<<32+1, 1, "10.0.0.1", "10.0.0.9"))
+	f.Add(rawBinary(1, -1<<31-1, "10.0.0.1", "10.0.0.9"))
+	f.Add(rawBinary(1, 1, "", ""))
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		a, n, err := DecodeBinary(buf)
 		if err != nil {
@@ -160,9 +182,9 @@ func FuzzBinaryDecode(f *testing.F) {
 }
 
 // rawBinary encodes a SEND record field by field, as AppendBinary lays it
-// out, but with pid and tid of any width: the bytes a buggy or hostile
-// agent could send.
-func rawBinary(pid, tid int64) []byte {
+// out, but with pid and tid of any width and any IP strings: the bytes a
+// buggy or hostile agent could send.
+func rawBinary(pid, tid int64, srcIP, dstIP string) []byte {
 	str := func(b []byte, s string) []byte { return append(binary.AppendUvarint(b, uint64(len(s))), s...) }
 	b := []byte{byte(Send)}
 	b = binary.AppendVarint(b, int64(time.Second))
@@ -170,9 +192,9 @@ func rawBinary(pid, tid int64) []byte {
 	b = str(b, "httpd")
 	b = binary.AppendVarint(b, pid)
 	b = binary.AppendVarint(b, tid)
-	b = str(b, "10.0.0.1")
+	b = str(b, srcIP)
 	b = binary.AppendUvarint(b, 80)
-	b = str(b, "10.0.0.9")
+	b = str(b, dstIP)
 	b = binary.AppendUvarint(b, 5000)
 	for _, v := range []int64{512, 1, -1, -1} { // size, id, req, msg
 		b = binary.AppendVarint(b, v)
@@ -199,7 +221,7 @@ func TestPIDTIDRange(t *testing.T) {
 		{1, 1<<32 + 7, false},
 	}
 	for _, c := range cases {
-		a, _, err := DecodeBinary(rawBinary(c.pid, c.tid))
+		a, _, err := DecodeBinary(rawBinary(c.pid, c.tid, "10.0.0.1", "10.0.0.9"))
 		if (err == nil) != c.ok {
 			t.Errorf("binary pid=%d tid=%d: err %v, want ok=%v", c.pid, c.tid, err, c.ok)
 		} else if c.ok && (int64(a.Ctx.PID) != c.pid || int64(a.Ctx.TID) != c.tid ||

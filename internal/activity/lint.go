@@ -38,6 +38,7 @@ func Lint(trace []*Activity) []LintIssue {
 	ipOwner := InferIPToHost(trace)
 	sentBytes := make(map[Channel]int64)
 	recvBytes := make(map[Channel]int64)
+	var recvOrder []Channel // channels in first-receive order
 
 	for i, a := range trace {
 		if a.Ctx.Host == "" || a.Ctx.Program == "" {
@@ -69,6 +70,9 @@ func Lint(trace []*Activity) []LintIssue {
 				errf("record %d: RECEIVE logged on %s but destination %s belongs to %s",
 					i, a.Ctx.Host, dstIP, owner)
 			}
+			if _, seen := recvBytes[a.Chan]; !seen {
+				recvOrder = append(recvOrder, a.Chan)
+			}
 			recvBytes[a.Chan] += a.Size
 		case MaxType:
 			errf("record %d: sentinel type in trace", i)
@@ -78,9 +82,10 @@ func Lint(trace []*Activity) []LintIssue {
 	// Byte reconciliation: received bytes on a channel cannot exceed sent
 	// bytes when both endpoints are traced; a shortfall of sends suggests
 	// lost SEND records, a shortfall of receives lost RECEIVEs (or an
-	// untraced endpoint, which is only a warning).
-	for ch, rb := range recvBytes {
-		sb := sentBytes[ch]
+	// untraced endpoint, which is only a warning). Channels are checked in
+	// first-receive order so the issues come out the same on every call.
+	for _, ch := range recvOrder {
+		rb, sb := recvBytes[ch], sentBytes[ch]
 		_, srcTraced := ipOwner[Syms.Name(ch.Src.IP)]
 		switch {
 		case sb == 0 && srcTraced:

@@ -1,6 +1,8 @@
 package activity
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -118,5 +120,52 @@ func TestLintOverReceive(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("over-receive not caught: %v", Lint(tr))
+	}
+}
+
+// TestLintChannelIssueOrder pins the byte-reconciliation issues to
+// first-receive order: six channels, alternately over- and
+// under-received, are received in the reverse of their send order, and
+// every Lint call must report them in exactly that receive order.
+func TestLintChannelIssueOrder(t *testing.T) {
+	const n = 6
+	var tr []*Activity
+	chans := make([]Channel, n)
+	for i := range chans {
+		chans[i] = Channel{Src: EP("10.0.0.1", 4000+i), Dst: EP("10.0.0.2", 8009)}
+		tr = append(tr, &Activity{
+			Type: Send, Timestamp: time.Duration(i+1) * time.Millisecond,
+			Ctx:  Context{Host: "web1", Program: "httpd", PID: 1, TID: 1},
+			Chan: chans[i], Size: 100, ReqID: -1, MsgID: -1,
+		})
+	}
+	var want []LintIssue
+	for k := 0; k < n; k++ {
+		i := n - 1 - k
+		size, severity := int64(200), "error" // over-received
+		if i%2 == 1 {
+			size, severity = 40, "warn" // under-received
+		}
+		tr = append(tr, &Activity{
+			Type: Receive, Timestamp: time.Duration(10+k) * time.Millisecond,
+			Ctx:  Context{Host: "app1", Program: "java", PID: 2, TID: 3},
+			Chan: chans[i], Size: size, ReqID: -1, MsgID: -1,
+		})
+		want = append(want, LintIssue{Severity: severity, Message: fmt.Sprintf("channel %v:", chans[i])})
+	}
+
+	first := Lint(tr)
+	if len(first) != n {
+		t.Fatalf("got %d issues, want %d: %v", len(first), n, first)
+	}
+	for k, w := range want {
+		if first[k].Severity != w.Severity || !strings.HasPrefix(first[k].Message, w.Message) {
+			t.Fatalf("issue %d = %v, want %s %q... (first-receive order)", k, first[k], w.Severity, w.Message)
+		}
+	}
+	for call := 1; call < 20; call++ {
+		if got := Lint(tr); !reflect.DeepEqual(got, first) {
+			t.Fatalf("call %d returned %v, first call %v", call, got, first)
+		}
 	}
 }

@@ -113,7 +113,8 @@ func TestCodecKeyEquality(t *testing.T) {
 // the collector decodes the resend into fresh pooled storage. Whatever
 // the identity strings are, the second decode must bind to exactly the
 // same symbols and keys as the first — symbol assignment is stable across
-// re-decodes, so resume replays correlate identically.
+// re-decodes, so resume replays correlate identically. A record with an
+// empty IP is rejected by every decode instead.
 func FuzzSymbolStability(f *testing.F) {
 	f.Add("web1", "httpd", "10.0.0.1", "10.0.0.2", int32(33210), int32(80))
 	f.Add("db1", "mysqld", "2001:db8::1", "fe80::42", int32(3306), int32(54321))
@@ -132,6 +133,17 @@ func FuzzSymbolStability(f *testing.F) {
 		}
 		buf := AppendBinary(nil, rec)
 		first := NewRecord()
+		if src == "" || dst == "" {
+			// An empty IP is malformed (as in ParseRecord): every decode,
+			// resends included, rejects it.
+			for i := 0; i < 2; i++ {
+				if _, err := DecodeBinaryInto(first, buf); err == nil {
+					t.Fatalf("decode %d accepted an empty IP: %+v", i, first.Chan)
+				}
+			}
+			ReleaseRecord(first)
+			return
+		}
 		if _, err := DecodeBinaryInto(first, buf); err != nil {
 			t.Fatalf("first decode: %v", err)
 		}

@@ -14,7 +14,6 @@ type TokenPool struct {
 
 	// Telemetry for the evaluation harness.
 	peakInUse   int
-	totalWaits  uint64
 	totalWaitNs int64
 	grants      uint64
 }
@@ -56,7 +55,6 @@ func (p *TokenPool) Acquire(granted func()) {
 		return
 	}
 	start := p.sim.Now()
-	p.totalWaits++
 	p.waiters = append(p.waiters, func() {
 		p.grant(p.sim.Now() - start)
 		granted()

@@ -117,9 +117,6 @@ func (t *TopK) N() uint64 { return t.n }
 // Len is the number of items currently tracked (≤ k).
 func (t *TopK) Len() int { return len(t.items) }
 
-// K is the sketch capacity.
-func (t *TopK) K() int { return t.k }
-
 // Reset empties the sketch, keeping its capacity.
 func (t *TopK) Reset() {
 	t.n = 0

@@ -40,9 +40,6 @@ func NewCollector() *Collector {
 // the per-activity probe overhead.
 func (c *Collector) SetEnabled(on bool) { c.enabled = on }
 
-// Enabled reports whether instrumentation is active.
-func (c *Collector) Enabled() bool { return c.enabled }
-
 // log records one activity for a host, assigning a globally unique ID.
 func (c *Collector) log(host string, a *activity.Activity) {
 	a.ID = c.nextID

@@ -12,15 +12,17 @@ import (
 	"repro/internal/rubis"
 )
 
-// TestScalingEfficiencyGate is the `make bench-scaling` gate: on a
-// multi-core host it measures parallel efficiency — speedup over the
-// sequential pass divided by worker count — at the largest benchmark
-// scale with workers=NumCPU, and fails when it drops below a checked-in
-// floor. The floor (SCALING_FLOOR, default 0.30) is deliberately well
-// under the efficiency a healthy run shows: the gate exists to catch a
-// regression that serialises the pipeline (a lock on the hot path, a
-// barrier per shard where the pool should stream), not to flake on a
-// noisy host.
+// TestScalingEfficiencyGate is the `make bench-scaling` gate and the
+// repo's one scaling check: on a multi-core host it times the sequential
+// pass and workers=NumCPU at the largest benchmark scale, and fails
+// unless the parallel run beats the sequential one outright and its
+// parallel efficiency — speedup divided by worker count — stays at or
+// above a checked-in floor. The floor (SCALING_FLOOR, default 0.30) is
+// deliberately well under the efficiency a healthy run shows: the gate
+// exists to catch a regression that serialises the pipeline (a lock on
+// the hot path, a barrier per shard where the pool should stream), not
+// to flake on a noisy host. On two or three CPUs the outright win is the
+// stricter of the two conditions.
 //
 // The gate only runs when BENCH_SCALING_GATE=1 — wall-clock assertions
 // do not belong in the default `go test ./...` tier.
@@ -76,22 +78,23 @@ func TestScalingEfficiencyGate(t *testing.T) {
 		}
 		return best
 	}
-	efficiency := func() (float64, string) {
+	check := func() (ok bool, detail string) {
 		seq, par := measure(1), measure(workers)
 		speedup := float64(seq) / float64(par)
 		eff := speedup / float64(workers)
-		return eff, fmt.Sprintf("seq=%v par=%v speedup=%.2fx workers=%d efficiency=%.3f", seq, par, speedup, workers, eff)
+		return par < seq && eff >= floor,
+			fmt.Sprintf("seq=%v par=%v speedup=%.2fx workers=%d efficiency=%.3f", seq, par, speedup, workers, eff)
 	}
 
-	eff, detail := efficiency()
+	ok, detail := check()
 	t.Logf("scaling: %s (floor %.2f)", detail, floor)
-	if eff < floor {
+	if !ok {
 		// One fresh remeasurement before failing: a loaded host can skew
 		// a single best-of-3 sample.
-		eff, detail = efficiency()
+		ok, detail = check()
 		t.Logf("scaling retry: %s (floor %.2f)", detail, floor)
 	}
-	if eff < floor {
-		t.Fatalf("parallel efficiency %.3f below floor %.2f at scale 0.1 (%s)", eff, floor, detail)
+	if !ok {
+		t.Fatalf("at scale 0.1 the parallel run must beat sequential with efficiency >= %.2f (%s)", floor, detail)
 	}
 }
