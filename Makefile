@@ -21,9 +21,9 @@ GO ?= go
 # sinks live in.
 COVER_MIN ?= 85
 
-.PHONY: ci fmt vet lint build test race cover bench bench-allocs bench-scaling bench-smoke soak soak-short
+.PHONY: ci fmt vet lint build test race debug cover bench bench-allocs bench-scaling bench-smoke soak soak-short
 
-ci: fmt vet lint build test race cover bench bench-allocs bench-scaling bench-smoke soak-short
+ci: fmt vet lint build test race debug cover bench bench-allocs bench-scaling bench-smoke soak-short
 
 # Fails when any Go file (the bench module's included) is not gofmt-clean.
 fmt:
@@ -53,6 +53,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The debug assertions, armed the way a normal build arms them: the
+# per-push channel-closure check in the streaming session
+# (CORE_DEBUG_SHARD_CLOSURE) and the ranker's brute-force cross-check of
+# its pending-SEND index (RANKER_DEBUG). core's own tests arm both in
+# code; the ranker's tests run with them only here.
+debug:
+	CORE_DEBUG_SHARD_CLOSURE=1 RANKER_DEBUG=1 $(GO) test -count=1 ./internal/core ./internal/ranker
 
 cover:
 	$(GO) test -coverprofile=coverage.out ./internal/core ./internal/flow ./internal/live ./internal/sketch ./internal/export ./internal/ring

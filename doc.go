@@ -103,18 +103,25 @@
 //
 // The stage ownership contract: every *decision* lives on stage 1, only
 // *work* crosses to the pool. Stage 1 — the goroutine calling
-// Push/Drain/CloseHost — owns the flow partition and makes every seal
-// decision at deterministic points in the event stream; that cannot
-// move, because sealing feeds back into partitioning (a sealed
+// Push/Heartbeat/Drain/CloseHost — owns the flow partition and makes
+// every seal decision at deterministic points in the event stream; that
+// cannot move, because sealing feeds back into partitioning (a sealed
 // component is tombstoned, and a straggler touching its tombstone
 // detaches as a late link — so *when* a seal happens, in event-stream
-// time, shapes how later records partition). Workers own only sealed,
-// therefore immutable, components, and land each result without ever
-// waiting on stage 1. CloseHost harvests only the shards that have
-// already finished; Drain and Close settle — wait for every dispatched
-// shard — and the worker landing the last awaited result is the only
-// one that wakes stage 1, so a barrier costs one wake-up, not one per
-// shard.
+// time, shapes how later records partition). A horizon seal therefore
+// happens at the push or heartbeat that carries the activity clock past
+// the component's deadline, before that record is partitioned, and a
+// closure seal at the CloseHost that makes it final — never at a Drain,
+// whose cadence is the caller's choice (a wall-clock flush, say). What
+// stays batched at the barriers (Drain, CloseHost, Close) is the
+// dispatch: one ring push per barrier carries every component sealed
+// since the last one, and schedules each one's flow-bookkeeping prune.
+// Workers own only sealed, therefore immutable, components, and land
+// each result without ever waiting on stage 1. CloseHost harvests only
+// the shards that have already finished; Drain and Close settle — wait
+// for every dispatched shard — and the worker landing the last awaited
+// result is the only one that wakes stage 1, so a barrier costs one
+// wake-up, not one per shard.
 //
 // Stage 1's partition is online, which makes the order it is fed part
 // of its cost. A RECEIVE that arrives before its SEND cannot be told
@@ -173,7 +180,8 @@
 // correlator (TestParallelEquivalence, TestParallelSessionEquivalence)
 // at every pool size. A seal horizon (Options.SealAfter, measured in
 // activity time, never wall clock) trades that guarantee for liveness: a
-// component idle past its horizon is force-sealed (Result.ForcedSeals),
+// component idle past its horizon is force-sealed (Result.ForcedSeals) by
+// the push or heartbeat that ages it so, whatever the Drain cadence;
 // quiet open streams bound the watermark by their own horizon, and the
 // flow partition's bookkeeping for dispatched components is tombstoned
 // then pruned, so a forever-open Session's memory tracks recently-active
@@ -200,9 +208,11 @@
 //
 // Offline correlation is literally a replay into this engine: the input
 // is pushed in order, every host is closed, and — when a horizon is
-// configured — the replay drains on a fixed record cadence, so a recorded
-// trace reproduces a continuous deployment's seals, splits and counters
-// deterministically.
+// configured — the pushes force-seal as a deployment's would, so a
+// recorded trace reproduces a continuous deployment's seals and splits.
+// The replay drains on a fixed record cadence, which bounds what it holds
+// and fixes the one counter the cadence still moves, Result.LateLinks
+// (prunes are scheduled at dispatch).
 //
 // There are no exceptions: even the PaperExactNoise ablation runs this
 // engine. The literal Fig. 5 is_noise predicate asks whether a pending

@@ -99,12 +99,15 @@ type Options struct {
 	// SealAfter, when positive, turns the session into a continuous
 	// correlator: a flow component whose newest activity is more than
 	// SealAfter older than the newest timestamp pushed anywhere (activity
-	// time, never wall clock — replay stays deterministic) is sealed and
-	// correlated at the next Drain even though its hosts are still open,
-	// and the watermark emitter releases its CAGs. Each such seal is
-	// counted in Result.ForcedSeals. The dispatched component's flow
-	// bookkeeping is tombstoned at dispatch and pruned one further
-	// horizon later, so a forever-open Session's memory is bounded by the
+	// time, never wall clock — replay stays deterministic) is sealed by
+	// the push or heartbeat that ages it so, even though its hosts are
+	// still open; the next Drain correlates it and the watermark emitter
+	// releases its CAGs. Which components exist therefore follows from
+	// the pushed stream alone; the Drain cadence decides only when their
+	// graphs leave. Each such seal is counted in Result.ForcedSeals. The
+	// sealed component's flow bookkeeping is tombstoned at the seal and
+	// pruned one further horizon after its dispatch, so a forever-open
+	// Session's memory is bounded by the
 	// components active within ~2×SealAfter, not by every connection ever
 	// seen. A component that never idles but holds no BEGIN (a noise
 	// connection, which can root no CAG) is rolled rather than sealed:
@@ -123,9 +126,10 @@ type Options struct {
 	//
 	// 0 (the default) keeps sealing purely close-driven: output and
 	// behaviour are byte-identical to a Session without the option.
-	// Offline Correlate calls honour it too: the replay drains on a fixed
-	// cadence so a recorded trace reproduces the continuous deployment's
-	// seals, splits and counters deterministically.
+	// Offline Correlate calls honour it too: a recorded trace reproduces
+	// the continuous deployment's seals and splits; the replay drains on
+	// a fixed cadence, which fixes its LateLinks count as well (prunes
+	// are scheduled at dispatch, so that count follows the cadence).
 	SealAfter time.Duration
 
 	// SealAfterByHost overrides SealAfter per host: a chronically lagging
@@ -383,8 +387,8 @@ var ErrNoEntryPorts = errors.New("core: no entry ports configured; no request ca
 //
 // The trace is replayed through the streaming engine in trace order
 // (push, close every host, drain) — with a seal horizon configured the
-// replay also drains on a fixed cadence, reproducing a continuous
-// deployment's forced seals deterministically.
+// pushes force-seal exactly as a continuous deployment's would, and the
+// replay drains on a fixed cadence to bound what it holds.
 func (c *Correlator) CorrelateTrace(trace []*activity.Activity) (*Result, error) {
 	if c.err != nil {
 		return nil, c.err

@@ -24,9 +24,9 @@ type IngestOptions struct {
 
 	// DrainEvery is how many applied operations elapse between drain
 	// points — the same cadence knob as offline replay. Default 1024
-	// (replayDrainEvery), keeping a networked run's drain rhythm aligned
-	// with ReplayTrace so output ordering is comparable. Use 1 to drain
-	// after every operation.
+	// (replayDrainEvery). Seals follow the applied stream, not the drains,
+	// so any cadence yields the same graphs; it decides only how soon they
+	// leave. Use 1 to drain after every operation.
 	DrainEvery int
 
 	// FlushInterval, when positive, also drains on a wall-clock period

@@ -16,15 +16,19 @@ import (
 //
 // Determinism: the engine's output depends only on each host's record
 // order (components buffer per host; cross-host interleaving never
-// reaches the per-component rankers) plus, in continuous mode, on where
-// the drains fall. The replay preserves the input's per-host order and
-// drains on a fixed record cadence, so the same input always reproduces
-// the same output — including the forced seals, splits and late links a
-// continuous deployment would have produced.
+// reaches the per-component rankers) plus, in continuous mode, on the
+// activity clock the merged stream advances, which decides the forced
+// seals. The replay preserves the input's per-host order, so the same
+// input always reproduces the same output — including the forced seals
+// and splits a continuous deployment would have produced. Where the
+// drains fall decides only when graphs leave and, because prunes are
+// scheduled at dispatch, the LateLinks count and the late flags; the
+// fixed cadence keeps those reproducible too.
 
 // replayDrainEvery is the fixed drain cadence of a continuous-mode
-// replay (records between drains). Close-driven replays drain only at
-// the end — mid-replay drains would be pure overhead, since nothing
+// replay (records between drains): it bounds what the replay holds, as
+// a continuous deployment's drains do. Close-driven replays drain only
+// at the end — mid-replay drains would be pure overhead, since nothing
 // seals before the hosts close.
 const replayDrainEvery = 1024
 

@@ -78,10 +78,13 @@ func (s *Session) PushBatch(batch []*activity.Activity) error { return s.impl.Pu
 
 // Drain runs the correlator until no further candidate is safely
 // decidable, returning the number of activities processed this call: it
-// force-seals components idle past their horizon (continuous mode), waits
-// for every dispatched component to finish correlating, and releases the
-// graphs the watermark permits. Last, it correlates the aged records of
-// never-idle components that hold no BEGIN (see Options.SealAfter).
+// dispatches the components force-sealed since the last Drain (in
+// continuous mode, by the push or heartbeat that carried the activity
+// clock past their horizon), waits for every dispatched component to
+// finish correlating, and releases the graphs the watermark permits. Last, it correlates the aged records of never-idle components
+// that hold no BEGIN (see Options.SealAfter). Seals never wait for a
+// Drain, so the cadence decides only when graphs leave, not which graphs
+// exist.
 func (s *Session) Drain() int { return s.impl.Drain() }
 
 // CloseHost marks one host's stream complete (its agent shut down). This
@@ -96,7 +99,9 @@ func (s *Session) CloseHost(host string) error { return s.impl.CloseHost(host) }
 // without it, an idle host with no horizon holds back every emission,
 // and an idle host with a long horizon delays them by that horizon. A
 // heartbeat also advances the activity clock that seal horizons measure
-// against, so correlation keeps flowing through traffic lulls. Stale
+// against, so correlation keeps flowing through traffic lulls: a
+// component the new clock ages past its horizon is sealed at once, and a
+// later record on one of its connections starts a fresh component. Stale
 // assertions (ts older than the host's newest record) are ignored.
 //
 // Like pushed timestamps, heartbeats are activity-time, never wall

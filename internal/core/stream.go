@@ -38,17 +38,22 @@ import (
 //	         fuse when a TCP connection or context epoch links them.
 //	CloseHost / seal horizon ──> sealing: a component seals when no open
 //	         host can extend it (the completion watermark), or — with a
-//	         horizon configured — when it has idled past the largest
-//	         horizon of the hosts that could still extend it. A
-//	         BEGIN-less component that never idles rolls instead: its
-//	         aged records are correlated as a prefix, the rest stays.
+//	         horizon configured — at the push or heartbeat that carries
+//	         the activity clock past its deadline: its newest record
+//	         plus the largest horizon of the hosts that could still
+//	         extend it. Which components exist is thus a function of the
+//	         record stream alone, whatever the Drain cadence.
+//	Drain/CloseHost/Close ──> dispatch: the components sealed since the
+//	         last barrier go to the worker pool in one batched ring push.
 //	workers ──> each sealed component runs the unmodified sequential
 //	         ranker+engine pass (Correlator.drive), no shared state.
 //	Drain/Close ──> the watermark emitter pops finished CAGs off a
 //	         min-heap in END-timestamp order while they end below the
 //	         watermark: the oldest BEGIN resident in any component, and
 //	         each open host's push bound. A BEGIN-less component (a
-//	         never-idle noise connection) holds nothing back.
+//	         never-idle noise connection) holds nothing back. Last, Drain
+//	         rolls such a component: its aged records are correlated as
+//	         a prefix, the rest stays.
 //
 // The result is byte-identical to the historical sequential correlator
 // for the same per-host input order on well-formed traces
@@ -57,15 +62,16 @@ import (
 // engine's two lookup relations, and the emitter's order is the
 // sequential completion order.
 //
-// With a seal horizon the session additionally runs continuously: Drain
-// force-seals components idle past their horizon (against the activity
-// clock, never wall time), the watermark treats quiet open streams as
-// bounded by their own host horizons, and dispatched components' flow
-// bookkeeping is tombstoned then pruned — memory stays bounded by
-// recently-active components even if CloseHost is never called. A
-// never-idle component holding no BEGIN (a §5.3.3 noise connection)
-// rolls instead (rollPrefix), so it holds about two horizons of records,
-// not everything since it opened.
+// With a seal horizon the session additionally runs continuously: a
+// component idle past its horizon is force-sealed as soon as the activity
+// clock (never wall time) passes its deadline, so Drain decides only when
+// its graphs leave, never which graphs exist; the watermark treats quiet
+// open streams as bounded by their own host horizons, and dispatched
+// components' flow bookkeeping is tombstoned then pruned — memory stays
+// bounded by recently-active components even if CloseHost is never
+// called. A never-idle component holding no BEGIN (a §5.3.3 noise
+// connection) rolls instead (rollPrefix), so it holds about two horizons
+// of records, not everything since it opened.
 // Per-host horizons (Options.SealAfterByHost) let one chronically
 // lagging agent extend only its own components' deadlines; Heartbeat
 // lets an idle-but-healthy agent advance the watermark without traffic.
@@ -124,15 +130,21 @@ type streamSession struct {
 	// prefixes (rollStale); nil until the first roll.
 	rollScratch *shardScratch
 
+	// deadlines queues every live component with a bounded horizon by
+	// the activity time past which it is force-sealed (sealExpired).
+	// Entries are revalidated lazily when they reach the top.
+	deadlines minHeap[deadline, *deadline]
+
 	// Pool plumbing. Stage 1 is the session goroutine: apply + flow
 	// partition + the seal decisions (which MUST stay on deterministic
 	// event-stream points — Seal tombstones feed back into how later
-	// records partition). Sealed components move to the worker pool
-	// through the jobs ring in batches; each worker appends its shard
+	// records partition). Sealed components wait on unsent until the next
+	// barrier (Drain, CloseHost, Close) moves them to the worker pool
+	// through the jobs ring in one batch; each worker appends its shard
 	// results to colBuf under colMu, so workers never stall on a busy
 	// stage 1. Stage 1 folds them in via harvest (non-blocking) or settle
 	// (the Drain/Close barrier).
-	sealReady  []*sessComponent // scratch for the per-drain seal scans
+	unsent     []*sessComponent // sealed, not yet dispatched
 	jobs       *ring.Ring[*sessComponent]
 	wg         sync.WaitGroup // workers
 	dispatched int            // stage-1 only: components pushed to jobs
@@ -238,9 +250,10 @@ type sessComponent struct {
 	runs     []hostRun      // buffered records, one run per contributing host
 	contrib  []activity.Sym // declared hosts that may still extend it
 	sealed   bool
-	forced   bool  // sealed by a horizon, not by host closure
-	late     bool  // received a straggler that late-linked off a sealed shard
-	root     int32 // current union-find root
+	forced   bool   // sealed by a horizon, not by host closure
+	late     bool   // received a straggler that late-linked off a sealed shard
+	root     int32  // current union-find root
+	gen      uint32 // bumped on recycling: tells a deadline entry its struct was reused
 
 	// runs0 and contrib0 are inline backing storage: most components
 	// touch one or two hosts, so the slices usually never leave the
@@ -266,16 +279,18 @@ func (s *streamSession) newSessComponent(id int, ts time.Duration, root int32) *
 		c.runs = c.runs0[:0]
 		c.contrib = c.contrib0[:0]
 	}
-	*c = sessComponent{id: id, minBegin: noBound, maxTs: ts, root: root, runs: c.runs[:0], contrib: c.contrib[:0]}
+	*c = sessComponent{id: id, minBegin: noBound, maxTs: ts, root: root, gen: c.gen, runs: c.runs[:0], contrib: c.contrib[:0]}
 	return c
 }
 
 // recycleComponent returns a component struct no one references any
 // more to the free list. Its run arrays must already have been handed
 // on (fused into another component, or returned to runFree): only the
-// run headers are cleared here, so the list pins no records.
+// run headers are cleared here, so the list pins no records. The
+// generation bump retires any deadline entry still naming the struct.
 func (s *streamSession) recycleComponent(c *sessComponent) {
 	clear(c.runs[:cap(c.runs)])
+	c.gen++
 	s.compFree = append(s.compFree, c)
 }
 
@@ -351,9 +366,10 @@ func (p *runPool) release(r []pushRec) {
 	p.put(r)
 }
 
-// dispatch accounts a component leaving the live set: its arrays now
-// belong to a shard job, and come back through put when it is absorbed.
-func (p *runPool) dispatch(c *sessComponent) {
+// retire accounts a component leaving the live set at its seal: its
+// arrays now belong to a shard job, and come back through put when it is
+// absorbed.
+func (p *runPool) retire(c *sessComponent) {
 	for _, run := range c.runs {
 		p.shrink(cap(run.recs))
 	}
@@ -417,7 +433,7 @@ type taggedGraph struct {
 	pos  int
 }
 
-// releasesBefore is the sequential emission order: global END-timestamp
+// before is the sequential emission order: global END-timestamp
 // order. Ties reproduce the sequential ranker's behaviour too:
 // equal-timestamp ENDs on different hosts are delivered in sorted host
 // name order (Rule 2 keeps the first queue on a tie; queues are built in
@@ -425,7 +441,7 @@ type taggedGraph struct {
 // preserve (every trace producer assigns IDs in per-host log order).
 // Component/position order is the final fallback for ID-less hand-built
 // traces.
-func releasesBefore(x, y *taggedGraph) bool {
+func (x *taggedGraph) before(y *taggedGraph) bool {
 	if x.end != y.end {
 		return x.end < y.end
 	}
@@ -442,31 +458,52 @@ func releasesBefore(x, y *taggedGraph) bool {
 	return x.pos < y.pos
 }
 
-// graphHeap is a binary min-heap of finished graphs under releasesBefore.
-// It is written out rather than built on container/heap, whose any-typed
-// Push/Pop would box every element.
-type graphHeap []taggedGraph
+// graphHeap holds finished graphs in release order.
+type graphHeap = minHeap[taggedGraph, *taggedGraph]
 
-func (h *graphHeap) push(t taggedGraph) {
+// deadline is one component's entry in the seal queue: the activity time
+// at, as last computed, past which the component is force-sealed, and
+// the generation of the struct it was queued for.
+type deadline struct {
+	at  time.Duration
+	c   *sessComponent
+	gen uint32
+}
+
+func (x *deadline) before(y *deadline) bool { return x.at < y.at }
+
+// heapOrder is the element order of a minHeap, as a method on the
+// element's pointer type.
+type heapOrder[T any] interface {
+	*T
+	before(*T) bool
+}
+
+// minHeap is a binary min-heap under P's before. It is written out
+// rather than built on container/heap, whose any-typed Push/Pop would box
+// every element.
+type minHeap[T any, P heapOrder[T]] []T
+
+func (h *minHeap[T, P]) push(t T) {
 	*h = append(*h, t)
 	q := *h
-	for i, p := len(q)-1, (len(q)-2)/2; i > 0 && releasesBefore(&q[i], &q[p]); i, p = p, (p-1)/2 {
+	for i, p := len(q)-1, (len(q)-2)/2; i > 0 && P(&q[i]).before(&q[p]); i, p = p, (p-1)/2 {
 		q[i], q[p] = q[p], q[i]
 	}
 }
 
-// pop removes and returns the first graph in release order; h must be
-// non-empty.
-func (h *graphHeap) pop() taggedGraph {
+// pop removes and returns the least element; h must be non-empty.
+func (h *minHeap[T, P]) pop() T {
 	q := *h
+	var zero T
 	top, n := q[0], len(q)-1
-	q[0], q[n] = q[n], taggedGraph{}
+	q[0], q[n] = q[n], zero
 	q, *h = q[:n], q[:n]
 	for i, m := 0, 1; m < n; i, m = m, 2*m+1 {
-		if m+1 < n && releasesBefore(&q[m+1], &q[m]) {
+		if m+1 < n && P(&q[m+1]).before(&q[m]) {
 			m++
 		}
-		if !releasesBefore(&q[m], &q[i]) {
+		if !P(&q[m]).before(&q[i]) {
 			break
 		}
 		q[i], q[m] = q[m], q[i]
@@ -732,18 +769,24 @@ func (s *streamSession) assertChanClosure(cp *activity.Activity, root int32) {
 
 // ingest assigns one classified activity to its flow component and
 // buffers it in per-host push order. The caller owns cp, which must be
-// bound.
+// bound. The record's timestamp advances the activity clock first, so a
+// component it ages past its deadline is sealed — and tombstoned — before
+// the record is partitioned: a continuation on one of its connections
+// detaches as a late link instead of fusing into it.
 func (s *streamSession) ingest(cp *activity.Activity, h *sessHost) {
+	s.maxTs = max(s.maxTs, cp.Timestamp)
+	s.sealExpired()
 	lateBefore := s.inc.LateLinks()
 	root := s.inc.Add(cp)
 	if debugShardClosure {
 		s.assertChanClosure(cp, root)
 	}
 	c := s.comps[root]
-	if c == nil || c.sealed {
-		// sealed here means a late link reached an already-dispatched
+	fresh := c == nil || c.sealed
+	if fresh {
+		// sealed here means a late link reached an already-sealed
 		// component (possible only with an incomplete IPToHost map);
-		// start a fresh shard rather than touching in-flight buffers.
+		// start a fresh shard rather than touching sealed buffers.
 		c = s.newSessComponent(s.nextCompID, cp.Timestamp, root)
 		s.nextCompID++
 		s.comps[root] = c
@@ -759,11 +802,13 @@ func (s *streamSession) ingest(cp *activity.Activity, h *sessHost) {
 		c.minBegin = min(c.minBegin, cp.Timestamp)
 	}
 	c.maxTs = max(c.maxTs, cp.Timestamp)
-	s.maxTs = max(s.maxTs, cp.Timestamp)
 	c.size++
 	c.noteHost(cp.CtxK.Host)
 	s.noteEndpoint(c, cp.Chan.Src.IP)
 	s.noteEndpoint(c, cp.Chan.Dst.IP)
+	if fresh && s.continuous {
+		s.queueDeadline(c)
+	}
 	h.seq++
 	if cp.Timestamp > h.last || !h.any {
 		h.last = cp.Timestamp
@@ -777,8 +822,9 @@ func (s *streamSession) ingest(cp *activity.Activity, h *sessHost) {
 // deliver an activity older than ts. The assertion
 // advances the host's watermark bound (quiet-but-healthy hosts stop
 // holding back emission) and the activity clock (seal horizons keep
-// advancing through traffic lulls). A stale heartbeat — older than the
-// host's newest delivered record — is ignored.
+// advancing through traffic lulls): a component the clock passes is
+// sealed here, as at a push. A stale heartbeat — older than the host's
+// newest delivered record — is ignored.
 func (s *streamSession) Heartbeat(host string, ts time.Duration) error {
 	if s.closed {
 		return fmt.Errorf("core: heartbeat on closed session")
@@ -794,9 +840,8 @@ func (s *streamSession) Heartbeat(host string, ts time.Duration) error {
 		h.last = ts
 	}
 	h.any = true
-	if ts > s.maxTs {
-		s.maxTs = ts
-	}
+	s.maxTs = max(s.maxTs, ts)
+	s.sealExpired()
 	return nil
 }
 
@@ -906,7 +951,9 @@ func (p *runPool) mergeRuns(x, y []pushRec) []pushRec {
 }
 
 // CloseHost closes one host's stream, which is what seals components
-// and feeds the worker pool.
+// and feeds the worker pool. A closed host no longer extends any
+// component's horizon, so the deadlines are requeued and those the
+// clock has already passed seal here, as forced seals.
 func (s *streamSession) CloseHost(host string) error {
 	h, ok := s.hosts[activity.Syms.Intern(host)]
 	if !ok {
@@ -915,25 +962,23 @@ func (s *streamSession) CloseHost(host string) error {
 	start := time.Now()
 	if h.open {
 		h.open = false
+		s.requeueDeadlines()
+		s.sealExpired()
 		s.sealCompleted()
 	}
+	s.dispatch()
 	s.harvest()
 	s.workTime += time.Since(start)
 	return nil
 }
 
-// sealCompleted seals every component that no open host can extend and
-// queues it for the worker pool, in deterministic creation order.
+// sealCompleted seals every component that no open host can extend.
 func (s *streamSession) sealCompleted() {
-	ready := s.sealReady[:0]
 	for _, c := range s.comps {
-		if c.sealed || s.growable(c) {
-			continue
+		if !c.sealed && !s.growable(c) {
+			s.seal(c)
 		}
-		ready = append(ready, c)
 	}
-	s.enqueue(ready)
-	s.sealReady = ready[:0]
 }
 
 // compHorizon returns the component's effective seal horizon: the
@@ -961,37 +1006,71 @@ func (s *streamSession) compHorizon(c *sessComponent) time.Duration {
 	return horizon
 }
 
-// sealStale force-seals every component whose newest activity has fallen
-// more than its own horizon behind the activity clock — the continuous-
-// emission rule. Evaluated at Drain, against pushed/heartbeated
-// timestamps only, so replaying the same push/drain sequence reproduces
-// the same seals.
-func (s *streamSession) sealStale() {
-	if !s.continuous {
-		return
-	}
-	ready := s.sealReady[:0]
-	for _, c := range s.comps {
-		if c.sealed {
+// sealExpired force-seals every live component whose newest activity has
+// fallen more than its own horizon behind the activity clock — the
+// continuous-emission rule. It runs wherever the clock or a horizon
+// moves (a push, a heartbeat, a host closing), against pushed and
+// heartbeated timestamps only, so the same record stream reproduces the
+// same seals at any Drain cadence.
+//
+// The queue holds at most one entry per component, pushed when the
+// component is created with its deadline at the time: maxTs only grows
+// and a horizon only widens while the component's hosts stay open, so
+// an entry's deadline is never later than the true one. An entry that
+// reaches the top is checked against the component as it is now —
+// requeued with its current deadline if that lies ahead, dropped if the
+// component is gone (its struct recycled, which bumps gen) or sealed, or
+// if its horizon is unbounded (a horizon-less host is open; only that
+// host's closing can change it, and CloseHost requeues everything).
+func (s *streamSession) sealExpired() {
+	for len(s.deadlines) > 0 && s.deadlines[0].at < s.maxTs {
+		d := s.deadlines.pop()
+		c := d.c
+		if c.gen != d.gen || c.sealed {
 			continue
 		}
 		horizon := s.compHorizon(c)
-		if horizon <= 0 || c.maxTs >= s.maxTs-horizon {
+		if horizon <= 0 {
+			continue
+		}
+		if at := c.maxTs + horizon; at >= s.maxTs {
+			s.deadlines.push(deadline{at: at, c: c, gen: d.gen})
 			continue
 		}
 		c.forced = true
-		ready = append(ready, c)
+		s.forcedSeals++
+		s.seal(c)
 	}
-	s.forcedSeals += len(ready)
-	s.enqueue(ready)
-	s.sealReady = ready[:0]
+}
+
+// queueDeadline enters a live component in the seal queue, unless its
+// horizon is unbounded.
+func (s *streamSession) queueDeadline(c *sessComponent) {
+	if horizon := s.compHorizon(c); horizon > 0 {
+		s.deadlines.push(deadline{at: c.maxTs + horizon, c: c, gen: c.gen})
+	}
+}
+
+// requeueDeadlines rebuilds the seal queue from the live components, for
+// when a host's closing has shortened or bounded their horizons.
+func (s *streamSession) requeueDeadlines() {
+	if !s.continuous {
+		return
+	}
+	clear(s.deadlines)
+	s.deadlines = s.deadlines[:0]
+	for _, c := range s.comps {
+		if !c.sealed {
+			s.queueDeadline(c)
+		}
+	}
 }
 
 // rollStale is the rolling seal's Drain-time scan: every live component
 // holding no BEGIN whose oldest record has fallen two horizons behind
 // gives up its records older than one horizon as a prefix (rollPrefix),
-// which stage 1 correlates and absorbs on the spot. Like sealStale it
-// runs against the activity clock only.
+// which stage 1 correlates and absorbs on the spot. Like the forced seal
+// it runs against the activity clock only.
 //
 // The prefixes are correlated here, not by the pool, because the pool
 // must be free at the next Drain: a prefix still running on a worker
@@ -1081,27 +1160,32 @@ func (s *streamSession) rollPrefix(c *sessComponent, floor time.Duration) *sessC
 	return p
 }
 
-// enqueue seals the given components and dispatches them to the worker
-// pool in deterministic creation order, as one batched ring push. In
-// continuous mode the flow partition tombstones each root, so a
-// straggler activity becomes a counted late link on a fresh component
-// instead of touching dispatched buffers — and the flow-bookkeeping
-// prune is scheduled here, at seal time, where maxTs is a deterministic
-// function of the event stream (absorption timing is pipelined and
-// therefore no longer deterministic).
-func (s *streamSession) enqueue(ready []*sessComponent) {
-	// Ready batches are small (the components one drain retires);
-	// insertion sort spares the per-drain sort.Slice closures.
-	for i := 1; i < len(ready); i++ {
-		for j := i; j > 0 && ready[j].id < ready[j-1].id; j-- {
-			ready[j], ready[j-1] = ready[j-1], ready[j]
-		}
+// seal marks a component sealed and queues it for the next dispatch. Its
+// buffers never grow again: in continuous mode the flow partition
+// tombstones its root, so a straggler activity becomes a counted late
+// link on a fresh component instead of touching sealed buffers.
+func (s *streamSession) seal(c *sessComponent) {
+	c.sealed = true
+	s.runFree.retire(c)
+	if s.continuous {
+		s.inc.Seal(c.root)
 	}
-	for _, c := range ready {
-		c.sealed = true
-		s.runFree.dispatch(c)
-		if s.continuous {
-			s.inc.Seal(c.root)
+	s.unsent = append(s.unsent, c)
+}
+
+// dispatch hands every component sealed since the last barrier to the
+// worker pool in deterministic creation order, as one batched ring push.
+// The flow-bookkeeping prune is scheduled here, where maxTs is a
+// deterministic function of the event stream and the Drain cadence
+// (absorption timing is pipelined and therefore not deterministic).
+func (s *streamSession) dispatch() {
+	ready := s.unsent
+	if len(ready) == 0 {
+		return
+	}
+	slices.SortFunc(ready, func(a, b *sessComponent) int { return a.id - b.id })
+	if s.continuous {
+		for _, c := range ready {
 			// Keep late-link detection alive exactly as long as the
 			// liveness bounds admit stragglers, then prune.
 			lag := s.compHorizon(c)
@@ -1117,6 +1201,8 @@ func (s *streamSession) enqueue(ready []*sessComponent) {
 	s.jobs.PushBatch(ready)
 	s.dispatched += len(ready)
 	s.shards += len(ready)
+	clear(ready)
+	s.unsent = ready[:0]
 }
 
 // growable reports whether any still-open declared host could push an
@@ -1256,13 +1342,14 @@ func (s *streamSession) emit(all bool) {
 	}
 }
 
-// Drain force-seals stale components (continuous mode), finishes every
-// decidable (sealed) component, releases what the watermark permits, and
-// then rolls aged prefixes off never-idle BEGIN-less components. Rolling
-// comes last because a prefix roots no graph: no release waits on it.
+// Drain dispatches the components sealed since the last barrier,
+// finishes every sealed component, releases what the watermark permits,
+// and then rolls aged prefixes off never-idle BEGIN-less components.
+// Rolling comes last because a prefix roots no graph: no release waits
+// on it.
 func (s *streamSession) Drain() int {
 	start := time.Now()
-	s.sealStale()
+	s.dispatch()
 	s.settle()
 	if s.continuous {
 		s.inc.PruneBefore(s.maxTs)
@@ -1286,6 +1373,7 @@ func (s *streamSession) Close() *Result {
 		h.open = false
 	}
 	s.sealCompleted()
+	s.dispatch()
 	s.settle()
 	s.jobs.Close()
 	s.wg.Wait()
