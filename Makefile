@@ -56,8 +56,8 @@ race:
 
 # The debug assertions, armed the way a normal build arms them: the
 # per-push channel-closure check in the streaming session
-# (CORE_DEBUG_SHARD_CLOSURE) and the ranker's brute-force cross-check of
-# its pending-SEND index (RANKER_DEBUG). core's own tests arm both in
+# (CORE_DEBUG_SHARD_CLOSURE) and the ranker's checks of its ordinals and
+# its buffered-SEND counter (RANKER_DEBUG). core's own tests arm both in
 # code; the ranker's tests run with them only here.
 debug:
 	CORE_DEBUG_SHARD_CLOSURE=1 RANKER_DEBUG=1 $(GO) test -count=1 ./internal/core ./internal/ranker

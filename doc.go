@@ -19,8 +19,9 @@
 //	                     TCP channels and context epochs
 //	internal/ranker      candidate selection: sliding window, Rule 1/2,
 //	                     is_noise, concurrency-disturbance swap (§4.1, §4.3)
-//	internal/engine      CAG construction: mmap/cmap, n-to-n SEND/RECEIVE
-//	                     merging, thread-reuse check (§4.2)
+//	internal/engine      CAG construction: mmap/cmap as per-pass ordinal
+//	                     tables, n-to-n SEND/RECEIVE merging,
+//	                     thread-reuse check (§4.2)
 //	internal/cag         the CAG abstraction, patterns, aggregation,
 //	                     latency breakdown (§3.2)
 //	internal/activity    activity model and TCP_TRACE wire formats (§3.1):
@@ -292,8 +293,8 @@
 // are resolved through Syms.Name at the edges (codecs, OTLP, lint). A
 // context keeps its strings for the render and report edges next to its
 // packed key activity.CtxKey. Everything between decode and CAG emission
-// — the flow partition's union-find, the engine's message and context
-// maps, the session's per-host state, the live monitor's lag tables —
+// — the flow partition's union-find, the engine's channel and context
+// ordinals, the session's per-host state, the live monitor's lag tables —
 // keys on those flat integer structs; hashing one is a memhash over a few
 // words, and the interner canonicalizes the context strings so a million
 // records share one copy of "web1" instead of pinning a million log-line

@@ -119,7 +119,7 @@ func (e Endpoint) AppendTo(b []byte) []byte {
 // Channel is the directed end-to-end communication channel part of the
 // message identifier: (sender ip:port, receiver ip:port). It is 16
 // pointer-free bytes and is used directly as the key of the engine's
-// mmap, the ranker's SEND index and the flow partition; the size component
+// channel ordinals (its mmap slot) and the flow partition; the size component
 // of the paper's message-identifier tuple lives on the Activity because it
 // varies per segment. Order channels by Syms.Name, never by symbol value.
 type Channel struct {

@@ -412,42 +412,28 @@ func (c *Correlator) CorrelateSources(sources []ranker.Source, totalHint int) (*
 	return c.replaySources(sources, totalHint)
 }
 
-// drive runs a fresh ranker+engine pair to exhaustion over per-node
-// sources — the paper's sequential correlator as one global pass, the
-// reference TestExactModeMatchesGlobalPass compares the sharded session
-// against. It shares driveLoop with driveOn, which every sealed flow
-// component of the streaming engine runs, so the two cannot drift apart.
-func (c *Correlator) drive(sources []ranker.Source) (*ranker.Ranker, *engine.Engine) {
-	eng := engine.New()
-	rk := ranker.New(c.rankerConfig(), eng, sources)
-	c.driveLoop(rk, eng)
-	return rk, eng
-}
-
-// driveOn is drive on a caller-owned, reusable ranker+engine pair: both
-// are reset in place and run over the sources with the same hot loop. The
-// worker pool uses it to correlate one sealed component after another
-// without rebuilding the pair — in continuous mode the per-component
-// ranker/engine construction dominated steady-state allocations.
+// driveOn is the paper's sequential correlator, run to exhaustion over
+// per-node sources on a caller-owned, reusable ranker+engine pair: both
+// are reset in place, and each candidate goes from the ranker to the
+// engine with the ordinals the ranker interned it under at fetch, so the
+// pass hashes each record once. The worker pool uses it to correlate one
+// sealed component after another without rebuilding the pair — in
+// continuous mode the per-component ranker/engine construction dominated
+// steady-state allocations.
 func (c *Correlator) driveOn(rk *ranker.Ranker, eng *engine.Engine, sources []ranker.Source) {
 	eng.Reset()
 	rk.Reset(eng, sources)
-	c.driveLoop(rk, eng)
-}
-
-func (c *Correlator) driveLoop(rk *ranker.Ranker, eng *engine.Engine) {
 	for {
-		a := rk.Rank()
+		a, o := rk.Next()
 		if a == nil {
 			break
 		}
-		eng.Handle(a)
+		eng.HandleOrds(a, o)
 	}
 }
 
 // rankerConfig is the one translation of the correlator's options into
-// the ranker's knobs — drive and the worker pool's reusable rankers must
-// agree on it exactly.
+// the ranker's knobs — every ranker a correlator builds uses it.
 func (c *Correlator) rankerConfig() ranker.Config {
 	return ranker.Config{
 		Window:          c.opts.Window,

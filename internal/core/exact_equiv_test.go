@@ -5,9 +5,20 @@ import (
 	"time"
 
 	"repro/internal/activity"
+	"repro/internal/engine"
 	"repro/internal/ranker"
 	"repro/internal/rubis"
 )
+
+// drive runs a fresh ranker+engine pair to exhaustion over per-node
+// sources — the paper's sequential correlator as one global pass. It runs
+// driveOn, as every sealed flow component of the streaming engine does,
+// so the two cannot drift apart.
+func (c *Correlator) drive(sources []ranker.Source) *engine.Engine {
+	eng := engine.New()
+	c.driveOn(ranker.New(c.rankerConfig(), eng, nil), eng, sources)
+	return eng
+}
 
 // globalExactPass reimplements the retired globalSession inline: buffer
 // the whole classified trace per host, then run ONE ranker+engine over
@@ -31,7 +42,7 @@ func globalExactPass(res *rubis.Result, hosts []string) *Result {
 	for _, h := range hosts {
 		sources = append(sources, ranker.NewSliceSource(h, perHost[h]))
 	}
-	_, eng := New(opts).drive(sources)
+	eng := New(opts).drive(sources)
 	return &Result{Graphs: eng.Outputs(), Activities: n}
 }
 

@@ -46,7 +46,7 @@ import (
 //	Drain/CloseHost/Close ──> dispatch: the components sealed since the
 //	         last barrier go to the worker pool in one batched ring push.
 //	workers ──> each sealed component runs the unmodified sequential
-//	         ranker+engine pass (Correlator.drive), no shared state.
+//	         ranker+engine pass (Correlator.driveOn), no shared state.
 //	Drain/Close ──> the watermark emitter pops finished CAGs off a
 //	         min-heap in END-timestamp order while they end below the
 //	         watermark: the oldest BEGIN resident in any component, and

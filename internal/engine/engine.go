@@ -1,7 +1,7 @@
 // Package engine implements the CAG-construction half of the Correlator —
 // the `correlate` procedure of Fig. 3 in the paper. The engine consumes the
 // candidate activities chosen by the ranker, in ranker order, and maintains
-// two index maps over unfinished CAGs:
+// the paper's two indexes over unfinished CAGs:
 //
 //   - mmap: message identifier (end-to-end channel) → the unmatched SEND
 //     vertex on that channel, with the count of bytes not yet consumed by
@@ -12,6 +12,13 @@
 //     RECEIVE vertex when the byte count reaches zero.
 //   - cmap: context identifier → the latest activity vertex observed in
 //     that execution entity, used to resolve adjacent context relations.
+//
+// Both are per-pass ordinal tables: Intern hashes a record's directed
+// Channel and its CtxKey once into dense ordinals (Ords), and mmap and
+// cmap are slices indexed by them. The ranker interns each record at fetch
+// and carries its ordinals to HandleOrds; Handle interns and handles in
+// one call. Reset forgets the ordinals and truncates both tables, keeping
+// their capacity, so one engine correlates component after component.
 //
 // Thread-pool context reuse (one thread serving many requests over its
 // lifetime) is defeated by the same-CAG check of lines 29–32: the context
@@ -47,9 +54,9 @@ type Stats struct {
 	ThreadReuseBreaks uint64 // context edge suppressed by the same-CAG check
 }
 
-// pendingSend is stored by value in mmap: one live message per channel,
-// mutated read-modify-write, so the per-SEND heap allocation of a
-// pointer-valued map is avoided entirely.
+// pendingSend is one mmap slot: the live message on a channel, mutated in
+// place. The zero value (nil vertex, nothing remaining) is "no pending
+// SEND".
 type pendingSend struct {
 	vertex    *cag.Vertex
 	graph     *cag.Graph
@@ -57,17 +64,24 @@ type pendingSend struct {
 	partial   []*activity.Activity // RECEIVE segments consumed so far
 }
 
+// ctxEntry is one cmap slot; a nil vertex means the context has no
+// vertex yet in this pass.
 type ctxEntry struct {
 	vertex *cag.Vertex
 	graph  *cag.Graph
 }
 
-// Engine builds CAGs from ranked candidate activities. Both index maps
-// key on the dense activity keys (activity.Channel / activity.CtxKey):
-// string-free fixed-width hashing on the per-candidate hot path.
+// Ords are a bound record's ordinals in one engine pass: Chan indexes mmap
+// by the record's directed Channel, Ctx indexes cmap by its CtxKey. They
+// are valid on the engine that issued them until its next Reset.
+type Ords struct{ Chan, Ctx int32 }
+
+// Engine builds CAGs from ranked candidate activities.
 type Engine struct {
-	mmap map[activity.Channel]pendingSend
-	cmap map[activity.CtxKey]ctxEntry
+	chanOrd map[activity.Channel]int32
+	ctxOrd  map[activity.CtxKey]int32
+	mmap    []pendingSend // by Ords.Chan
+	cmap    []ctxEntry    // by Ords.Ctx
 
 	outputs []*cag.Graph
 	stats   Stats
@@ -82,69 +96,70 @@ type Engine struct {
 // New returns an empty engine.
 func New() *Engine {
 	return &Engine{
-		mmap: make(map[activity.Channel]pendingSend),
-		cmap: make(map[activity.CtxKey]ctxEntry),
+		chanOrd: make(map[activity.Channel]int32),
+		ctxOrd:  make(map[activity.CtxKey]int32),
 	}
 }
 
-// Reset returns the engine to its empty state while keeping the mmap and
-// cmap capacity — the worker-pool variant of New for correlating many
-// sealed components on one engine. The previous run's outputs slice is
-// dropped, never truncated and reused, so graphs already handed to the
-// caller stay valid after the reset.
+// Reset returns the engine to its empty state, voiding every ordinal it
+// issued, while keeping the maps' and tables' capacity — the worker-pool
+// variant of New for correlating many sealed components on one engine.
+// The previous run's outputs slice is dropped, never truncated and
+// reused, so graphs already handed to the caller stay valid.
 func (e *Engine) Reset() {
-	clear(e.mmap)
+	clear(e.chanOrd)
+	clear(e.ctxOrd)
+	clear(e.mmap) // release the pass's graphs; Intern zeroes reused slots anyway
 	clear(e.cmap)
-	e.outputs = nil
-	e.stats = Stats{}
-	e.resident = 0
-	e.peakResident = 0
+	*e = Engine{chanOrd: e.chanOrd, ctxOrd: e.ctxOrd, mmap: e.mmap[:0], cmap: e.cmap[:0]}
+}
+
+// Intern binds a and returns its ordinals, giving a Channel or CtxKey this
+// pass has not seen the next free slot (empty) in mmap or cmap.
+func (e *Engine) Intern(a *activity.Activity) Ords {
+	activity.Bind(a) // hand-built records reach the engine unbound
+	ch, ok := e.chanOrd[a.Chan]
+	if !ok {
+		ch = int32(len(e.mmap))
+		e.chanOrd[a.Chan] = ch
+		e.mmap = append(e.mmap, pendingSend{})
+	}
+	ctx, ok := e.ctxOrd[a.CtxK]
+	if !ok {
+		ctx = int32(len(e.cmap))
+		e.ctxOrd[a.CtxK] = ctx
+		e.cmap = append(e.cmap, ctxEntry{})
+	}
+	return Ords{Chan: ch, Ctx: ctx}
+}
+
+// Lookup returns the ordinals this pass gave a's Channel and CtxKey
+// without assigning any; ok is false when either was never interned.
+func (e *Engine) Lookup(a *activity.Activity) (o Ords, ok bool) {
+	ch, okCh := e.chanOrd[a.Chan]
+	ctx, okCtx := e.ctxOrd[a.CtxK]
+	return Ords{Chan: ch, Ctx: ctx}, okCh && okCtx
 }
 
 // Stats returns a copy of the counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// HasPendingSend reports whether mmap holds an unmatched SEND for the
-// given channel (by dense key) — the query behind the ranker's Rule 1 and
-// is_noise.
-func (e *Engine) HasPendingSend(ch activity.Channel) bool {
-	p, ok := e.mmap[ch]
-	return ok && p.remaining > 0
-}
-
-// PendingBytes returns the number of bytes of the channel's unmatched SEND
-// that RECEIVE activities have not yet consumed, or 0 when none is pending.
-// The ranker's size-aware Rule 1 uses it: a RECEIVE only becomes a
-// candidate once every SEND segment it covers has reached the engine,
-// otherwise the byte countdown of Fig. 4 would go negative.
-func (e *Engine) PendingBytes(ch activity.Channel) int64 {
-	p, ok := e.mmap[ch]
-	if !ok || p.remaining < 0 {
-		return 0
-	}
-	return p.remaining
+// PendingBytes returns the number of bytes of the unmatched SEND on the
+// channel with ordinal ch that RECEIVE activities have not yet consumed,
+// or 0 when none is pending — the query behind the ranker's Rule 1 and
+// is_noise. Rule 1 is size-aware: a RECEIVE only becomes a candidate
+// once every SEND segment it covers has reached the engine, otherwise the
+// byte countdown of Fig. 4 would go negative.
+func (e *Engine) PendingBytes(ch int32) int64 {
+	return max(e.mmap[ch].remaining, 0)
 }
 
 // Outputs returns the finished CAGs accumulated since New or the last
 // Reset, in completion order.
 func (e *Engine) Outputs() []*cag.Graph { return e.outputs }
 
-// Unfinished returns the number of CAGs started but not yet completed.
-func (e *Engine) Unfinished() int {
-	return int(e.stats.Begins - e.stats.Finished)
-}
-
-// IndexSizes returns the current sizes of mmap and cmap, for the memory
-// accounting of Fig. 11.
-func (e *Engine) IndexSizes() (mmapLen, cmapLen int) {
-	return len(e.mmap), len(e.cmap)
-}
-
-// ResidentVertices returns the number of vertices currently held in
-// unfinished CAGs.
-func (e *Engine) ResidentVertices() int { return e.resident }
-
-// PeakResidentVertices returns the maximum ResidentVertices observed.
+// PeakResidentVertices returns the maximum number of vertices held in
+// unfinished CAGs at once.
 func (e *Engine) PeakResidentVertices() int { return e.peakResident }
 
 func (e *Engine) addResident(n int) {
@@ -155,18 +170,24 @@ func (e *Engine) addResident(n int) {
 }
 
 // Handle processes one candidate activity — one iteration of the Fig. 3
-// while loop. It returns the CAG finished by this activity, if any.
+// while loop: Intern, then HandleOrds. It returns the CAG finished by this
+// activity, if any.
 func (e *Engine) Handle(a *activity.Activity) *cag.Graph {
-	activity.Bind(a) // hand-built records reach the engine unbound
+	return e.HandleOrds(a, e.Intern(a))
+}
+
+// HandleOrds is Handle for a record this engine interned as o since its
+// last Reset — the ranker's candidates arrive this way, hashed once.
+func (e *Engine) HandleOrds(a *activity.Activity, o Ords) *cag.Graph {
 	switch a.Type {
 	case activity.Begin:
-		e.handleBegin(a)
+		e.handleBegin(a, o)
 	case activity.End:
-		return e.handleEnd(a)
+		return e.handleEnd(a, o)
 	case activity.Send:
-		e.handleSend(a)
+		e.handleSend(a, o)
 	case activity.Receive:
-		e.handleReceive(a)
+		e.handleReceive(a, o)
 	case activity.MaxType:
 		// Sentinel never appears in a trace; ignore defensively.
 	}
@@ -177,8 +198,8 @@ func (e *Engine) Handle(a *activity.Activity) *cag.Graph {
 // larger than one TCP segment arrives as several frontier RECEIVEs, all
 // classified BEGIN; the trailing segments merge into the root the same way
 // Fig. 4 merges SEND segments.
-func (e *Engine) handleBegin(a *activity.Activity) {
-	if parent, ok := e.cmap[a.CtxK]; ok && !parent.graph.Finished() &&
+func (e *Engine) handleBegin(a *activity.Activity, o Ords) {
+	if parent := e.cmap[o.Ctx]; parent.vertex != nil && !parent.graph.Finished() &&
 		parent.vertex.Type == activity.Begin && parent.vertex.Chan == a.Chan &&
 		parent.graph.Len() == 1 {
 		parent.vertex.Size += a.Size
@@ -188,15 +209,15 @@ func (e *Engine) handleBegin(a *activity.Activity) {
 	}
 	v := cag.NewVertex(a)
 	g := cag.New(v)
-	e.cmap[a.CtxK] = ctxEntry{vertex: v, graph: g}
+	e.cmap[o.Ctx] = ctxEntry{vertex: v, graph: g}
 	e.stats.Begins++
 	e.addResident(1)
 }
 
 // handleEnd: lines 5–11 — attach via the context relation and output.
-func (e *Engine) handleEnd(a *activity.Activity) *cag.Graph {
-	parent, ok := e.cmap[a.CtxK]
-	if !ok {
+func (e *Engine) handleEnd(a *activity.Activity, o Ords) *cag.Graph {
+	parent := e.cmap[o.Ctx]
+	if parent.vertex == nil {
 		e.stats.DiscardedEnds++
 		return nil
 	}
@@ -222,7 +243,7 @@ func (e *Engine) handleEnd(a *activity.Activity) *cag.Graph {
 		e.stats.DiscardedEnds++
 		return nil
 	}
-	e.cmap[a.CtxK] = ctxEntry{vertex: v, graph: parent.graph}
+	e.cmap[o.Ctx] = ctxEntry{vertex: v, graph: parent.graph}
 	e.stats.Finished++
 	g := parent.graph
 	e.addResident(1)
@@ -234,21 +255,21 @@ func (e *Engine) handleEnd(a *activity.Activity) *cag.Graph {
 // handleSend: lines 12–21 — either merge into the previous SEND segment of
 // the same message (same context, same channel) or materialise a new SEND
 // vertex hanging off the context parent.
-func (e *Engine) handleSend(a *activity.Activity) {
-	parent, ok := e.cmap[a.CtxK]
-	if !ok || parent.graph.Finished() {
+func (e *Engine) handleSend(a *activity.Activity, o Ords) {
+	parent := e.cmap[o.Ctx]
+	if parent.vertex == nil || parent.graph.Finished() {
 		// No context parent: nothing caused this send within a traced
 		// request — noise that slipped past the ranker's filters.
 		e.stats.DiscardedSends++
 		return
 	}
+	p := &e.mmap[o.Chan]
 	if parent.vertex.Type == activity.Send && parent.vertex.Chan == a.Chan {
 		// Line 15–16: consecutive SEND segments of one message — merge.
 		parent.vertex.Size += a.Size
 		parent.vertex.Records = append(parent.vertex.Records, a)
-		if p, ok := e.mmap[a.Chan]; ok && p.vertex == parent.vertex {
+		if p.vertex == parent.vertex {
 			p.remaining += a.Size
-			e.mmap[a.Chan] = p
 		}
 		e.stats.MergedSends++
 		return
@@ -258,13 +279,13 @@ func (e *Engine) handleSend(a *activity.Activity) {
 		e.stats.DiscardedSends++
 		return
 	}
-	e.cmap[a.CtxK] = ctxEntry{vertex: v, graph: parent.graph}
-	if old, ok := e.mmap[a.Chan]; ok && old.remaining > 0 {
+	e.cmap[o.Ctx] = ctxEntry{vertex: v, graph: parent.graph}
+	if p.remaining > 0 {
 		// A fresh message started on a channel whose previous message was
 		// never fully received: only possible with activity loss.
 		e.stats.ReplacedSends++
 	}
-	e.mmap[a.Chan] = pendingSend{vertex: v, graph: parent.graph, remaining: a.Size}
+	*p = pendingSend{vertex: v, graph: parent.graph, remaining: a.Size}
 	e.stats.Sends++
 	e.addResident(1)
 }
@@ -273,25 +294,25 @@ func (e *Engine) handleSend(a *activity.Activity) {
 // they reach zero materialise the RECEIVE with its message edge, and add
 // the context edge only if both parents sit in the same CAG (thread-reuse
 // check).
-func (e *Engine) handleReceive(a *activity.Activity) {
-	p, ok := e.mmap[a.Chan]
-	if !ok || p.remaining <= 0 {
+func (e *Engine) handleReceive(a *activity.Activity, o Ords) {
+	p := &e.mmap[o.Chan]
+	if p.remaining <= 0 {
 		e.stats.DiscardedReceives++
 		return
 	}
-	p.remaining -= a.Size
-	if p.remaining > 0 {
+	remaining := p.remaining - a.Size
+	if remaining > 0 {
+		p.remaining = remaining
 		p.partial = append(p.partial, a)
 		e.stats.PartialReceives++
-		e.mmap[a.Chan] = p
 		return
 	}
-	if p.remaining < 0 {
+	if remaining < 0 {
 		e.stats.OverrunReceives++
 	}
 	// Message fully received: the RECEIVE vertex is represented by the
 	// completing segment (data available to the application now). The
-	// partial slice belongs to this one pending message, deleted below,
+	// partial slice belongs to this one pending message, cleared below,
 	// so the vertex takes it over.
 	v := cag.NewVertex(a)
 	v.Size = p.vertex.Size
@@ -299,12 +320,12 @@ func (e *Engine) handleReceive(a *activity.Activity) {
 		v.Records = append(p.partial, a)
 	}
 	if err := p.graph.AddVertex(v, cag.MessageEdge, p.vertex); err != nil {
-		// The entry stays in mmap and may share partial's backing array
+		// The entry stays pending and may share partial's backing array
 		// with v.Records; harmless, since v is dropped here.
 		e.stats.DiscardedReceives++
 		return
 	}
-	if parentCtx, ok := e.cmap[a.CtxK]; ok {
+	if parentCtx := e.cmap[o.Ctx]; parentCtx.vertex != nil {
 		// Lines 29–32: same-CAG check defeats thread-pool reuse.
 		if p.graph.Contains(parentCtx.vertex) {
 			if err := p.graph.AddEdge(cag.ContextEdge, parentCtx.vertex, v); err != nil {
@@ -314,8 +335,8 @@ func (e *Engine) handleReceive(a *activity.Activity) {
 			e.stats.ThreadReuseBreaks++
 		}
 	}
-	e.cmap[a.CtxK] = ctxEntry{vertex: v, graph: p.graph}
-	delete(e.mmap, a.Chan)
+	e.cmap[o.Ctx] = ctxEntry{vertex: v, graph: p.graph}
+	*p = pendingSend{}
 	e.stats.Receives++
 	e.addResident(1)
 }
@@ -323,5 +344,5 @@ func (e *Engine) handleReceive(a *activity.Activity) {
 // String implements fmt.Stringer.
 func (e *Engine) String() string {
 	return fmt.Sprintf("engine{mmap=%d cmap=%d unfinished=%d finished=%d}",
-		len(e.mmap), len(e.cmap), e.Unfinished(), e.stats.Finished)
+		len(e.mmap), len(e.cmap), e.stats.Begins-e.stats.Finished, e.stats.Finished)
 }

@@ -96,21 +96,6 @@ func TestUnfinishedCountAndResidency(t *testing.T) {
 	}
 }
 
-func TestIndexSizesTrackMaps(t *testing.T) {
-	e := New()
-	e.Handle(act(activity.Begin, 0, httpdCtx, clientCh, 200, 1))
-	e.Handle(act(activity.Send, 2, httpdCtx, webApp, 300, 1))
-	mm, cm := e.IndexSizes()
-	if mm != 1 || cm != 1 {
-		t.Fatalf("index sizes: mmap=%d cmap=%d", mm, cm)
-	}
-	e.Handle(act(activity.Receive, 5, javaCtx, webApp, 300, 1))
-	mm, _ = e.IndexSizes()
-	if mm != 0 {
-		t.Fatalf("mmap after full receive = %d", mm)
-	}
-}
-
 func TestSendMergeRequiresSameChannel(t *testing.T) {
 	// Consecutive SENDs from one context to DIFFERENT channels must stay
 	// separate vertices (the paper's merge is per message).

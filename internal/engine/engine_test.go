@@ -182,16 +182,26 @@ func TestEndWithoutContextDiscarded(t *testing.T) {
 
 func TestHasPendingSend(t *testing.T) {
 	e := New()
-	if e.HasPendingSend(webApp) {
+	send := act(activity.Send, 2, httpdCtx, webApp, 300, 1)
+	ch := e.Intern(send).Chan
+	if e.PendingBytes(ch) != 0 {
 		t.Fatal("empty engine should have no pending send")
 	}
 	e.Handle(act(activity.Begin, 0, httpdCtx, clientCh, 200, 1))
-	e.Handle(act(activity.Send, 2, httpdCtx, webApp, 300, 1))
-	if !e.HasPendingSend(webApp) {
-		t.Fatal("pending send should be visible")
+	e.Handle(send)
+	if got := e.PendingBytes(ch); got != 300 {
+		t.Fatalf("pending bytes = %d, want 300", got)
 	}
-	e.Handle(act(activity.Receive, 5, javaCtx, webApp, 300, 1))
-	if e.HasPendingSend(webApp) {
+	recv := act(activity.Receive, 5, javaCtx, webApp, 100, 1)
+	if e.Intern(recv).Chan != ch {
+		t.Fatal("SEND and RECEIVE on one channel got different ordinals")
+	}
+	e.Handle(recv)
+	if got := e.PendingBytes(ch); got != 200 {
+		t.Fatalf("pending bytes after a partial receive = %d, want 200", got)
+	}
+	e.Handle(act(activity.Receive, 6, javaCtx, webApp, 200, 1))
+	if e.PendingBytes(ch) != 0 {
 		t.Fatal("fully received send should be cleared")
 	}
 }
@@ -268,3 +278,10 @@ func TestInterleavedConcurrentRequests(t *testing.T) {
 		}
 	}
 }
+
+// ResidentVertices returns the number of vertices currently held in
+// unfinished CAGs.
+func (e *Engine) ResidentVertices() int { return e.resident }
+
+// Unfinished returns the number of CAGs started but not yet completed.
+func (e *Engine) Unfinished() int { return int(e.stats.Begins - e.stats.Finished) }

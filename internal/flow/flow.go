@@ -3,8 +3,9 @@
 // correlator.
 //
 // Two activities can influence each other's CAG only through one of the
-// engine's two index maps: mmap (keyed by the TCP channel) or cmap (keyed
-// by the execution context). Closing the trace under those two relations
+// engine's two indexes: mmap (one slot per TCP channel) or cmap (one slot
+// per execution context), both ordinal tables rebuilt for each pass.
+// Closing the trace under those two relations
 // yields connected components that correlate independently: running the
 // sequential ranker+engine per component produces the same graphs as one
 // global pass, because every cross-activity lookup stays inside a

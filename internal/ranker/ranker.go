@@ -23,12 +23,12 @@ import (
 	"time"
 
 	"repro/internal/activity"
+	"repro/internal/engine"
 )
 
-// Debug enables the package's internal assertions (currently the
-// exact-mode is_noise cross-check in assertNoBufferedSend). Tests flip it
-// directly; set RANKER_DEBUG=1 to enable it in a normal build. Off by
-// default: the assertions are quadratic in the buffer.
+// Debug enables the package's internal assertions, assertNoBufferedSend
+// and assertOrds. Tests flip it directly; set RANKER_DEBUG=1 to enable it
+// in a normal build. Off by default: the first is quadratic in the buffer.
 var Debug = os.Getenv("RANKER_DEBUG") != ""
 
 // Source yields one node's activities in that node's local-clock order.
@@ -50,8 +50,7 @@ type SliceSource struct {
 }
 
 // NewSliceSource wraps one node's activities. The slice must already be in
-// local-timestamp order (a kernel log is); this is verified in debug use by
-// SortByTimestamp.
+// local-timestamp order (a kernel log is; SplitByHost sorts).
 func NewSliceSource(host string, as []*activity.Activity) *SliceSource {
 	return &SliceSource{host: host, as: as}
 }
@@ -83,13 +82,10 @@ func (s *SliceSource) Pop() *activity.Activity {
 	return a
 }
 
-// Remaining returns the number of unconsumed activities.
-func (s *SliceSource) Remaining() int { return len(s.as) - s.pos }
-
-// SortByTimestamp sorts a node log in place by timestamp (stable, so
+// sortByTimestamp sorts a node log in place by timestamp (stable, so
 // same-timestamp records keep log order). Step 1 of the paper's algorithm
 // sorts each node's activities by local timestamps in the first round.
-func SortByTimestamp(as []*activity.Activity) {
+func sortByTimestamp(as []*activity.Activity) {
 	sort.SliceStable(as, func(i, j int) bool { return as[i].Timestamp < as[j].Timestamp })
 }
 
@@ -101,23 +97,9 @@ func SplitByHost(as []*activity.Activity) map[string][]*activity.Activity {
 		byHost[a.Ctx.Host] = append(byHost[a.Ctx.Host], a)
 	}
 	for _, log := range byHost {
-		SortByTimestamp(log)
+		sortByTimestamp(log)
 	}
 	return byHost
-}
-
-// MsgIndex is the ranker's read-only view of the engine's mmap, used by
-// Rule 1 and is_noise.
-type MsgIndex interface {
-	// HasPendingSend reports whether an unmatched SEND exists for the
-	// channel (the is_noise query).
-	HasPendingSend(ch activity.Channel) bool
-	// PendingBytes returns how many bytes of that SEND remain unconsumed
-	// (the size-aware Rule 1 query): a RECEIVE becomes a candidate only
-	// when the pending SEND covers its byte count, so that the engine's
-	// Fig. 4 countdown never goes negative when the sender's segments are
-	// still queued behind it.
-	PendingBytes(ch activity.Channel) int64
 }
 
 // Filter inspects an activity at fetch time and returns true to drop it —
@@ -192,39 +174,58 @@ type Stats struct {
 	PeakBuffered  int    // max activities resident in the queues
 }
 
+// entry is one buffered activity with its ordinals on the ranker's
+// engine, interned once at fetch.
+type entry struct {
+	a *activity.Activity
+	o engine.Ords
+}
+
 type queue struct {
-	host string
-	src  Source
-	buf  []*activity.Activity
+	src  *SliceSource // concrete: no interface call per record
+	buf  []entry
 	head int
+}
+
+// sliceOf returns s itself when it is a *SliceSource, else a SliceSource
+// over everything s yields.
+func sliceOf(s Source) *SliceSource {
+	if sl, ok := s.(*SliceSource); ok {
+		return sl
+	}
+	var as []*activity.Activity
+	for a := s.Pop(); a != nil; a = s.Pop() {
+		as = append(as, a)
+	}
+	return NewSliceSource(s.Host(), as)
 }
 
 func (q *queue) len() int { return len(q.buf) - q.head }
 
-func (q *queue) peek() *activity.Activity {
+// peek returns the head entry, or nil when the buffer is empty. The
+// pointer is valid until the queue next changes.
+func (q *queue) peek() *entry {
 	if q.head >= len(q.buf) {
 		return nil
 	}
-	return q.buf[q.head]
+	return &q.buf[q.head]
 }
 
-func (q *queue) pop() *activity.Activity {
-	a := q.buf[q.head]
-	q.buf[q.head] = nil
+func (q *queue) pop() entry {
+	e := q.buf[q.head]
+	q.buf[q.head] = entry{}
 	q.head++
 	if q.head > 1024 && q.head*2 > len(q.buf) {
 		n := copy(q.buf, q.buf[q.head:])
-		for i := n; i < len(q.buf); i++ {
-			q.buf[i] = nil
-		}
+		clear(q.buf[n:])
 		q.buf = q.buf[:n]
 		q.head = 0
 	}
-	return a
+	return e
 }
 
 // at returns the i-th buffered element (0 = head).
-func (q *queue) at(i int) *activity.Activity { return q.buf[q.head+i] }
+func (q *queue) at(i int) *entry { return &q.buf[q.head+i] }
 
 // promote moves element i (relative to head) to the head, shifting the
 // intervening elements back by one — the paper's Fig. 6 swap generalised to
@@ -235,55 +236,52 @@ func (q *queue) promote(i int) {
 	q.buf[q.head] = x
 }
 
-// exhausted reports whether both the source and the buffer are empty.
-func (q *queue) exhausted() bool { return q.len() == 0 && q.src.Peek() == nil }
-
 // Ranker chooses candidate activities for the engine.
 type Ranker struct {
 	cfg    Config
 	queues []*queue
-	index  MsgIndex
+	eng    *engine.Engine
 	stats  Stats
 
 	// bufferedSends counts SEND activities currently in the buffer, per
-	// channel — the "buffer of ranker" half of the is_noise predicate.
-	bufferedSends map[activity.Channel]int
+	// channel ordinal on eng — the "buffer of ranker" half of the is_noise
+	// predicate. It covers every ordinal a fetched record carries.
+	bufferedSends []int32
 	buffered      int
 	ipHost        map[activity.Sym]string // cfg.IPToHost by interned IP
 }
 
-// New builds a ranker over the given per-node sources. Sources are ranked
-// in the order given; use deterministic ordering for reproducible runs.
-func New(cfg Config, index MsgIndex, sources []Source) *Ranker {
+// New builds a ranker over the given per-node sources that feeds eng:
+// each fetched record is interned on eng, whose mmap also answers Rule 1
+// and is_noise. Sources are ranked in the order given; use deterministic
+// ordering for reproducible runs. A source that is not a *SliceSource is
+// read to its end here.
+func New(cfg Config, eng *engine.Engine, sources []Source) *Ranker {
 	if cfg.Window <= 0 {
 		cfg.Window = time.Millisecond
 	}
 	r := &Ranker{
-		cfg:           cfg,
-		index:         index,
-		bufferedSends: make(map[activity.Channel]int),
-		ipHost:        make(map[activity.Sym]string, len(cfg.IPToHost)),
+		cfg:    cfg,
+		ipHost: make(map[activity.Sym]string, len(cfg.IPToHost)),
 	}
 	for ip, host := range cfg.IPToHost {
 		r.ipHost[activity.Syms.Intern(ip)] = host
 	}
-	for _, s := range sources {
-		r.queues = append(r.queues, &queue{host: s.Host(), src: s})
-	}
+	r.Reset(eng, sources)
 	return r
 }
 
-// Reset rearms the ranker over fresh sources, reusing the queue buffers
-// and channel-index capacity of the previous run. It is the worker-pool
-// variant of New: a continuous session correlates thousands of small
-// sealed components, and rebuilding the ranker for each one dominated
-// the steady-state allocation profile. The configuration is kept from
-// New; only the per-run state is cleared.
-func (r *Ranker) Reset(index MsgIndex, sources []Source) {
-	r.index = index
+// Reset rearms the ranker over fresh sources and a freshly Reset engine,
+// reusing the queue buffers and SEND-counter capacity of the previous run.
+// It is the worker-pool variant of New: a continuous session correlates
+// thousands of small sealed components, and rebuilding the ranker for
+// each one dominated the steady-state allocation profile. The
+// configuration is kept from New; only the per-run state is cleared.
+func (r *Ranker) Reset(eng *engine.Engine, sources []Source) {
+	r.eng = eng
 	r.stats = Stats{}
 	r.buffered = 0
-	clear(r.bufferedSends)
+	r.bufferedSends = r.bufferedSends[:0]
 	if cap(r.queues) < len(sources) {
 		r.queues = append(r.queues[:cap(r.queues)], make([]*queue, len(sources)-cap(r.queues))...)
 	}
@@ -294,35 +292,15 @@ func (r *Ranker) Reset(index MsgIndex, sources []Source) {
 			q = &queue{}
 			r.queues[i] = q
 		}
-		q.host = s.Host()
-		q.src = s
+		q.src = sliceOf(s)
 		clear(q.buf[:cap(q.buf)])
 		q.buf = q.buf[:0]
 		q.head = 0
 	}
 }
 
-// NewFromTrace builds a ranker from a merged trace, splitting per host.
-func NewFromTrace(cfg Config, index MsgIndex, trace []*activity.Activity) *Ranker {
-	byHost := SplitByHost(trace)
-	hosts := make([]string, 0, len(byHost))
-	for h := range byHost {
-		hosts = append(hosts, h)
-	}
-	sort.Strings(hosts)
-	sources := make([]Source, 0, len(hosts))
-	for _, h := range hosts {
-		sources = append(sources, NewSliceSource(h, byHost[h]))
-	}
-	return New(cfg, index, sources)
-}
-
 // Stats returns a copy of the counters.
 func (r *Ranker) Stats() Stats { return r.stats }
-
-// Buffered returns the number of activities currently resident in the
-// queues (the ranker buffer of Fig. 11's memory accounting).
-func (r *Ranker) Buffered() int { return r.buffered }
 
 // fetchOne admits the next source activity of q into its buffer, applying
 // the attribute filter. Returns false when the source is exhausted.
@@ -332,18 +310,21 @@ func (r *Ranker) fetchOne(q *queue) bool {
 		if a == nil {
 			return false
 		}
-		activity.Bind(a) // hand-built sources reach the ranker unbound
 		if r.cfg.Filter != nil && r.cfg.Filter(a) {
 			r.stats.FilterDropped++
 			continue
 		}
-		q.buf = append(q.buf, a)
+		o := r.eng.Intern(a)
+		q.buf = append(q.buf, entry{a: a, o: o})
 		r.buffered++
 		if r.buffered > r.stats.PeakBuffered {
 			r.stats.PeakBuffered = r.buffered
 		}
+		if n := int(o.Chan) + 1; n > len(r.bufferedSends) {
+			r.bufferedSends = append(r.bufferedSends, make([]int32, n-len(r.bufferedSends))...)
+		}
 		if a.Type == activity.Send {
-			r.bufferedSends[a.Chan]++
+			r.bufferedSends[o.Chan]++
 		}
 		r.stats.Fetched++
 		return true
@@ -382,8 +363,8 @@ func (r *Ranker) minHeadTs() (time.Duration, bool) {
 	found := false
 	for _, q := range r.queues {
 		if h := q.peek(); h != nil {
-			if !found || h.Timestamp < minTs {
-				minTs = h.Timestamp
+			if !found || h.a.Timestamp < minTs {
+				minTs = h.a.Timestamp
 				found = true
 			}
 		}
@@ -392,35 +373,41 @@ func (r *Ranker) minHeadTs() (time.Duration, bool) {
 }
 
 // take removes the head of q, maintains buffer accounting, and returns it.
-func (r *Ranker) take(q *queue) *activity.Activity {
-	a := q.pop()
+func (r *Ranker) take(q *queue) (*activity.Activity, engine.Ords) {
+	e := q.pop()
+	if Debug {
+		r.assertOrds(e)
+	}
 	r.buffered--
-	if a.Type == activity.Send {
-		if n := r.bufferedSends[a.Chan]; n <= 1 {
-			delete(r.bufferedSends, a.Chan)
-		} else {
-			r.bufferedSends[a.Chan] = n - 1
-		}
+	if e.a.Type == activity.Send {
+		r.bufferedSends[e.o.Chan]--
 	}
 	r.stats.Delivered++
-	return a
+	return e.a, e.o
 }
 
 // Rank returns the next candidate activity for the engine, or nil when all
 // sources are exhausted and the buffers are empty.
 func (r *Ranker) Rank() *activity.Activity {
+	a, _ := r.Next()
+	return a
+}
+
+// Next is Rank that also returns the candidate's ordinals on the ranker's
+// engine, for Engine.HandleOrds.
+func (r *Ranker) Next() (*activity.Activity, engine.Ords) {
 	for {
 		r.refill()
 
 		// Rule 1: a head RECEIVE whose SEND already reached the engine —
 		// size-aware: the pending SEND must cover this segment's bytes.
-		// The HasPendingSend guard keeps a zero-size RECEIVE from matching
-		// vacuously (PendingBytes reports 0 both for "nothing pending" and
-		// for a drained entry); the engine cannot attach it either way.
+		// The floor of 1 byte keeps a zero-size RECEIVE from matching
+		// vacuously (PendingBytes reads 0 when nothing is pending); the
+		// engine cannot attach it either way.
 		for _, q := range r.queues {
 			h := q.peek()
-			if h != nil && h.Type == activity.Receive &&
-				r.index.HasPendingSend(h.Chan) && r.index.PendingBytes(h.Chan) >= h.Size {
+			if h != nil && h.a.Type == activity.Receive &&
+				r.eng.PendingBytes(h.o.Chan) >= max(h.a.Size, 1) {
 				return r.take(q)
 			}
 		}
@@ -438,15 +425,15 @@ func (r *Ranker) Rank() *activity.Activity {
 				continue
 			}
 			b := r.queues[best].peek()
-			if h.Type.Priority() < b.Type.Priority() ||
-				(h.Type.Priority() == b.Type.Priority() && h.Timestamp < b.Timestamp) {
+			if h.a.Type.Priority() < b.a.Type.Priority() ||
+				(h.a.Type.Priority() == b.a.Type.Priority() && h.a.Timestamp < b.a.Timestamp) {
 				best = i
 			}
 		}
 		if best < 0 {
-			return nil // all queues and sources drained
+			return nil, engine.Ords{} // all queues and sources drained
 		}
-		if h := r.queues[best].peek(); h.Type != activity.Receive {
+		if h := r.queues[best].peek(); h.a.Type != activity.Receive {
 			return r.take(r.queues[best])
 		}
 
@@ -482,12 +469,12 @@ func (r *Ranker) swapBlockedHead() bool {
 		}
 		for i := 1; i < n; i++ {
 			x := q.at(i)
-			if x.Type == activity.Receive {
+			if x.a.Type == activity.Receive {
 				continue
 			}
 			safe := true
 			for j := 0; j < i; j++ {
-				if q.at(j).CtxK == x.CtxK {
+				if q.at(j).o.Ctx == x.o.Ctx {
 					safe = false
 					break
 				}
@@ -511,7 +498,7 @@ func (r *Ranker) swapBlockedHead() bool {
 func (r *Ranker) dropNoiseHead() bool {
 	for _, q := range r.queues {
 		h := q.peek()
-		if h == nil || h.Type != activity.Receive {
+		if h == nil || h.a.Type != activity.Receive {
 			continue
 		}
 		if r.isNoise(h) {
@@ -526,54 +513,73 @@ func (r *Ranker) dropNoiseHead() bool {
 
 // matchingSendVisible answers the Fig. 5 question — "is there a pending
 // matching SEND anywhere in the window?" — from the two indexes this
-// ranker already maintains: the engine's mmap of unconsumed SENDs
-// (MsgIndex.HasPendingSend) and the per-channel count of SENDs still
-// buffered in the window (bufferedSends).
+// ranker already maintains, both indexed by the RECEIVE's channel
+// ordinal: the engine's mmap of unconsumed SENDs (Engine.PendingBytes)
+// and the count of SENDs still buffered in the window (bufferedSends).
 //
 // Shard-closure invariant: the answer needs no global view. The flow
 // partition (internal/flow) is a union-find closed over channels — every
 // activity unions with its connection's node, and both directions of a
 // connection share one node — so every SEND that could ever match a
-// RECEIVE (same Channel: the mmap and buffer lookups key on exactly that)
-// is in the RECEIVE's component, and therefore feeds the same
-// ranker+engine pair. A shard-local "no" is a global "no". The streaming
-// session asserts the component side of this at ingest when Debug is set
-// (no Channel resolves to two live components), internal/flow's
+// RECEIVE (same Channel) is in the RECEIVE's component, and therefore
+// feeds the same ranker+engine pass. Ordinals are local to that pass: the
+// engine interns every record the ranker fetches, so the matching SEND,
+// buffered or already handled, carries the same channel ordinal as the
+// RECEIVE, and an ordinal no SEND of the pass carries reads zero in both
+// indexes. A shard-local "no" is a global "no". The streaming session
+// asserts the component side of this at ingest when Debug is set (no
+// Channel resolves to two live components), internal/flow's
 // TestChanKeyNeverSplits fuzzes it, and Debug mode cross-checks the
-// bufferedSends index against a brute-force buffer scan here.
-func (r *Ranker) matchingSendVisible(ch activity.Channel) bool {
-	return r.index.HasPendingSend(ch) || r.bufferedSends[ch] > 0
+// ordinals (assertOrds) and the bufferedSends counter
+// (assertNoBufferedSend) against the records themselves.
+func (r *Ranker) matchingSendVisible(ch int32) bool {
+	return r.eng.PendingBytes(ch) > 0 || r.bufferedSends[ch] > 0
 }
 
-// assertNoBufferedSend (Debug only) re-derives "no SEND for ch is
-// buffered" by brute force before an exact-mode noise drop commits to it,
-// catching any rot in the bufferedSends counter the fast path trusts.
-func (r *Ranker) assertNoBufferedSend(ch activity.Channel) {
+// assertNoBufferedSend (Debug only) re-derives the buffered SEND count of
+// a blocked RECEIVE's channel by scanning the buffer for its Channel, and
+// panics if the ordinal-indexed counter the fast path trusts disagrees.
+func (r *Ranker) assertNoBufferedSend(h *entry) {
+	n := int32(0)
 	for _, q := range r.queues {
 		for i := 0; i < q.len(); i++ {
-			if x := q.at(i); x.Type == activity.Send && x.Chan == ch {
-				panic("ranker: bufferedSends index missed a buffered SEND (is_noise would drop a matchable RECEIVE)")
+			if x := q.at(i).a; x.Type == activity.Send && x.Chan == h.a.Chan {
+				n++
 			}
 		}
 	}
+	if n != r.bufferedSends[h.o.Chan] {
+		panic(fmt.Sprintf("ranker: bufferedSends[%d] = %d but the buffer holds %d SENDs on %v",
+			h.o.Chan, r.bufferedSends[h.o.Chan], n, h.a.Chan))
+	}
 }
 
-func (r *Ranker) isNoise(a *activity.Activity) bool {
-	if r.matchingSendVisible(a.Chan) {
+// assertOrds (Debug only) checks that an entry's ordinals still name its
+// record's Channel and CtxKey on the engine: that the engine was not
+// Reset or swapped under the buffered entries.
+func (r *Ranker) assertOrds(e entry) {
+	if o, ok := r.eng.Lookup(e.a); !ok || o != e.o {
+		panic(fmt.Sprintf("ranker: entry ordinals %+v, engine has %+v (interned %v) for %v / %+v",
+			e.o, o, ok, e.a.Chan, e.a.CtxK))
+	}
+}
+
+func (r *Ranker) isNoise(h *entry) bool {
+	if Debug {
+		r.assertNoBufferedSend(h)
+	}
+	if r.matchingSendVisible(h.o.Chan) {
 		return false
 	}
 	if r.cfg.PaperExactNoise {
-		if Debug {
-			r.assertNoBufferedSend(a.Chan)
-		}
 		return true
 	}
-	senderHost, traced := r.ipHost[a.Chan.Src.IP]
+	senderHost, traced := r.ipHost[h.a.Chan.Src.IP]
 	if !traced {
 		return true // the sender is outside the traced deployment
 	}
 	for _, q := range r.queues {
-		if q.host == senderHost {
+		if q.src.host == senderHost {
 			return q.src.Peek() == nil // exhausted sender can never send it
 		}
 	}
@@ -591,19 +597,4 @@ func (r *Ranker) extendWindow() bool {
 		}
 	}
 	return any
-}
-
-// Exhausted reports whether all sources and buffers are drained.
-func (r *Ranker) Exhausted() bool {
-	for _, q := range r.queues {
-		if !q.exhausted() {
-			return false
-		}
-	}
-	return true
-}
-
-// String implements fmt.Stringer.
-func (r *Ranker) String() string {
-	return fmt.Sprintf("ranker{queues=%d buffered=%d delivered=%d}", len(r.queues), r.buffered, r.stats.Delivered)
 }

@@ -1,10 +1,13 @@
 package ranker
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/activity"
+	"repro/internal/cag"
 	"repro/internal/engine"
 )
 
@@ -44,6 +47,22 @@ func request(base time.Duration, req int64, skewWeb, skewApp, skewDB time.Durati
 		act(activity.Receive, ms(22)+skewWeb, httpdCtx, webApp.Reverse(), 700, req),
 		act(activity.End, ms(24)+skewWeb, httpdCtx, clientCh.Reverse(), 700, req),
 	}
+}
+
+// NewFromTrace builds a ranker from a merged trace, splitting per host
+// and ranking the hosts in name order.
+func NewFromTrace(cfg Config, eng *engine.Engine, trace []*activity.Activity) *Ranker {
+	byHost := SplitByHost(trace)
+	hosts := make([]string, 0, len(byHost))
+	for h := range byHost {
+		hosts = append(hosts, h)
+	}
+	sort.Strings(hosts)
+	sources := make([]Source, 0, len(hosts))
+	for _, h := range hosts {
+		sources = append(sources, NewSliceSource(h, byHost[h]))
+	}
+	return New(cfg, eng, sources)
 }
 
 // correlate runs the ranker+engine loop and returns both.
@@ -244,10 +263,11 @@ func TestSwapPreservesContextOrder(t *testing.T) {
 	// A queue [RECV(ctxA), SEND(ctxA)] must NOT be reordered: the SEND
 	// causally follows the RECEIVE in the same execution entity.
 	q := &queue{}
+	eng := engine.New()
 	recv := act(activity.Receive, 1*time.Millisecond, javaCtx, webApp, 10, 1)
 	send := act(activity.Send, 2*time.Millisecond, javaCtx, appDB, 10, 1)
-	q.buf = []*activity.Activity{recv, send}
-	r := &Ranker{queues: []*queue{q}, bufferedSends: map[activity.Channel]int{}}
+	q.buf = []entry{{recv, eng.Intern(recv)}, {send, eng.Intern(send)}}
+	r := &Ranker{queues: []*queue{q}, eng: eng}
 	if r.swapBlockedHead() {
 		t.Fatal("swap must not reorder same-context activities")
 	}
@@ -305,6 +325,23 @@ func TestSplitByHostSorts(t *testing.T) {
 		t.Fatal("web1 log not sorted by timestamp")
 	}
 }
+
+// Exhausted reports whether all sources and buffers are drained.
+func (r *Ranker) Exhausted() bool {
+	for _, q := range r.queues {
+		if q.len() != 0 || q.src.Peek() != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// Buffered returns the number of activities currently resident in the
+// queues (the ranker buffer of Fig. 11's memory accounting).
+func (r *Ranker) Buffered() int { return r.buffered }
+
+// Remaining returns the number of unconsumed activities.
+func (s *SliceSource) Remaining() int { return len(s.as) - s.pos }
 
 func TestExhaustedAndBuffered(t *testing.T) {
 	eng := engine.New()
@@ -392,5 +429,143 @@ func TestAttributeFilter(t *testing.T) {
 		if got := drop(c.a); got != c.want {
 			t.Errorf("case %d (%v): dropped %v, want %v", i, c.a, got, c.want)
 		}
+	}
+}
+
+// rankerPass drives r into eng the way the session does (Next, then
+// HandleOrds with the carried ordinals) and returns the candidate order
+// and each output graph's dump.
+func rankerPass(r *Ranker, eng *engine.Engine) (order []*activity.Activity, dumps []string) {
+	for {
+		a, o := r.Next()
+		if a == nil {
+			break
+		}
+		order = append(order, a)
+		eng.HandleOrds(a, o)
+	}
+	for _, g := range eng.Outputs() {
+		dumps = append(dumps, cag.Dump(g))
+	}
+	return order, dumps
+}
+
+// A ranker-fed pass and a Handle-fed pass over the same candidates give
+// the same graphs, and so does a second ranker-fed pass on the reused
+// ranker and engine after an abandoned one: the ordinals the ranker
+// carries are what Handle interns, and nothing of a pass survives Reset.
+func TestRankerFedMatchesHandleFed(t *testing.T) {
+	ms := time.Millisecond
+	var trace []*activity.Activity
+	trace = append(trace, request(0, 1, 0, 3*ms, -2*ms)...)
+	trace = append(trace, request(40*ms, 2, 0, -4*ms, 5*ms)...)
+	trace = append(trace, request(80*ms, 3, 0, 1*ms, 0)...)
+	// A RECEIVE from an untraced sender: is_noise drops it.
+	trace = append(trace, act(activity.Receive, 45*ms, javaCtx,
+		activity.Channel{Src: activity.EP("10.0.0.77", 999), Dst: activity.EP("10.0.0.2", 8009)}, 50, -1))
+	cfg := Config{Window: ms, IPToHost: ipToHost}
+
+	eng := engine.New()
+	r := NewFromTrace(cfg, eng, trace)
+	order, want := rankerPass(r, eng)
+	if len(want) != 3 || r.Stats().NoiseDropped != 1 {
+		t.Fatalf("ranker-fed pass: %d graphs, stats %+v; want 3 graphs and 1 noise drop", len(want), r.Stats())
+	}
+	wantStats, wantRanker := eng.Stats(), r.Stats()
+
+	eng.Reset()
+	for _, a := range order {
+		eng.Handle(a)
+	}
+	var got []string
+	for _, g := range eng.Outputs() {
+		got = append(got, cag.Dump(g))
+	}
+	if !slices.Equal(got, want) || eng.Stats() != wantStats {
+		t.Fatalf("Handle-fed pass differs:\nranker-fed %q %+v\nHandle-fed %q %+v", want, wantStats, got, eng.Stats())
+	}
+
+	// Abandon a pass with SENDs on eight channels still buffered: their
+	// counts sit on the ordinals the next pass gives its own channels, the
+	// noise RECEIVE's among them.
+	var sends []*activity.Activity
+	for i := range 8 {
+		ch := activity.Channel{Src: activity.EP("10.0.0.1", 50000+i), Dst: activity.EP("10.0.0.2", 8009)}
+		sends = append(sends, act(activity.Send, 0, httpdCtx, ch, 10, -1))
+	}
+	eng.Reset()
+	r.Reset(eng, []Source{NewSliceSource("web1", sends)})
+	r.Next()
+
+	eng.Reset()
+	byHost := SplitByHost(trace)
+	var sources []Source
+	for _, h := range []string{"app1", "db1", "web1"} {
+		sources = append(sources, NewSliceSource(h, byHost[h]))
+	}
+	r.Reset(eng, sources)
+	if _, again := rankerPass(r, eng); !slices.Equal(again, want) || r.Stats() != wantRanker {
+		t.Fatalf("reused ranker+engine pass differs:\nfirst  %q %+v\nsecond %q %+v", want, wantRanker, again, r.Stats())
+	}
+}
+
+// The Debug assertions fire on the faults they exist for: a SEND counter
+// that disagrees with the buffer, and buffered ordinals whose engine was
+// Reset under them.
+func TestDebugAssertionsFire(t *testing.T) {
+	defer func(d bool) { Debug = d }(Debug)
+	Debug = true
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: no panic", what)
+			}
+		}()
+		f()
+	}
+
+	eng := engine.New()
+	r := NewFromTrace(Config{Window: time.Second, IPToHost: ipToHost}, eng, request(0, 1, 0, 0, 0))
+	r.refill() // the 1 s window buffers the whole request
+	var recv *entry
+	for _, q := range r.queues {
+		if h := q.peek(); h != nil && h.a.Type == activity.Receive {
+			recv = h
+		}
+	}
+	if recv == nil || r.bufferedSends[recv.o.Chan] != 1 {
+		t.Fatal("fixture: want a head RECEIVE whose SEND is buffered")
+	}
+	r.assertNoBufferedSend(recv) // consistent: no panic
+	r.bufferedSends[recv.o.Chan] = 0
+	mustPanic("counter out of step with the buffer", func() { r.assertNoBufferedSend(recv) })
+	r.bufferedSends[recv.o.Chan] = 1
+
+	eng.Reset()
+	mustPanic("ordinals from before an engine Reset", func() { r.Next() })
+}
+
+// streamSource hides a SliceSource behind the Source interface, as a
+// reader over a log file would.
+type streamSource struct{ Source }
+
+// A Source that is not a *SliceSource is read into one and ranks exactly
+// as the slice it yields.
+func TestNonSliceSourceRanksTheSame(t *testing.T) {
+	trace := append(request(0, 1, 0, 3*time.Millisecond, 0), request(30*time.Millisecond, 2, 0, 0, -time.Millisecond)...)
+	byHost := SplitByHost(trace)
+	var plain, wrapped []Source
+	for _, h := range []string{"app1", "db1", "web1"} {
+		plain = append(plain, NewSliceSource(h, byHost[h]))
+		wrapped = append(wrapped, streamSource{NewSliceSource(h, byHost[h])})
+	}
+	cfg := Config{Window: time.Millisecond, IPToHost: ipToHost}
+	eng := engine.New()
+	want, _ := rankerPass(New(cfg, eng, plain), eng)
+	eng = engine.New()
+	got, _ := rankerPass(New(cfg, eng, wrapped), eng)
+	if !slices.Equal(got, want) || len(want) != len(trace) {
+		t.Fatalf("ranked %d records through the interface, %d from slices, want %d in one order", len(got), len(want), len(trace))
 	}
 }
