@@ -63,8 +63,8 @@
 // online Session pushes live records into it, the offline
 // CorrelateTrace/CorrelateSources/CorrelateDir calls replay a recorded
 // input through it (push every activity, close every host, drain), and
-// Options.Workers merely sizes its correlation pool (1 = the sequential
-// configuration):
+// Options.Workers merely bounds how many goroutines correlate one batch
+// of sealed components (1 = the sequential configuration):
 //
 //	Push / replay ──> incremental flow partition (flow.Incremental):
 //	        each activity joins a component on arrival; components fuse
@@ -76,36 +76,34 @@
 //	        completion watermark), or, with a seal horizon configured,
 //	        when it has idled past the largest horizon of the hosts that
 //	        could still extend it.
-//	correlate ──> a bounded worker pool (Options.Workers) runs the
-//	        unmodified sequential ranker+engine pass over each sealed
-//	        component — the shard key guarantees independence, so the
-//	        paper's algorithm itself is untouched.
+//	correlate ──> at the next barrier (Drain, CloseHost, Close) the
+//	        unmodified sequential ranker+engine pass runs over each
+//	        sealed component, on up to Options.Workers goroutines — the
+//	        shard key guarantees independence, so the paper's algorithm
+//	        itself is untouched.
 //	emit ──> the watermark emitter keeps finished CAGs in a min-heap
 //	        and pops them in deterministic END-timestamp order while
 //	        they end below the watermark, holding back any graph that a
 //	        still-open stream or a resident BEGIN could yet precede.
 //
-// # The two-stage session front
+// # The session front and its barriers
 //
-// Internally the engine is stage 1 and a worker pool, joined by one
-// bounded ring buffer (internal/ring) on the way out and a
-// mutex-guarded result buffer on the way back:
+// Internally the engine is one stage, the goroutine calling
+// Push/Heartbeat/Drain/CloseHost/Close (stage 1), which correlates at
+// its barriers:
 //
-//	stage 1 (caller's goroutine): apply + partition + seal decisions
-//	    │ jobs ring: sealed components, pushed in seal order
+//	stage 1: apply + partition + seal decisions, per push or heartbeat
+//	    │ sealed components wait, untouched, for the next barrier
 //	    ▼
-//	worker pool: ranker+engine per sealed component (batched pulls);
-//	    │ each result is appended to the result buffer under its mutex
+//	barrier (Drain, CloseHost, Close): ranker+engine per sealed
+//	    │ component, by stage 1 and up to Workers−1 helper goroutines
+//	    │ started for this batch; results absorbed in creation order
 //	    ▼
-//	stage 1 again: harvests the buffer at CloseHost/Drain/Close points
-//	    │
-//	    ▼
-//	watermark emitter (caller's goroutine): ordered CAG release
+//	watermark emitter (Drain, Close): ordered CAG release
 //
-// The stage ownership contract: every *decision* lives on stage 1, only
-// *work* crosses to the pool. Stage 1 — the goroutine calling
-// Push/Heartbeat/Drain/CloseHost — owns the flow partition and makes
-// every seal decision at deterministic points in the event stream; that
+// The ownership contract: every *decision* lives on stage 1, only
+// *work* is shared. Stage 1 owns the flow partition and makes every
+// seal decision at deterministic points in the event stream; that
 // cannot move, because sealing feeds back into partitioning (a sealed
 // component is tombstoned, and a straggler touching its tombstone
 // detaches as a late link — so *when* a seal happens, in event-stream
@@ -114,15 +112,25 @@
 // the component's deadline, before that record is partitioned, and a
 // closure seal at the CloseHost that makes it final — never at a Drain,
 // whose cadence is the caller's choice (a wall-clock flush, say). What
-// stays batched at the barriers (Drain, CloseHost, Close) is the
-// dispatch: one ring push per barrier carries every component sealed
-// since the last one, and schedules each one's flow-bookkeeping prune.
-// Workers own only sealed, therefore immutable, components, and land
-// each result without ever waiting on stage 1. CloseHost harvests only
-// the shards that have already finished; Drain and Close settle — wait
-// for every dispatched shard — and the worker landing the last awaited
-// result is the only one that wakes stage 1, so a barrier costs one
-// wake-up, not one per shard.
+// stays batched at the barriers is the correlation: each barrier takes
+// every component sealed since the last one, schedules each one's
+// flow-bookkeeping prune, and correlates the batch there and then.
+// Stage 1 and its helpers take components off the batch through one
+// atomic counter, each with its own reusable ranker+engine pair; helpers
+// touch only sealed, therefore immutable, components and write only
+// their own result slots, and stage 1 waits for them before it absorbs.
+// With Workers=1 (or a batch of one) no goroutine starts at all: the
+// session is literally the sequential pass, run once per component.
+//
+// Backpressure comes from the same shape. A barrier returns only when
+// its batch is correlated, so a caller pushing faster than correlation
+// keeps up is held at its next Drain, CloseHost or Close; in a networked
+// deployment that holds the ingest goroutine, which through the ingest
+// queue holds TCP — the paper's end-to-end flow control, with no queue
+// of its own to size. A standing worker pool fed through a queue would
+// buy no overlap: Drain and Close must wait for every sealed component
+// before they emit, so work handed off between barriers is waited for at
+// the next one anyway.
 //
 // Stage 1's partition is online, which makes the order it is fed part
 // of its cost. A RECEIVE that arrives before its SEND cannot be told
@@ -142,44 +150,27 @@
 // close. Cross-host clock skew is the caveat: the merge is as good as
 // the clocks, and whatever disorder remains still over-merges.
 //
-// The jobs ring stays because it was measured against a channel and
-// won. Stage 1 hands over a drain's whole batch of sealed components
-// with one ring.PushBatch, and a worker takes up to eight per wake-up
-// with ring.PopBatch. A buffered channel in its place cost about 11 %
-// more CPU per activity on the benchmark's replay-cont workload
-// (bench/run.sh, 2 shared cores), with 11 % lower throughput; sending
-// eight-component chunks over a channel cost 12 %. The penalty is the
-// extra goroutine wake-ups, which only the benchmark harness's competing
-// load exposes: an idle in-process loop reads every variant within 3 %.
-// The same trial removed a second ring and the collector goroutine that
-// drained it, which cost as much as they saved.
-// The ring's capacity gives the backpressure a bounded channel would: a
-// stalled pool eventually blocks stage 1's PushBatch, which blocks Push,
-// which (through the ingest queue) blocks TCP, exactly the paper's
-// end-to-end flow control.
-//
 // None of this touches emitter determinism. Graph content is fixed at
 // seal time (sealed components are immutable, and the ranker+engine
 // pass is deterministic per component); emission *order* is fixed by
-// the END-timestamp watermark, which counts sealed-but-in-flight
+// the END-timestamp watermark, which counts sealed-but-uncorrelated
 // components as pending and so never releases a graph that unfinished
 // work could precede. The watermark is the oldest BEGIN buffered in any
 // resident component, capped by each open host's push bound: a graph's
 // END follows its root BEGIN on the same entry-tier context, so a
 // component holding no BEGIN — a never-idle §5.3.3 noise connection,
 // say — can yield no graph on its own and holds nothing back. The
-// pipeline's only freedom is scheduling — which worker correlates which
-// shard, and when its result lands — and the watermark makes scheduling
-// unobservable: it can shift when a graph is released, never what it
-// contains or its order, and the equivalence suites assert
-// byte-identical output at every pool size, plain and under -race.
+// pipeline's only freedom is scheduling — which goroutine correlates
+// which shard — and results are absorbed in creation order whatever it
+// was, so scheduling is unobservable: the equivalence suites assert
+// byte-identical output at every Workers value, plain and under -race.
 //
 // Sealing is the one rule that decides both latency and safety. Purely
 // close-driven sealing (the default) never guesses: nothing is
 // correlated while an open stream could still change the decision, which
 // makes offline results byte-identical to the historical sequential
 // correlator (TestParallelEquivalence, TestParallelSessionEquivalence)
-// at every pool size. A seal horizon (Options.SealAfter, measured in
+// at every Workers value. A seal horizon (Options.SealAfter, measured in
 // activity time, never wall clock) trades that guarantee for liveness: a
 // component idle past its horizon is force-sealed (Result.ForcedSeals) by
 // the push or heartbeat that ages it so, whatever the Drain cadence;

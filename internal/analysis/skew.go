@@ -110,19 +110,13 @@ func (s *SkewEstimate) Corrected(v *cag.Vertex) time.Duration {
 // approach true transit times instead of transit ± skew.
 func (s *SkewEstimate) CorrectedComponentLatencies(g *cag.Graph) map[string]time.Duration {
 	out := make(map[string]time.Duration)
-	path := CriticalPathOf(g)
+	path := cag.CriticalPath(g)
 	for i := 1; i < len(path); i++ {
 		from, to := path[i-1], path[i]
-		out[CategoryNameOf(from, to)] += s.Corrected(to) - s.Corrected(from)
+		out[cag.CategoryName(from, to)] += s.Corrected(to) - s.Corrected(from)
 	}
 	return out
 }
-
-// CriticalPathOf re-exports cag.CriticalPath for this package's callers.
-func CriticalPathOf(g *cag.Graph) []*cag.Vertex { return cag.CriticalPath(g) }
-
-// CategoryNameOf re-exports cag.CategoryName.
-func CategoryNameOf(from, to *cag.Vertex) string { return cag.CategoryName(from, to) }
 
 // DominantPatternCorrected is DominantPattern with skew-corrected component
 // latencies: the right input for Detector comparisons when node clocks are

@@ -10,7 +10,7 @@ import (
 // RegisterPprof defines the shared -pprof flag on fs: an address to
 // serve net/http/pprof on, empty (the default) meaning no profiling
 // server. The bench workflow points `go tool pprof` at it to attribute
-// time between the pipeline's two stages and the worker pool.
+// time between the pipeline's stages.
 func RegisterPprof(fs *flag.FlagSet) *string {
 	return fs.String("pprof", "",
 		"serve net/http/pprof on this address (e.g. 'localhost:6060'); empty = no profiling server")

@@ -83,11 +83,14 @@ type Options struct {
 	// ownership contract.
 	Sinks []GraphSink
 
-	// Workers sizes the streaming engine's correlation pool. 0 or 1 keeps
-	// one worker goroutine — the sequential configuration, byte-identical
-	// to the original single-threaded pass on well-formed traces; larger
-	// values correlate independent flow components concurrently (see
-	// internal/flow for the shard key). Negative values are rejected.
+	// Workers bounds how many goroutines correlate the sealed flow
+	// components of one barrier (Drain, CloseHost, Close). 0 or 1 is the
+	// sequential configuration: the calling goroutine correlates every
+	// component itself and no goroutine is started, byte-identical to the
+	// original single-threaded pass on well-formed traces. Larger values
+	// start up to Workers−1 helpers per barrier, which correlate
+	// independent components concurrently (see internal/flow for the shard
+	// key) and exit when the batch is done. Negative values are rejected.
 	// CLIs mapping a "0 = all CPUs" flag should resolve it with
 	// ResolveWorkers.
 	Workers int
@@ -396,7 +399,7 @@ func (c *Correlator) CorrelateTrace(trace []*activity.Activity) (*Result, error)
 	if len(c.opts.EntryPorts) == 0 {
 		return nil, ErrNoEntryPorts
 	}
-	return c.replayTrace(trace)
+	return c.replayTrace(trace), nil
 }
 
 // CorrelateSources runs the pipeline over pre-classified per-node sources.
@@ -409,14 +412,14 @@ func (c *Correlator) CorrelateSources(sources []ranker.Source, totalHint int) (*
 	if c.err != nil {
 		return nil, c.err
 	}
-	return c.replaySources(sources, totalHint)
+	return c.replaySources(sources, totalHint), nil
 }
 
 // driveOn is the paper's sequential correlator, run to exhaustion over
 // per-node sources on a caller-owned, reusable ranker+engine pair: both
 // are reset in place, and each candidate goes from the ranker to the
 // engine with the ordinals the ranker interned it under at fetch, so the
-// pass hashes each record once. The worker pool uses it to correlate one
+// pass hashes each record once. The session uses it to correlate one
 // sealed component after another without rebuilding the pair — in
 // continuous mode the per-component ranker/engine construction dominated
 // steady-state allocations.

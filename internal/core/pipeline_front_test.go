@@ -94,63 +94,66 @@ func TestSessionPoolSettlesAndStops(t *testing.T) {
 	}
 }
 
-// TestEarlyCloseSafeGate pins the replay early-close precondition: safe
-// exactly when every record's pushing host resolves one of its own
-// connection endpoints through IPToHost. The rubis generator maps every
-// traced host's address, so its traces qualify; dropping one host's
-// mapping (or all mappings) must disqualify the trace and fall back to
-// the close-at-end replay.
-func TestEarlyCloseSafeGate(t *testing.T) {
+// TestSequentialSessionStartsNoGoroutine pins that Workers 0 and 1 are
+// literally sequential: stage 1 correlates every sealed component itself
+// at the barrier, so the goroutine count never rises above its baseline
+// across NewSession, pushes, Drain, CloseHost and Close, close-driven or
+// with a seal horizon.
+func TestSequentialSessionStartsNoGoroutine(t *testing.T) {
 	res := rubisTrace(t, 40, 0.02, 2)
-	set := map[string]struct{}{}
-	for _, a := range res.Trace {
-		set[a.Ctx.Host] = struct{}{}
-	}
-	traceHosts := make([]string, 0, len(set))
-	for h := range set {
-		traceHosts = append(traceHosts, h)
-	}
-	sort.Strings(traceHosts)
-	base := Options{Window: 10 * time.Millisecond, EntryPorts: []int{rubis.EntryPort}, IPToHost: res.IPToHost}
-	s := newStreamSession(base, traceHosts)
-	if !s.earlyCloseSafe(res.Trace) {
-		t.Fatal("fully resolved rubis trace should allow early close")
-	}
-	s.Close()
-
-	// Remove one traced host's address mapping: its records' own-side
-	// endpoints stop resolving, so early close must be refused.
-	partial := base
-	partial.IPToHost = map[string]string{}
-	var dropped string
-	for ip, h := range res.IPToHost {
-		if dropped == "" || h == dropped {
-			dropped = h
-			continue
+	trace := arrivalOrder(res.Trace)
+	hosts := hostsOf(res)
+	base := runtime.NumGoroutine()
+	check := func(label string) {
+		t.Helper()
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("%s: %d goroutines, %d before the session opened", label, n, base)
 		}
-		partial.IPToHost[ip] = h
 	}
-	s2 := newStreamSession(partial, traceHosts)
-	if s2.earlyCloseSafe(res.Trace) {
-		t.Fatalf("trace with host %q unmapped should refuse early close", dropped)
+	for _, workers := range []int{0, 1} {
+		for _, sealAfter := range []time.Duration{0, time.Second} {
+			label := fmt.Sprintf("workers=%d sealAfter=%v", workers, sealAfter)
+			opts := options(res)
+			opts.Workers = workers
+			opts.SealAfter = sealAfter
+			sess, err := NewSession(opts, hosts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(label + " NewSession")
+			for i, a := range trace {
+				if err := sess.Push(a); err != nil {
+					t.Fatal(err)
+				}
+				check(label + " Push")
+				if (i+1)%64 == 0 {
+					sess.Drain()
+					check(label + " Drain")
+				}
+			}
+			for _, h := range hosts {
+				if err := sess.CloseHost(h); err != nil {
+					t.Fatal(err)
+				}
+				check(label + " CloseHost")
+			}
+			r := sess.Close()
+			check(label + " Close")
+			if r.Shards < 2 || len(r.Graphs) == 0 {
+				t.Fatalf("%s: %d shards, %d graphs: the barriers correlated nothing", label, r.Shards, len(r.Graphs))
+			}
+			if sealAfter > 0 && r.ForcedSeals == 0 {
+				t.Fatalf("%s: no forced seals, so no Drain correlated a batch", label)
+			}
+		}
 	}
-	s2.Close()
-
-	// No resolution at all: refuse outright.
-	bare := base
-	bare.IPToHost = nil
-	s3 := newStreamSession(bare, traceHosts)
-	if s3.earlyCloseSafe(res.Trace) {
-		t.Fatal("trace without IPToHost should refuse early close")
-	}
-	s3.Close()
 }
 
 // TestReplayEarlyCloseMatchesLateClose replays the same fully resolved
-// trace through CorrelateTrace (which closes each host at its last
-// record to overlap partition with correlation) and through a session
-// that closes every host only at the end, and demands byte-identical
-// graphs — the early closes must not change one seal grouping.
+// trace through CorrelateTrace and through a session fed in trace order
+// that closes every host only at Close, and demands byte-identical
+// graphs. (The replay once closed each host at its last record; the
+// name is kept from then.)
 func TestReplayEarlyCloseMatchesLateClose(t *testing.T) {
 	res := rubisTrace(t, 120, 0.05, 4)
 	for _, workers := range []int{1, 4} {

@@ -34,14 +34,14 @@ const replayDrainEvery = 1024
 
 // replayTrace correlates a merged, classified-on-the-fly trace by
 // replaying it through the streaming engine in trace order.
-func (c *Correlator) replayTrace(trace []*activity.Activity) (*Result, error) {
+func (c *Correlator) replayTrace(trace []*activity.Activity) *Result {
 	start := time.Now()
 	hostSet := make(map[string]struct{})
 	for _, a := range trace {
 		hostSet[a.Ctx.Host] = struct{}{}
 	}
 	if len(hostSet) == 0 {
-		return &Result{Activities: len(trace), CorrelationTime: time.Since(start)}, nil
+		return &Result{Activities: len(trace), CorrelationTime: time.Since(start)}
 	}
 	hosts := make([]string, 0, len(hostSet))
 	for h := range hostSet {
@@ -55,21 +55,10 @@ func (c *Correlator) replayTrace(trace []*activity.Activity) (*Result, error) {
 	if c.opts.continuousConfigured() {
 		every = replayDrainEvery
 	}
-	// Close-driven replays overlap partition with correlation: when the
-	// trace proves safe (earlyCloseSafe), each host is closed right
-	// after its last record, so completed components seal and dispatch
-	// to the worker pool mid-replay instead of all at once at Close —
-	// the serial partition phase and the parallel correlation phase run
-	// concurrently. Continuous replays keep the close-at-end shape:
-	// closing a host early would shrink components' seal horizons
+	// Every host closes at the end (finishReplay): a close-driven replay
+	// correlates everything at Close, as one batch, and a continuous one
+	// keeps its seal horizons — closing a host early would shrink them
 	// mid-replay and change which seals are forced.
-	var lastIdx map[string]int
-	if every == 0 && s.earlyCloseSafe(trace) {
-		lastIdx = make(map[string]int, len(hosts))
-		for i, a := range trace {
-			lastIdx[a.Ctx.Host] = i
-		}
-	}
 	for i, a := range trace {
 		cp := s.copyRec(a)
 		cp.Type = cls.Classify(a)
@@ -77,46 +66,15 @@ func (c *Correlator) replayTrace(trace []*activity.Activity) (*Result, error) {
 		if every > 0 && (i+1)%every == 0 {
 			s.Drain()
 		}
-		if lastIdx != nil && lastIdx[a.Ctx.Host] == i {
-			if err := s.CloseHost(a.Ctx.Host); err != nil {
-				return nil, err
-			}
-		}
 	}
-	return c.finishReplay(s, len(trace), start), nil
-}
-
-// earlyCloseSafe reports whether a close-driven replay may close each
-// host at its last record without changing a single seal grouping: it
-// holds when every record's pushing host owns at least one resolvable
-// endpoint of the record's own connection. Then any component whose
-// contributing hosts have all closed really is complete — a later
-// record that could join it shares one of its connections, and that
-// connection's still-open side resolved into the component's
-// contributor set when the connection was first seen, so the component
-// was not sealable. An unresolvable own-side endpoint means IPToHost
-// misses a traced host's address; sealing early there could split what
-// close-at-end would have joined, so the replay degrades to the
-// close-at-end shape (exactly like the ranker degrades its noise
-// reasoning on the same misconfiguration).
-func (s *streamSession) earlyCloseSafe(trace []*activity.Activity) bool {
-	if len(s.ipHost) == 0 {
-		return false
-	}
-	for _, a := range trace {
-		activity.Bind(a)
-		if s.ipHost[a.Chan.Src.IP] != a.CtxK.Host && s.ipHost[a.Chan.Dst.IP] != a.CtxK.Host {
-			return false
-		}
-	}
-	return true
+	return c.finishReplay(s, len(trace), start)
 }
 
 // replaySources correlates pre-classified per-node sources by merging
 // them in timestamp order (ties broken by source position — sources are
 // conventionally passed in sorted host order) and replaying the merged
 // stream through the streaming engine.
-func (c *Correlator) replaySources(sources []ranker.Source, totalHint int) (*Result, error) {
+func (c *Correlator) replaySources(sources []ranker.Source, totalHint int) *Result {
 	start := time.Now()
 	hosts := make([]string, 0, len(sources))
 	seen := make(map[string]struct{}, len(sources))
@@ -127,7 +85,7 @@ func (c *Correlator) replaySources(sources []ranker.Source, totalHint int) (*Res
 		}
 	}
 	if len(hosts) == 0 {
-		return &Result{Activities: totalHint, CorrelationTime: time.Since(start)}, nil
+		return &Result{Activities: totalHint, CorrelationTime: time.Since(start)}
 	}
 
 	s := newStreamSession(c.opts, hosts)
@@ -162,7 +120,7 @@ func (c *Correlator) replaySources(sources []ranker.Source, totalHint int) (*Res
 	if totalHint == 0 {
 		totalHint = pushed
 	}
-	return c.finishReplay(s, totalHint, start), nil
+	return c.finishReplay(s, totalHint, start)
 }
 
 // finishReplay ends every stream (Close seals and drains the remainder)

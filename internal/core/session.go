@@ -30,15 +30,16 @@ import (
 // stall the ordered output.
 //
 // Every mode runs the same streaming engine (stream.go); Options.Workers
-// only sizes its correlation pool. That includes PaperExactNoise: the
-// Fig. 5 predicate's pending-SEND question is answered per shard, which
-// channel-closure sharding makes equal to the global answer (see
-// ranker.matchingSendVisible for the invariant), so exact-mode sessions
-// get horizons, heartbeats, forced seals and PushBatch like any other.
+// only bounds how many goroutines correlate at a barrier. That includes
+// PaperExactNoise: the Fig. 5 predicate's pending-SEND question is
+// answered per shard, which channel-closure sharding makes equal to the
+// global answer (see ranker.matchingSendVisible for the invariant), so
+// exact-mode sessions get horizons, heartbeats, forced seals and
+// PushBatch like any other.
 //
 // Sessions are not safe for concurrent use: Push/Drain/CloseHost/
-// Heartbeat/Close must be called from one goroutine (the engine
-// parallelises internally).
+// Heartbeat/Close must be called from one goroutine (with Workers > 1,
+// the barriers parallelise internally).
 type Session struct {
 	impl *streamSession
 }
@@ -78,10 +79,10 @@ func (s *Session) PushBatch(batch []*activity.Activity) error { return s.impl.Pu
 
 // Drain runs the correlator until no further candidate is safely
 // decidable, returning the number of activities processed this call: it
-// dispatches the components force-sealed since the last Drain (in
+// correlates the components force-sealed since the last Drain (in
 // continuous mode, by the push or heartbeat that carried the activity
-// clock past their horizon), waits for every dispatched component to
-// finish correlating, and releases the graphs the watermark permits. Last, it correlates the aged records of never-idle components
+// clock past their horizon) and releases the graphs the watermark
+// permits. Last, it correlates the aged records of never-idle components
 // that hold no BEGIN (see Options.SealAfter). Seals never wait for a
 // Drain, so the cadence decides only when graphs leave, not which graphs
 // exist.
@@ -89,8 +90,9 @@ func (s *Session) Drain() int { return s.impl.Drain() }
 
 // CloseHost marks one host's stream complete (its agent shut down). This
 // is what seals components absent a horizon: a flow component whose every
-// contributing host has closed can no longer grow and is handed to the
-// worker pool.
+// contributing host has closed can no longer grow, and CloseHost
+// correlates it before it returns. It releases nothing; the next Drain or
+// Close does.
 func (s *Session) CloseHost(host string) error { return s.impl.CloseHost(host) }
 
 // Heartbeat records a liveness assertion from one host's agent: the host

@@ -275,7 +275,8 @@ func TestSessionForcedSealLateLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Request 0 on connection :40000, then enough traffic to push the
-	// activity clock one horizon past it; Drain force-seals request 0.
+	// activity clock one horizon past it: the push at 30 ms force-seals
+	// request 0, and Drain correlates and releases it.
 	pushRequest(t, sess, 0, 0)
 	for k := 1; k < 8; k++ {
 		pushRequest(t, sess, k, time.Duration(k)*10*time.Millisecond)

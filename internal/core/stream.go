@@ -7,6 +7,7 @@ import (
 	"os"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -15,15 +16,15 @@ import (
 	"repro/internal/engine"
 	"repro/internal/flow"
 	"repro/internal/ranker"
-	"repro/internal/ring"
 )
 
 // streamSession is the one streaming correlation engine. Every execution
 // mode is a configuration of it — there is no other path: the online
 // Session pushes live records into it, the offline Correlate calls replay
-// a recorded input through it (replay.go), Workers sizes its correlation
-// pool (1 = the sequential configuration), and seal horizons (global or
-// per host) turn it continuous. That includes the PaperExactNoise
+// a recorded input through it (replay.go), Workers bounds how many
+// goroutines correlate one barrier's batch (1 = the sequential
+// configuration, which starts none), and seal horizons (global or per
+// host) turn it continuous. That includes the PaperExactNoise
 // ablation: the Fig. 5 predicate's pending-SEND question is answered from
 // each shard's own window buffer, which the channel-closure invariant
 // makes equal to the global answer — every SEND that could match a
@@ -44,9 +45,11 @@ import (
 //	         extend it. Which components exist is thus a function of the
 //	         record stream alone, whatever the Drain cadence.
 //	Drain/CloseHost/Close ──> dispatch: the components sealed since the
-//	         last barrier go to the worker pool in one batched ring push.
-//	workers ──> each sealed component runs the unmodified sequential
-//	         ranker+engine pass (Correlator.driveOn), no shared state.
+//	         last barrier are correlated there and then, each by the
+//	         unmodified sequential ranker+engine pass
+//	         (Correlator.driveOn), no shared state: stage 1 takes them in
+//	         turn, helped by up to Workers−1 goroutines started for the
+//	         batch, and absorbs the results in creation order.
 //	Drain/Close ──> the watermark emitter pops finished CAGs off a
 //	         min-heap in END-timestamp order while they end below the
 //	         watermark: the oldest BEGIN resident in any component, and
@@ -90,7 +93,7 @@ import (
 // (correlateComponent's sorted sources, error messages).
 type streamSession struct {
 	opts    Options
-	workers int         // normalized pool size (>= 1)
+	workers int         // most goroutines correlating one batch (>= 1)
 	drv     *Correlator // sequential driver for sealed components
 	cls     *activity.Classifier
 	inc     *flow.Incremental
@@ -109,8 +112,8 @@ type streamSession struct {
 	// runFree and compFree are stage 1's recycling: run arrays come back
 	// when a run outgrows one, when two runs merge and when a component's
 	// result is absorbed; component structs when one fuses away or is
-	// absorbed. Only stage 1 touches either — a worker is done with a
-	// component before its result lands.
+	// absorbed. Only stage 1 touches either — absorption waits until every
+	// helper is done with the batch.
 	runFree  runPool
 	compFree []*sessComponent
 
@@ -126,35 +129,25 @@ type streamSession struct {
 	// of one block arrive together and seal together.
 	slab []activity.Activity
 
-	// rollScratch is stage 1's own correlation machinery for rolled
-	// prefixes (rollStale); nil until the first roll.
-	rollScratch *shardScratch
-
 	// deadlines queues every live component with a bounded horizon by
 	// the activity time past which it is force-sealed (sealExpired).
 	// Entries are revalidated lazily when they reach the top.
 	deadlines minHeap[deadline, *deadline]
 
-	// Pool plumbing. Stage 1 is the session goroutine: apply + flow
+	// Correlation. Stage 1 is the session goroutine: apply + flow
 	// partition + the seal decisions (which MUST stay on deterministic
 	// event-stream points — Seal tombstones feed back into how later
 	// records partition). Sealed components wait on unsent until the next
-	// barrier (Drain, CloseHost, Close) moves them to the worker pool
-	// through the jobs ring in one batch; each worker appends its shard
-	// results to colBuf under colMu, so workers never stall on a busy
-	// stage 1. Stage 1 folds them in via harvest (non-blocking) or settle
-	// (the Drain/Close barrier).
-	unsent     []*sessComponent // sealed, not yet dispatched
-	jobs       *ring.Ring[*sessComponent]
-	wg         sync.WaitGroup // workers
-	dispatched int            // stage-1 only: components pushed to jobs
-
-	colMu      sync.Mutex
-	colReady   sync.Cond         // collected reached settleAt; waiter: settle
-	collected  int               // shard results landed (guarded by colMu)
-	settleAt   int               // the count settle waits for (guarded by colMu)
-	colBuf     []sessShardResult // landed, awaiting stage-1 absorption
-	colScratch []sessShardResult // harvest's swap buffer
+	// barrier (Drain, CloseHost, Close) correlates them as one batch
+	// (dispatch): stage 1 and its helpers take indexes into unsent off
+	// next, each writing results[i] with its own scratch[k]; scratch[0] is
+	// stage 1's, which rolled prefixes (rollStale) use too. helpers is
+	// what stage 1 waits on before it absorbs.
+	unsent  []*sessComponent // sealed, not yet correlated
+	results []sessShardResult
+	next    atomic.Int64
+	helpers sync.WaitGroup
+	scratch []*shardScratch
 
 	finished graphHeap    // correlated, held back by the watermark
 	emitted  []*cag.Graph // released (when no sink is registered)
@@ -184,9 +177,10 @@ type streamSession struct {
 	peakVert int
 	shards   int
 	// workTime is the wall-clock time this session spent correlating —
-	// the time blocked in settle/harvest/emit, which is the shard work's
-	// critical path, not the sum of concurrent shard times. It matches
-	// the historical sequential session's drain-time accounting.
+	// the time spent in its barriers (correlation, absorption, emission),
+	// which is the shard work's critical path, not the sum of concurrent
+	// shard times. It matches the historical sequential session's
+	// drain-time accounting.
 	workTime time.Duration
 
 	closed bool
@@ -196,11 +190,6 @@ type streamSession struct {
 // slabSize is how many buffered-copy records fit in 64 KiB, a whole
 // number of pages, so less than one record's worth of a block goes unused.
 const slabSize = 64 << 10 / int(unsafe.Sizeof(activity.Activity{}))
-
-// workerPullBatch is how many sealed components one worker takes per
-// jobs-ring wakeup. PopBatch is adaptive — a batch only forms under
-// backlog — so this caps amortization, it never delays a lone seal.
-const workerPullBatch = 8
 
 // copyRec copies one record into the session's slab. The returned copy
 // is owned by the session (component buffers, then CAG vertices).
@@ -519,12 +508,6 @@ func newStreamSession(opts Options, hosts []string) *streamSession {
 	drvOpts := opts
 	drvOpts.Workers = 0
 	drvOpts.Sinks = nil
-	// The jobs ring is deep enough that a burst of seals (one drain can
-	// retire hundreds of components) dispatches without stalling stage 1.
-	jobsCap := 8 * workers
-	if jobsCap < 64 {
-		jobsCap = 64
-	}
 	s := &streamSession{
 		opts:       opts,
 		sinks:      slices.Clone(opts.Sinks),
@@ -533,11 +516,9 @@ func newStreamSession(opts Options, hosts []string) *streamSession {
 		cls:        activity.NewClassifier(opts.EntryPorts...),
 		hosts:      make(map[activity.Sym]*sessHost, len(hosts)),
 		comps:      make(map[int32]*sessComponent),
-		jobs:       ring.New[*sessComponent](jobsCap),
 		continuous: opts.continuousConfigured(),
 		maxHorizon: opts.maxHorizon(),
 	}
-	s.colReady.L = &s.colMu
 	s.inc = flow.NewIncremental(opts.ShardBy.flowMode(), s.mergeComponents)
 	if s.continuous {
 		// Continuous mode retires dispatched components; the close-driven
@@ -560,48 +541,14 @@ func newStreamSession(opts Options, hosts []string) *streamSession {
 			s.ipHost[activity.Syms.Intern(ip)] = activity.Syms.Intern(hn)
 		}
 	}
-	s.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go s.worker()
-	}
 	return s
 }
 
-// worker pulls sealed components in batches (one ring wakeup amortized
-// over up to workerPullBatch correlations) and lands each result in
-// colBuf as soon as it is correlated. The batch is adaptive: under light
-// load PopBatch returns a single component immediately, so a lone seal
-// is never delayed waiting for company. Stage 1 is woken only by the
-// result that completes the count settle is waiting for — once per
-// barrier, not once per shard.
-func (s *streamSession) worker() {
-	defer s.wg.Done()
-	sc := newShardScratch(s.drv)
-	comps := make([]*sessComponent, workerPullBatch)
-	for {
-		n := s.jobs.PopBatch(comps)
-		if n == 0 {
-			return
-		}
-		for i, c := range comps[:n] {
-			r := s.correlateComponent(sc, c)
-			comps[i] = nil
-			s.colMu.Lock()
-			s.colBuf = append(s.colBuf, r)
-			s.collected++
-			if s.collected == s.settleAt {
-				s.colReady.Signal()
-			}
-			s.colMu.Unlock()
-		}
-	}
-}
-
-// shardScratch is one worker's reusable correlation machinery: a
+// shardScratch is one correlating goroutine's reusable machinery: a
 // ranker+engine pair reset per component, plus the source-building
-// buffers. A worker correlates components strictly one after another, so
-// everything here is single-owner; only the result's graphs escape (the
-// engine drops, never reuses, its outputs slice on Reset).
+// buffers. Its goroutine correlates components strictly one after
+// another, so everything here is single-owner; only the result's graphs
+// escape (the engine drops, never reuses, its outputs slice on Reset).
 type shardScratch struct {
 	rk   *ranker.Ranker
 	eng  *engine.Engine
@@ -879,11 +826,11 @@ func (s *streamSession) mergeComponents(winner, loser int32) {
 
 // fuse merges two component buffers (the larger absorbs the smaller).
 func (s *streamSession) fuse(a, b *sessComponent, root int32) *sessComponent {
-	// A sealed component is already owned by the worker pool; its buffers
-	// must not be touched. Reaching one here is only possible when
-	// IPToHost fails to cover a declared host — degrade to under-merged
-	// shards instead of a data race, mirroring how the ranker degrades on
-	// the same misconfiguration.
+	// A sealed component's contents are final: its prune is scheduled and
+	// the next barrier correlates it as it stands. Reaching one here is
+	// only possible when IPToHost fails to cover a declared host — degrade
+	// to under-merged shards, mirroring how the ranker degrades on the
+	// same misconfiguration.
 	if a.sealed || b.sealed {
 		live := a
 		if a.sealed {
@@ -950,8 +897,8 @@ func (p *runPool) mergeRuns(x, y []pushRec) []pushRec {
 	return out
 }
 
-// CloseHost closes one host's stream, which is what seals components
-// and feeds the worker pool. A closed host no longer extends any
+// CloseHost closes one host's stream, which is what seals components,
+// and correlates what it sealed. A closed host no longer extends any
 // component's horizon, so the deadlines are requeued and those the
 // clock has already passed seal here, as forced seals.
 func (s *streamSession) CloseHost(host string) error {
@@ -967,7 +914,6 @@ func (s *streamSession) CloseHost(host string) error {
 		s.sealCompleted()
 	}
 	s.dispatch()
-	s.harvest()
 	s.workTime += time.Since(start)
 	return nil
 }
@@ -1072,11 +1018,9 @@ func (s *streamSession) requeueDeadlines() {
 // which stage 1 correlates and absorbs on the spot. Like the forced seal
 // it runs against the activity clock only.
 //
-// The prefixes are correlated here, not by the pool, because the pool
-// must be free at the next Drain: a prefix still running on a worker
-// when the next Drain dispatches its seals takes that worker from the
-// seals, and every graph the Drain releases waits for it. Rolling is
-// Drain's last step, after emit, so no release waits on it either.
+// The prefixes are correlated one at a time on stage 1's own scratch:
+// they are small, and rolling is Drain's last step, after emit, so no
+// release waits on them.
 func (s *streamSession) rollStale() {
 	if !s.continuous {
 		return
@@ -1089,10 +1033,8 @@ func (s *streamSession) rollStale() {
 		if horizon <= 0 || c.oldest() >= s.maxTs-2*horizon {
 			continue
 		}
-		if s.rollScratch == nil {
-			s.rollScratch = newShardScratch(s.drv)
-		}
-		s.absorb(s.correlateComponent(s.rollScratch, s.rollPrefix(c, s.maxTs-horizon)))
+		s.growScratch(1)
+		s.absorb(s.correlateComponent(s.scratch[0], s.rollPrefix(c, s.maxTs-horizon)))
 	}
 }
 
@@ -1173,11 +1115,15 @@ func (s *streamSession) seal(c *sessComponent) {
 	s.unsent = append(s.unsent, c)
 }
 
-// dispatch hands every component sealed since the last barrier to the
-// worker pool in deterministic creation order, as one batched ring push.
-// The flow-bookkeeping prune is scheduled here, where maxTs is a
-// deterministic function of the event stream and the Drain cadence
-// (absorption timing is pipelined and therefore not deterministic).
+// dispatch correlates every component sealed since the last barrier
+// and absorbs the results in deterministic creation order. Stage 1 takes
+// components off the batch itself, helped by up to Workers−1 goroutines
+// started for this batch only, and waits for them before absorbing; so a
+// Workers=1 session starts no goroutine, and a caller pushing faster than
+// correlation keeps up is held at the barrier — the backpressure that,
+// through the ingest queue, reaches TCP. The flow-bookkeeping prune is
+// scheduled here too, where maxTs is a deterministic function of the
+// event stream and the Drain cadence.
 func (s *streamSession) dispatch() {
 	ready := s.unsent
 	if len(ready) == 0 {
@@ -1195,14 +1141,48 @@ func (s *streamSession) dispatch() {
 			s.inc.SchedulePrune(c.root, s.maxTs+lag)
 		}
 	}
-	// Blocking push is safe here: workers always drain jobs, landing a
-	// result never waits on stage 1, and stage 1 holds no locks — a full
-	// ring is backpressure, not deadlock.
-	s.jobs.PushBatch(ready)
-	s.dispatched += len(ready)
 	s.shards += len(ready)
+	s.results = slices.Grow(s.results[:0], len(ready))[:len(ready)]
+	s.next.Store(0)
+	n := min(s.workers, len(ready))
+	s.growScratch(n)
+	s.helpers.Add(n - 1)
+	for k := 1; k < n; k++ {
+		go s.help(s.scratch[k])
+	}
+	s.correlateBatch(s.scratch[0])
+	s.helpers.Wait()
+	for i := range s.results {
+		s.absorb(s.results[i])
+		s.results[i] = sessShardResult{}
+	}
 	clear(ready)
 	s.unsent = ready[:0]
+}
+
+// correlateBatch correlates unsent components until none is left to
+// take. Stage 1 leaves unsent alone until every helper is done.
+func (s *streamSession) correlateBatch(sc *shardScratch) {
+	for {
+		i := int(s.next.Add(1)) - 1
+		if i >= len(s.unsent) {
+			return
+		}
+		s.results[i] = s.correlateComponent(sc, s.unsent[i])
+	}
+}
+
+// help is one helper goroutine's share of a batch.
+func (s *streamSession) help(sc *shardScratch) {
+	defer s.helpers.Done()
+	s.correlateBatch(sc)
+}
+
+// growScratch makes sure there are at least n shardScratches.
+func (s *streamSession) growScratch(n int) {
+	for len(s.scratch) < n {
+		s.scratch = append(s.scratch, newShardScratch(s.drv))
+	}
 }
 
 // growable reports whether any still-open declared host could push an
@@ -1216,45 +1196,8 @@ func (s *streamSession) growable(c *sessComponent) bool {
 	return false
 }
 
-// harvest folds every result the workers have landed into the session,
-// without waiting for in-flight shards — the non-blocking half of the
-// stage-1/pool handshake. The two buffers ping-pong so the steady state
-// allocates nothing.
-func (s *streamSession) harvest() {
-	s.colMu.Lock()
-	batch := s.colBuf
-	s.colBuf = s.colScratch[:0]
-	s.colMu.Unlock()
-	if len(batch) == 0 {
-		s.colScratch = batch
-		return
-	}
-	for i := range batch {
-		s.absorb(batch[i])
-		batch[i] = sessShardResult{}
-	}
-	s.colScratch = batch[:0]
-}
-
-// settle waits until every dispatched shard has landed, then absorbs the
-// lot — the full barrier Drain and Close rely on. It publishes the count
-// it waits for as settleAt, so only the worker landing the last result
-// wakes it. Waiting cannot deadlock: workers drain the jobs ring
-// unconditionally and land results without waiting on stage 1, so every
-// dispatched component's result reaches collected.
-func (s *streamSession) settle() {
-	s.colMu.Lock()
-	s.settleAt = s.dispatched
-	for s.collected < s.dispatched {
-		s.colReady.Wait()
-	}
-	s.colMu.Unlock()
-	s.harvest()
-}
-
 // absorb folds one shard result into the session aggregates. Runs on
-// stage 1 only (via harvest/settle), so the comps map and aggregates
-// stay single-owner.
+// stage 1 only, so the comps map and aggregates stay single-owner.
 func (s *streamSession) absorb(r sessShardResult) {
 	s.pendingActs -= r.comp.size
 	s.uncounted += int(r.rstats.Delivered)
@@ -1284,7 +1227,7 @@ func (s *streamSession) absorb(r sessShardResult) {
 // stamped after it by the same entry-tier context, and the engine gives
 // both vertices their first record's timestamp, so END ≥ root BEGIN. A
 // future graph's BEGIN is either buffered in a resident component
-// (sealed-but-in-flight ones stay in comps until absorbed), so its END ≥
+// (sealed ones stay in comps until their result is absorbed), so its END ≥
 // that component's minBegin, or not yet pushed, so its END ≥ its host's
 // bound. A BEGIN-less component bounds nothing: if it later fuses with
 // one holding a BEGIN, that one covers it.
@@ -1342,15 +1285,14 @@ func (s *streamSession) emit(all bool) {
 	}
 }
 
-// Drain dispatches the components sealed since the last barrier,
-// finishes every sealed component, releases what the watermark permits,
+// Drain correlates the components sealed since the last barrier,
+// releases what the watermark permits,
 // and then rolls aged prefixes off never-idle BEGIN-less components.
 // Rolling comes last because a prefix roots no graph: no release waits
 // on it.
 func (s *streamSession) Drain() int {
 	start := time.Now()
 	s.dispatch()
-	s.settle()
 	if s.continuous {
 		s.inc.PruneBefore(s.maxTs)
 	}
@@ -1362,8 +1304,7 @@ func (s *streamSession) Drain() int {
 	return n
 }
 
-// Close seals and settles everything, stops the pool and releases every
-// held graph.
+// Close seals and correlates everything and releases every held graph.
 func (s *streamSession) Close() *Result {
 	if s.closed {
 		return s.final
@@ -1374,9 +1315,6 @@ func (s *streamSession) Close() *Result {
 	}
 	s.sealCompleted()
 	s.dispatch()
-	s.settle()
-	s.jobs.Close()
-	s.wg.Wait()
 	s.emit(true)
 	s.workTime += time.Since(start)
 	s.closed = true

@@ -113,9 +113,6 @@ func NewHTTPExporter(url string) *HTTPExporter {
 	return &HTTPExporter{url: url, client: http.DefaultClient, batchSize: DefaultHTTPBatch, enc: newEncoder()}
 }
 
-// SetClient overrides the HTTP client (tests, timeouts).
-func (h *HTTPExporter) SetClient(c *http.Client) { h.client = c }
-
 // SetBatchSize overrides the graphs-per-POST coalescing factor.
 func (h *HTTPExporter) SetBatchSize(n int) {
 	if n > 0 {
