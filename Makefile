@@ -75,20 +75,22 @@ bench:
 # machine variance — an accidental per-record allocation costs ~37k
 # allocs/op here and blows either budget immediately.
 #
-#   seq-close-driven: 50,647 measured once a completed multi-segment
-#   RECEIVE took over its partial-segment slice instead of copying it
-#   (53,847 before; 53,849 with the collector goroutine and results ring;
-#   down from 178,250 before dense interned identities, ~68k before the
-#   worker-pool ranker/engine reuse).
-ALLOCS_BUDGET ?= 65000
-#   seq-continuous (SealAfter horizon, per-component forced seals): 48,932
-#   measured once stage 1 recycled run arrays and component structs
-#   (60,352 before), 60,352 with the partial-slice take-over (63,552
-#   before, 63,550 with the collector), down from ~64.4k (64,447) when
-#   every release copied the held backlog, ~64k after the worker-pool
-#   reuse + flow key recycling, and ~139k when every sealed component
-#   rebuilt its ranker and engine.
-ALLOCS_BUDGET_CONTINUOUS ?= 62500
+#   seq-close-driven: 25,433 measured once the engine carved vertices
+#   from 128-vertex chunks (47,993 with one allocation per vertex);
+#   50,647 once a completed multi-segment RECEIVE took over its
+#   partial-segment slice instead of copying it (53,847 before; 53,849
+#   with the collector goroutine and results ring; down from 178,250
+#   before dense interned identities, ~68k before the worker-pool
+#   ranker/engine reuse).
+ALLOCS_BUDGET ?= 32500
+#   seq-continuous (SealAfter horizon, per-component forced seals): 26,206
+#   measured with the vertex chunks (48,759 before); 48,932 once stage 1
+#   recycled run arrays and component structs (60,352 before), 60,352
+#   with the partial-slice take-over (63,552 before, 63,550 with the
+#   collector), down from ~64.4k (64,447) when every release copied the
+#   held backlog, ~64k after the worker-pool reuse + flow key recycling,
+#   and ~139k when every sealed component rebuilt its ranker and engine.
+ALLOCS_BUDGET_CONTINUOUS ?= 33500
 # Byte budgets for the same two variants: allocs/op cannot see an object
 # shrink or grow, B/op can. The measured figure plus ~10%.
 #

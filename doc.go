@@ -19,9 +19,11 @@
 //	                     TCP channels and context epochs
 //	internal/ranker      candidate selection: sliding window, Rule 1/2,
 //	                     is_noise, concurrency-disturbance swap (§4.1, §4.3)
+//	                     over ranking keys copied out in blocks
 //	internal/engine      CAG construction: mmap/cmap as per-pass ordinal
 //	                     tables, n-to-n SEND/RECEIVE merging,
-//	                     thread-reuse check (§4.2)
+//	                     thread-reuse check (§4.2), vertices carved from
+//	                     chunks
 //	internal/cag         the CAG abstraction, patterns, aggregation,
 //	                     latency breakdown (§3.2)
 //	internal/activity    activity model and TCP_TRACE wire formats (§3.1):
@@ -121,6 +123,17 @@
 // their own result slots, and stage 1 waits for them before it absorbs.
 // With Workers=1 (or a batch of one) no goroutine starts at all: the
 // session is literally the sequential pass, run once per component.
+//
+// That pass works from contiguous memory. Stage 1 copies records into
+// 64 KiB slabs in push order, so one component's records lie scattered
+// among every other component's. The ranker therefore copies each
+// queue's ranking keys (type, timestamp, size) out of the records in
+// blocks of 256 and interns the block on the engine while it is still in
+// cache; its rules then read the copies. The engine skips the hash when a
+// record repeats the previous one's thread or connection, and carves
+// vertices from chunks of 128 that outlive its Reset, one allocation per
+// chunk. A graph a sink retains pins its vertices' chunks as it pins its
+// records' slab.
 //
 // Backpressure comes from the same shape. A barrier returns only when
 // its batch is correlated, so a caller pushing faster than correlation

@@ -51,7 +51,8 @@ func (k EdgeKind) String() string {
 // The engine's representative is the first segment of a BEGIN, SEND or
 // END and the completing segment of a RECEIVE; baseline.Nesting's is a
 // coalesced group's last record. Size is the vertex's own merged byte
-// count and shadows the record's. Build vertices with NewVertex.
+// count and shadows the record's. Build vertices with NewVertex, or Init
+// one allocated in bulk.
 type Vertex struct {
 	*activity.Activity
 	Size int64 // total message bytes after merging
@@ -74,10 +75,18 @@ type Vertex struct {
 // NewVertex returns a vertex represented by a, with Records backed by the
 // vertex itself (no separate slice allocation).
 func NewVertex(a *activity.Activity) *Vertex {
-	v := &Vertex{Activity: a, Size: a.Size}
+	v := new(Vertex)
+	v.Init(a)
+	return v
+}
+
+// Init makes v a fresh vertex represented by a, exactly as NewVertex
+// builds one, for callers that allocate vertices in bulk. v must not
+// belong to a graph.
+func (v *Vertex) Init(a *activity.Activity) {
+	*v = Vertex{Activity: a, Size: a.Size}
 	v.rec0[0] = a
 	v.Records = v.rec0[:1]
-	return v
 }
 
 // CtxParent returns the parent via the adjacent context relation, or nil.

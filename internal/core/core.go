@@ -418,7 +418,7 @@ func (c *Correlator) CorrelateSources(sources []ranker.Source, totalHint int) (*
 // driveOn is the paper's sequential correlator, run to exhaustion over
 // per-node sources on a caller-owned, reusable ranker+engine pair: both
 // are reset in place, and each candidate goes from the ranker to the
-// engine with the ordinals the ranker interned it under at fetch, so the
+// engine with the ordinals the ranker interned it under at load, so the
 // pass hashes each record once. The session uses it to correlate one
 // sealed component after another without rebuilding the pair — in
 // continuous mode the per-component ranker/engine construction dominated

@@ -10,15 +10,17 @@ import (
 	"repro/internal/rubis"
 )
 
-// TestSessionPoolSettlesAndStops pins the worker pool's two
-// synchronization points: settle, the barrier every Drain and Close waits
-// on, and the pool's shutdown at Close. A continuous session is fed with a
-// Drain every 64 pushes, so settle runs hundreds of times against a pool
-// that is still correlating; then every host closes and one Drain must
-// leave nothing pending. The graphs must equal the offline correlation, a
-// second Close must return the same Result, and once the sessions are
-// closed no pool goroutine may outlive them. A barrier that misses its
-// wake-up hangs, so each session runs under a watchdog.
+// TestSessionPoolSettlesAndStops pins the session's barrier: every Drain
+// and Close correlates the components sealed since the last one, stage 1
+// together with up to Workers−1 helper goroutines started for that batch,
+// and waits for the helpers before absorbing the results. A continuous
+// session is fed with a Drain every 64 pushes, so the barrier runs
+// hundreds of times with forced seals to correlate; then every host
+// closes and one Drain must leave nothing pending. The graphs must equal
+// the offline correlation, a second Close must return the same Result,
+// and once the sessions are closed no helper goroutine may outlive them.
+// A barrier that misses a helper's finish hangs, so each session runs
+// under a watchdog.
 func TestSessionPoolSettlesAndStops(t *testing.T) {
 	res := rubisTrace(t, 80, 0.02, 0)
 	want := correlate(t, res, 1, ShardByFlow)
@@ -68,7 +70,7 @@ func TestSessionPoolSettlesAndStops(t *testing.T) {
 		select {
 		case o = <-done:
 		case <-time.After(30 * time.Second):
-			t.Fatalf("workers=%d: session did not finish within 30s (a settle barrier missed its wake-up)", workers)
+			t.Fatalf("workers=%d: session did not finish within 30s (a barrier missed a helper's finish)", workers)
 		}
 		if o.err != nil {
 			t.Fatalf("workers=%d: %v", workers, o.err)
@@ -77,7 +79,7 @@ func TestSessionPoolSettlesAndStops(t *testing.T) {
 			t.Fatalf("workers=%d: %d activities pending after every host closed and drained", workers, o.pending)
 		}
 		if o.first.ForcedSeals == 0 {
-			t.Fatalf("workers=%d: no forced seals; the Drain cadence never settled a busy pool", workers)
+			t.Fatalf("workers=%d: no forced seals; the Drain cadence never had a batch to correlate", workers)
 		}
 		if o.second != o.first {
 			t.Fatalf("workers=%d: second Close returned a different *Result", workers)

@@ -9,11 +9,12 @@ import "repro/internal/cag"
 // order. Registering any sink switches the session to streaming:
 // Result.Graphs stays empty and output memory is the sinks' concern.
 //
-// Ownership: the graph and its vertices' Records are owned by the
-// pipeline's slab allocator and are immutable after emission. A sink
-// may retain the graph indefinitely (Collect does), but must not mutate
-// vertices or records — later sinks in the chain observe the same
-// objects.
+// Ownership: the graph's vertices are carved from the engine's vertex
+// chunks and their Records from the pipeline's slab allocator; all are
+// immutable after emission. A sink may retain the graph indefinitely
+// (Collect does), which keeps its vertex chunks and record slabs alive,
+// but must not mutate vertices or records — later sinks in the chain
+// observe the same objects.
 type GraphSink interface {
 	ConsumeGraph(g *cag.Graph)
 }

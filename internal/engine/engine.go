@@ -15,10 +15,18 @@
 //
 // Both are per-pass ordinal tables: Intern hashes a record's directed
 // Channel and its CtxKey once into dense ordinals (Ords), and mmap and
-// cmap are slices indexed by them. The ranker interns each record at fetch
-// and carries its ordinals to HandleOrds; Handle interns and handles in
-// one call. Reset forgets the ordinals and truncates both tables, keeping
-// their capacity, so one engine correlates component after component.
+// cmap are slices indexed by them; it skips the hash when a key repeats
+// the previous record's, as a host's consecutive records mostly do. The
+// ranker interns each record when it loads it and carries its ordinals
+// to HandleOrds; Handle interns and handles in one call. Reset forgets
+// the ordinals and truncates both tables, keeping their capacity, so one
+// engine correlates component after component.
+//
+// Vertices are carved from chunks of vertexChunk, one allocation per
+// chunk rather than per vertex, and a chunk outlives Reset: the next pass
+// takes its vertices from where the last one stopped. A vertex is never
+// handed out twice, so graphs already returned stay valid; a graph the
+// caller retains pins its vertices' chunks, as it pins its records' slab.
 //
 // Thread-pool context reuse (one thread serving many requests over its
 // lifetime) is defeated by the same-CAG check of lines 29–32: the context
@@ -71,6 +79,9 @@ type ctxEntry struct {
 	graph  *cag.Graph
 }
 
+// vertexChunk is how many vertices the engine allocates at once.
+const vertexChunk = 128
+
 // Ords are a bound record's ordinals in one engine pass: Chan indexes mmap
 // by the record's directed Channel, Ctx indexes cmap by its CtxKey. They
 // are valid on the engine that issued them until its next Reset.
@@ -83,8 +94,17 @@ type Engine struct {
 	mmap    []pendingSend // by Ords.Chan
 	cmap    []ctxEntry    // by Ords.Ctx
 
+	// Intern's one-entry memo of the last record's keys and ordinals,
+	// valid while lastOK: a host's consecutive records mostly share a
+	// thread and often a connection, so most lookups repeat it.
+	lastChan activity.Channel
+	lastCtx  activity.CtxKey
+	last     Ords
+	lastOK   bool
+
 	outputs []*cag.Graph
 	stats   Stats
+	chunk   []cag.Vertex // the unused rest of the current vertex chunk
 
 	// resident tracks vertices held in unfinished CAGs — the engine half of
 	// the Fig. 11 memory accounting. It rises as vertices are added and
@@ -102,35 +122,55 @@ func New() *Engine {
 }
 
 // Reset returns the engine to its empty state, voiding every ordinal it
-// issued, while keeping the maps' and tables' capacity — the worker-pool
-// variant of New for correlating many sealed components on one engine.
-// The previous run's outputs slice is dropped, never truncated and
-// reused, so graphs already handed to the caller stay valid.
+// issued, while keeping the maps' and tables' capacity and the rest of
+// the vertex chunk, so one engine correlates many sealed components. The
+// previous run's outputs slice is dropped, never truncated and reused,
+// and its vertices are never handed out again, so graphs already handed
+// to the caller stay valid.
 func (e *Engine) Reset() {
 	clear(e.chanOrd)
 	clear(e.ctxOrd)
 	clear(e.mmap) // release the pass's graphs; Intern zeroes reused slots anyway
 	clear(e.cmap)
-	*e = Engine{chanOrd: e.chanOrd, ctxOrd: e.ctxOrd, mmap: e.mmap[:0], cmap: e.cmap[:0]}
+	*e = Engine{chanOrd: e.chanOrd, ctxOrd: e.ctxOrd, mmap: e.mmap[:0], cmap: e.cmap[:0], chunk: e.chunk}
+}
+
+// newVertex carves a vertex represented by a from the current chunk.
+func (e *Engine) newVertex(a *activity.Activity) *cag.Vertex {
+	if len(e.chunk) == 0 {
+		e.chunk = make([]cag.Vertex, vertexChunk)
+	}
+	v := &e.chunk[0]
+	e.chunk = e.chunk[1:]
+	v.Init(a)
+	return v
 }
 
 // Intern binds a and returns its ordinals, giving a Channel or CtxKey this
 // pass has not seen the next free slot (empty) in mmap or cmap.
 func (e *Engine) Intern(a *activity.Activity) Ords {
 	activity.Bind(a) // hand-built records reach the engine unbound
-	ch, ok := e.chanOrd[a.Chan]
-	if !ok {
-		ch = int32(len(e.mmap))
-		e.chanOrd[a.Chan] = ch
-		e.mmap = append(e.mmap, pendingSend{})
+	o := e.last
+	if !e.lastOK || a.Chan != e.lastChan {
+		ch, ok := e.chanOrd[a.Chan]
+		if !ok {
+			ch = int32(len(e.mmap))
+			e.chanOrd[a.Chan] = ch
+			e.mmap = append(e.mmap, pendingSend{})
+		}
+		o.Chan, e.lastChan = ch, a.Chan
 	}
-	ctx, ok := e.ctxOrd[a.CtxK]
-	if !ok {
-		ctx = int32(len(e.cmap))
-		e.ctxOrd[a.CtxK] = ctx
-		e.cmap = append(e.cmap, ctxEntry{})
+	if !e.lastOK || a.CtxK != e.lastCtx {
+		ctx, ok := e.ctxOrd[a.CtxK]
+		if !ok {
+			ctx = int32(len(e.cmap))
+			e.ctxOrd[a.CtxK] = ctx
+			e.cmap = append(e.cmap, ctxEntry{})
+		}
+		o.Ctx, e.lastCtx = ctx, a.CtxK
 	}
-	return Ords{Chan: ch, Ctx: ctx}
+	e.last, e.lastOK = o, true
+	return o
 }
 
 // Lookup returns the ordinals this pass gave a's Channel and CtxKey
@@ -207,7 +247,7 @@ func (e *Engine) handleBegin(a *activity.Activity, o Ords) {
 		e.stats.MergedBegins++
 		return
 	}
-	v := cag.NewVertex(a)
+	v := e.newVertex(a)
 	g := cag.New(v)
 	e.cmap[o.Ctx] = ctxEntry{vertex: v, graph: g}
 	e.stats.Begins++
@@ -234,7 +274,7 @@ func (e *Engine) handleEnd(a *activity.Activity, o Ords) *cag.Graph {
 		e.stats.DiscardedEnds++
 		return nil
 	}
-	v := cag.NewVertex(a)
+	v := e.newVertex(a)
 	if err := parent.graph.AddVertex(v, cag.ContextEdge, parent.vertex); err != nil {
 		e.stats.DiscardedEnds++
 		return nil
@@ -274,7 +314,7 @@ func (e *Engine) handleSend(a *activity.Activity, o Ords) {
 		e.stats.MergedSends++
 		return
 	}
-	v := cag.NewVertex(a)
+	v := e.newVertex(a)
 	if err := parent.graph.AddVertex(v, cag.ContextEdge, parent.vertex); err != nil {
 		e.stats.DiscardedSends++
 		return
@@ -314,7 +354,7 @@ func (e *Engine) handleReceive(a *activity.Activity, o Ords) {
 	// completing segment (data available to the application now). The
 	// partial slice belongs to this one pending message, cleared below,
 	// so the vertex takes it over.
-	v := cag.NewVertex(a)
+	v := e.newVertex(a)
 	v.Size = p.vertex.Size
 	if len(p.partial) > 0 {
 		v.Records = append(p.partial, a)

@@ -14,6 +14,16 @@
 // attribute filters and the is_noise check (Fig. 5), and the multi-processor
 // concurrency disturbance (Fig. 6) is broken by swapping a blocked RECEIVE
 // head with a later activity in its queue.
+//
+// The ranker ranks copies, not records. Each queue copies its source's
+// records in blocks of rankBlock: one tight loop copies every record's
+// ranking keys (type, timestamp, size) into a contiguous entry array, so
+// the cache misses on records scattered across the session's slabs are
+// taken together rather than one at a time, and a second loop applies the
+// attribute filter and interns each record on the engine while it is
+// still in cache. Rules 1 and 2, the window top-up, the swap and is_noise
+// then read only the entries. A queue holds its window plus at most one
+// block, however large the component.
 package ranker
 
 import (
@@ -56,7 +66,7 @@ func NewSliceSource(host string, as []*activity.Activity) *SliceSource {
 }
 
 // Reset rearms the source over a new slice, reusing the struct — the
-// worker-pool path rebuilds its per-component sources in place.
+// session rebuilds its per-component sources in place.
 func (s *SliceSource) Reset(host string, as []*activity.Activity) {
 	s.host, s.as, s.pos = host, as, 0
 }
@@ -102,8 +112,9 @@ func SplitByHost(as []*activity.Activity) map[string][]*activity.Activity {
 	return byHost
 }
 
-// Filter inspects an activity at fetch time and returns true to drop it —
-// the attribute-based noise filtering of §4.3 (program name, IP, port).
+// Filter inspects an activity as its block is loaded and returns true to
+// drop it at fetch — the attribute-based noise filtering of §4.3 (program
+// name, IP, port).
 type Filter func(*activity.Activity) bool
 
 // AttributeFilter builds a Filter from deny-lists, mirroring the paper's
@@ -174,17 +185,32 @@ type Stats struct {
 	PeakBuffered  int    // max activities resident in the queues
 }
 
-// entry is one buffered activity with its ordinals on the ranker's
-// engine, interned once at fetch.
+// rankBlock is how many records a queue copies out of its source at a
+// time: enough that the block's cache misses overlap, few enough that
+// the block stays in cache for the interning loop that follows.
+const rankBlock = 256
+
+// entry is one record's ranking keys, copied out of the record when its
+// block is loaded, with its ordinals on the ranker's engine, interned
+// once at load. a is dereferenced again only to deliver it and on the
+// rare is_noise path.
 type entry struct {
-	a *activity.Activity
-	o engine.Ords
+	a    *activity.Activity
+	ts   time.Duration
+	size int64
+	o    engine.Ords
+	typ  activity.Type
+	drop bool // the attribute filter rejects it: skipped, not admitted
 }
 
+// queue is one source's entries. buf[head:n] is the admitted window, the
+// buffer the paper's rules see; buf[cur:] is the loaded block not yet
+// fetched. A filter-dropped entry is skipped as the cursor passes it and
+// the next admitted entry is moved down over it, so buf[n:cur] is dead.
 type queue struct {
-	src  *SliceSource // concrete: no interface call per record
-	buf  []entry
-	head int
+	src          *SliceSource // concrete: no interface call per record
+	buf          []entry
+	head, n, cur int
 }
 
 // sliceOf returns s itself when it is a *SliceSource, else a SliceSource
@@ -200,12 +226,16 @@ func sliceOf(s Source) *SliceSource {
 	return NewSliceSource(s.Host(), as)
 }
 
-func (q *queue) len() int { return len(q.buf) - q.head }
+func (q *queue) len() int { return q.n - q.head }
+
+// exhausted reports whether the cursor has passed every record of the
+// source, filter-dropped ones included.
+func (q *queue) exhausted() bool { return q.cur == len(q.buf) && q.src.pos == len(q.src.as) }
 
 // peek returns the head entry, or nil when the buffer is empty. The
 // pointer is valid until the queue next changes.
 func (q *queue) peek() *entry {
-	if q.head >= len(q.buf) {
+	if q.head >= q.n {
 		return nil
 	}
 	return &q.buf[q.head]
@@ -215,12 +245,6 @@ func (q *queue) pop() entry {
 	e := q.buf[q.head]
 	q.buf[q.head] = entry{}
 	q.head++
-	if q.head > 1024 && q.head*2 > len(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		clear(q.buf[n:])
-		q.buf = q.buf[:n]
-		q.head = 0
-	}
 	return e
 }
 
@@ -245,14 +269,14 @@ type Ranker struct {
 
 	// bufferedSends counts SEND activities currently in the buffer, per
 	// channel ordinal on eng — the "buffer of ranker" half of the is_noise
-	// predicate. It covers every ordinal a fetched record carries.
+	// predicate. It covers every ordinal a loaded record carries.
 	bufferedSends []int32
 	buffered      int
 	ipHost        map[activity.Sym]string // cfg.IPToHost by interned IP
 }
 
 // New builds a ranker over the given per-node sources that feeds eng:
-// each fetched record is interned on eng, whose mmap also answers Rule 1
+// each loaded record is interned on eng, whose mmap also answers Rule 1
 // and is_noise. Sources are ranked in the order given; use deterministic
 // ordering for reproducible runs. A source that is not a *SliceSource is
 // read to its end here.
@@ -273,10 +297,10 @@ func New(cfg Config, eng *engine.Engine, sources []Source) *Ranker {
 
 // Reset rearms the ranker over fresh sources and a freshly Reset engine,
 // reusing the queue buffers and SEND-counter capacity of the previous run.
-// It is the worker-pool variant of New: a continuous session correlates
-// thousands of small sealed components, and rebuilding the ranker for
-// each one dominated the steady-state allocation profile. The
-// configuration is kept from New; only the per-run state is cleared.
+// A continuous session correlates thousands of small sealed components on
+// one ranker, and rebuilding it for each one dominated the steady-state
+// allocation profile. The configuration is kept from New; only the
+// per-run state is cleared.
 func (r *Ranker) Reset(eng *engine.Engine, sources []Source) {
 	r.eng = eng
 	r.stats = Stats{}
@@ -293,38 +317,89 @@ func (r *Ranker) Reset(eng *engine.Engine, sources []Source) {
 			r.queues[i] = q
 		}
 		q.src = sliceOf(s)
-		clear(q.buf[:cap(q.buf)])
+		clear(q.buf)
 		q.buf = q.buf[:0]
-		q.head = 0
+		q.head, q.n, q.cur = 0, 0, 0
 	}
 }
 
 // Stats returns a copy of the counters.
 func (r *Ranker) Stats() Stats { return r.stats }
 
-// fetchOne admits the next source activity of q into its buffer, applying
-// the attribute filter. Returns false when the source is exhausted.
+// load copies q's next block of at most rankBlock records out of its
+// source. It runs only once the cursor has passed the previous block.
+// When the block does not fit behind the admitted window, the window
+// slides to the front of buf, or moves to a buffer sized for it and one
+// block, so a queue never holds more than its largest window and one
+// block. Returns false when the source is exhausted.
+func (r *Ranker) load(q *queue) bool {
+	rest := q.src.as[q.src.pos:]
+	if len(rest) == 0 {
+		return false
+	}
+	k := min(len(rest), rankBlock)
+	if live := q.len(); live+k > cap(q.buf) {
+		buf := make([]entry, live, live+rankBlock)
+		copy(buf, q.buf[q.head:q.n])
+		q.buf, q.head, q.n = buf, 0, live
+	} else if q.n+k > cap(q.buf) {
+		copy(q.buf, q.buf[q.head:q.n])
+		q.head, q.n = 0, live
+	}
+	clear(q.buf[q.n:]) // what the slide vacated and the dead entries
+	q.buf = q.buf[:q.n+k]
+	q.cur = q.n
+	blk := q.buf[q.n:]
+	for i, a := range rest[:k] {
+		blk[i] = entry{a: a, ts: a.Timestamp, size: a.Size, typ: a.Type}
+	}
+	q.src.pos += k
+	for i := range blk {
+		e := &blk[i]
+		if r.cfg.Filter != nil && r.cfg.Filter(e.a) {
+			e.drop = true
+			continue
+		}
+		e.o = r.eng.Intern(e.a)
+		if n := int(e.o.Chan) + 1; n > len(r.bufferedSends) {
+			r.bufferedSends = append(r.bufferedSends, make([]int32, n-len(r.bufferedSends))...)
+		}
+	}
+	return true
+}
+
+// upcoming returns the entry the cursor reaches next, filter-dropped or
+// not, loading a block when the last one is spent; nil when q's source
+// is exhausted.
+func (r *Ranker) upcoming(q *queue) *entry {
+	if q.cur == len(q.buf) && !r.load(q) {
+		return nil
+	}
+	return &q.buf[q.cur]
+}
+
+// fetchOne advances q's cursor to the next entry the attribute filter
+// keeps and admits it to the window. Returns false when the source is
+// exhausted.
 func (r *Ranker) fetchOne(q *queue) bool {
 	for {
-		a := q.src.Pop()
-		if a == nil {
+		e := r.upcoming(q)
+		if e == nil {
 			return false
 		}
-		if r.cfg.Filter != nil && r.cfg.Filter(a) {
+		q.cur++
+		if e.drop {
 			r.stats.FilterDropped++
 			continue
 		}
-		o := r.eng.Intern(a)
-		q.buf = append(q.buf, entry{a: a, o: o})
+		q.buf[q.n] = *e // moves it down over the dropped entries passed
+		q.n++
 		r.buffered++
 		if r.buffered > r.stats.PeakBuffered {
 			r.stats.PeakBuffered = r.buffered
 		}
-		if n := int(o.Chan) + 1; n > len(r.bufferedSends) {
-			r.bufferedSends = append(r.bufferedSends, make([]int32, n-len(r.bufferedSends))...)
-		}
-		if a.Type == activity.Send {
-			r.bufferedSends[o.Chan]++
+		if e.typ == activity.Send {
+			r.bufferedSends[e.o.Chan]++
 		}
 		r.stats.Fetched++
 		return true
@@ -347,8 +422,8 @@ func (r *Ranker) refill() {
 	horizon := minTs + r.cfg.Window
 	for _, q := range r.queues {
 		for {
-			next := q.src.Peek()
-			if next == nil || next.Timestamp > horizon {
+			next := r.upcoming(q)
+			if next == nil || next.ts > horizon {
 				break
 			}
 			if !r.fetchOne(q) {
@@ -363,8 +438,8 @@ func (r *Ranker) minHeadTs() (time.Duration, bool) {
 	found := false
 	for _, q := range r.queues {
 		if h := q.peek(); h != nil {
-			if !found || h.a.Timestamp < minTs {
-				minTs = h.a.Timestamp
+			if !found || h.ts < minTs {
+				minTs = h.ts
 				found = true
 			}
 		}
@@ -379,7 +454,7 @@ func (r *Ranker) take(q *queue) (*activity.Activity, engine.Ords) {
 		r.assertOrds(e)
 	}
 	r.buffered--
-	if e.a.Type == activity.Send {
+	if e.typ == activity.Send {
 		r.bufferedSends[e.o.Chan]--
 	}
 	r.stats.Delivered++
@@ -406,8 +481,8 @@ func (r *Ranker) Next() (*activity.Activity, engine.Ords) {
 		// engine cannot attach it either way.
 		for _, q := range r.queues {
 			h := q.peek()
-			if h != nil && h.a.Type == activity.Receive &&
-				r.eng.PendingBytes(h.o.Chan) >= max(h.a.Size, 1) {
+			if h != nil && h.typ == activity.Receive &&
+				r.eng.PendingBytes(h.o.Chan) >= max(h.size, 1) {
 				return r.take(q)
 			}
 		}
@@ -425,15 +500,15 @@ func (r *Ranker) Next() (*activity.Activity, engine.Ords) {
 				continue
 			}
 			b := r.queues[best].peek()
-			if h.a.Type.Priority() < b.a.Type.Priority() ||
-				(h.a.Type.Priority() == b.a.Type.Priority() && h.a.Timestamp < b.a.Timestamp) {
+			if h.typ.Priority() < b.typ.Priority() ||
+				(h.typ.Priority() == b.typ.Priority() && h.ts < b.ts) {
 				best = i
 			}
 		}
 		if best < 0 {
 			return nil, engine.Ords{} // all queues and sources drained
 		}
-		if h := r.queues[best].peek(); h.a.Type != activity.Receive {
+		if h := r.queues[best].peek(); h.typ != activity.Receive {
 			return r.take(r.queues[best])
 		}
 
@@ -469,7 +544,7 @@ func (r *Ranker) swapBlockedHead() bool {
 		}
 		for i := 1; i < n; i++ {
 			x := q.at(i)
-			if x.a.Type == activity.Receive {
+			if x.typ == activity.Receive {
 				continue
 			}
 			safe := true
@@ -498,7 +573,7 @@ func (r *Ranker) swapBlockedHead() bool {
 func (r *Ranker) dropNoiseHead() bool {
 	for _, q := range r.queues {
 		h := q.peek()
-		if h == nil || h.a.Type != activity.Receive {
+		if h == nil || h.typ != activity.Receive {
 			continue
 		}
 		if r.isNoise(h) {
@@ -523,7 +598,7 @@ func (r *Ranker) dropNoiseHead() bool {
 // connection share one node — so every SEND that could ever match a
 // RECEIVE (same Channel) is in the RECEIVE's component, and therefore
 // feeds the same ranker+engine pass. Ordinals are local to that pass: the
-// engine interns every record the ranker fetches, so the matching SEND,
+// engine interns every record the ranker loads, so the matching SEND,
 // buffered or already handled, carries the same channel ordinal as the
 // RECEIVE, and an ordinal no SEND of the pass carries reads zero in both
 // indexes. A shard-local "no" is a global "no". The streaming session
@@ -543,7 +618,7 @@ func (r *Ranker) assertNoBufferedSend(h *entry) {
 	n := int32(0)
 	for _, q := range r.queues {
 		for i := 0; i < q.len(); i++ {
-			if x := q.at(i).a; x.Type == activity.Send && x.Chan == h.a.Chan {
+			if x := q.at(i); x.typ == activity.Send && x.a.Chan == h.a.Chan {
 				n++
 			}
 		}
@@ -580,7 +655,7 @@ func (r *Ranker) isNoise(h *entry) bool {
 	}
 	for _, q := range r.queues {
 		if q.src.host == senderHost {
-			return q.src.Peek() == nil // exhausted sender can never send it
+			return q.exhausted() // an exhausted sender can never send it
 		}
 	}
 	return true // traced host with no source: nothing more can arrive

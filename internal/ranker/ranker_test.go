@@ -262,12 +262,14 @@ func TestConcurrencyDisturbanceSwap(t *testing.T) {
 func TestSwapPreservesContextOrder(t *testing.T) {
 	// A queue [RECV(ctxA), SEND(ctxA)] must NOT be reordered: the SEND
 	// causally follows the RECEIVE in the same execution entity.
-	q := &queue{}
 	eng := engine.New()
 	recv := act(activity.Receive, 1*time.Millisecond, javaCtx, webApp, 10, 1)
 	send := act(activity.Send, 2*time.Millisecond, javaCtx, appDB, 10, 1)
-	q.buf = []entry{{recv, eng.Intern(recv)}, {send, eng.Intern(send)}}
-	r := &Ranker{queues: []*queue{q}, eng: eng}
+	r := &Ranker{eng: eng}
+	r.Reset(eng, []Source{NewSliceSource("app1", []*activity.Activity{recv, send})})
+	q := r.queues[0]
+	r.fetchOne(q)
+	r.fetchOne(q)
 	if r.swapBlockedHead() {
 		t.Fatal("swap must not reorder same-context activities")
 	}
@@ -329,7 +331,7 @@ func TestSplitByHostSorts(t *testing.T) {
 // Exhausted reports whether all sources and buffers are drained.
 func (r *Ranker) Exhausted() bool {
 	for _, q := range r.queues {
-		if q.len() != 0 || q.src.Peek() != nil {
+		if q.len() != 0 || !q.exhausted() {
 			return false
 		}
 	}
