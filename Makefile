@@ -20,7 +20,7 @@ GO ?= go
 # its bounded-memory sketches and export sinks live in.
 COVER_MIN ?= 85
 
-.PHONY: ci fmt vet lint build test race debug cover bench bench-allocs bench-scaling bench-smoke soak soak-short
+.PHONY: ci fmt vet lint build test race debug cover bench bench-allocs bench-scaling bench-smoke soak soak-short loc
 
 ci: fmt vet lint build test race debug cover bench bench-allocs bench-scaling bench-smoke soak-short
 
@@ -225,3 +225,8 @@ soak-short:
 		-soak.agents=12 -soak.requests=2000
 	$(GO) test ./internal/live -count=1 -run TestMonitorSketchedCapacity \
 		-live.soakscale=25
+
+# The size figure ROADMAP item 6 tracks: lines of tracked non-test Go
+# outside the bench module. Informational only; not part of ci.
+loc:
+	@git ls-files -- '*.go' ':!:*_test.go' ':!:bench/*' | xargs cat | wc -l

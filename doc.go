@@ -60,13 +60,14 @@
 // # The streaming pipeline
 //
 // The paper's correlation algorithm is one pipeline, and this
-// reproduction implements it once (internal/core/stream.go). Every
-// execution mode is a configuration of the same streaming engine — the
-// online Session pushes live records into it, the offline
-// CorrelateTrace/CorrelateSources/CorrelateDir calls replay a recorded
-// input through it (push every activity, close every host, drain), and
-// Options.Workers merely bounds how many goroutines correlate one batch
-// of sealed components (1 = the sequential configuration):
+// reproduction implements it once (core.Session, in
+// internal/core/session.go and stream.go). Every execution mode is a
+// configuration of the same streaming engine — the online Session pushes
+// live records into it, the offline CorrelateTrace/CorrelateDir calls
+// replay a recorded input through it (push every activity, close every
+// host, drain), and Options.Workers merely bounds how many goroutines
+// correlate one batch of sealed components (1 = the sequential
+// configuration):
 //
 //	Push / replay ──> incremental flow partition (flow.Incremental):
 //	        each activity joins a component on arrival; components fuse

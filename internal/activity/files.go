@@ -154,9 +154,9 @@ func Merge(perHost map[string][]*Activity) []*Activity {
 	return out
 }
 
-// FileSource lazily parses one host's log so the ranker can stream from
-// disk without materialising the trace in memory. It satisfies the ranker's
-// Source interface structurally (Host/Peek/Pop).
+// FileSource lazily parses one host's log, one record ahead, so a
+// correlation pass can merge several logs from disk without materialising
+// the trace in memory.
 type FileSource struct {
 	host    string
 	sc      *bufio.Scanner
@@ -191,13 +191,14 @@ func OpenFileSource(host, path string, ids *int64) (*FileSource, error) {
 	return s, nil
 }
 
-// Host implements the Source contract.
+// Host returns the host name the log was opened under.
 func (s *FileSource) Host() string { return s.host }
 
-// Peek implements the Source contract.
+// Peek returns the next record without consuming it, or nil at the end
+// of the log or at the first error.
 func (s *FileSource) Peek() *Activity { return s.next }
 
-// Pop implements the Source contract.
+// Pop consumes and returns the next record, or nil when Peek would.
 func (s *FileSource) Pop() *Activity {
 	a := s.next
 	if a != nil {

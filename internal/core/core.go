@@ -11,9 +11,10 @@
 // plus the §3.1 transformation step that classifies frontier RECEIVE/SEND
 // records into BEGIN/END activities.
 //
-// Every execution mode is the same streaming pipeline (see stream.go):
-// the offline CorrelateTrace/CorrelateSources/CorrelateDir calls replay
-// their input into it — push every activity, close every host, drain.
+// Every execution mode is the same streaming pipeline, the Session (see
+// session.go and stream.go): the offline CorrelateTrace/CorrelateDir calls
+// replay their input into it — push every activity, close every host,
+// drain.
 //
 // Typical offline use:
 //
@@ -186,6 +187,17 @@ func (o *Options) horizonFor(host string) time.Duration {
 		return d
 	}
 	return o.SealAfter
+}
+
+// rankerConfig is the one translation of the options into the ranker's
+// knobs — every ranker a session builds uses it.
+func (o *Options) rankerConfig() ranker.Config {
+	return ranker.Config{
+		Window:          o.Window,
+		IPToHost:        o.IPToHost,
+		Filter:          o.Filter,
+		PaperExactNoise: o.PaperExactNoise,
+	}
 }
 
 // maxHorizon returns the largest configured horizon, the conservative
@@ -365,7 +377,7 @@ func (r *Result) Unfinished() int {
 }
 
 // Correlator is the reusable façade. Each call to CorrelateTrace or
-// CorrelateSources runs an independent pipeline instance.
+// CorrelateDir runs an independent pipeline instance.
 type Correlator struct {
 	opts Options
 	err  error // deferred Options validation failure
@@ -400,48 +412,4 @@ func (c *Correlator) CorrelateTrace(trace []*activity.Activity) (*Result, error)
 		return nil, ErrNoEntryPorts
 	}
 	return c.replayTrace(trace), nil
-}
-
-// CorrelateSources runs the pipeline over pre-classified per-node sources.
-// totalHint sizes the result accounting; pass 0 when unknown.
-//
-// The sources are merged by timestamp and replayed through the streaming
-// engine, which buffers each flow component until it seals — configure a
-// seal horizon to bound that buffering on long inputs.
-func (c *Correlator) CorrelateSources(sources []ranker.Source, totalHint int) (*Result, error) {
-	if c.err != nil {
-		return nil, c.err
-	}
-	return c.replaySources(sources, totalHint), nil
-}
-
-// driveOn is the paper's sequential correlator, run to exhaustion over
-// per-node sources on a caller-owned, reusable ranker+engine pair: both
-// are reset in place, and each candidate goes from the ranker to the
-// engine with the ordinals the ranker interned it under at load, so the
-// pass hashes each record once. The session uses it to correlate one
-// sealed component after another without rebuilding the pair — in
-// continuous mode the per-component ranker/engine construction dominated
-// steady-state allocations.
-func (c *Correlator) driveOn(rk *ranker.Ranker, eng *engine.Engine, sources []ranker.Source) {
-	eng.Reset()
-	rk.Reset(eng, sources)
-	for {
-		a, o := rk.Next()
-		if a == nil {
-			break
-		}
-		eng.HandleOrds(a, o)
-	}
-}
-
-// rankerConfig is the one translation of the correlator's options into
-// the ranker's knobs — every ranker a correlator builds uses it.
-func (c *Correlator) rankerConfig() ranker.Config {
-	return ranker.Config{
-		Window:          c.opts.Window,
-		IPToHost:        c.opts.IPToHost,
-		Filter:          c.opts.Filter,
-		PaperExactNoise: c.opts.PaperExactNoise,
-	}
 }

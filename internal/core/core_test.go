@@ -1,6 +1,9 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -251,5 +254,36 @@ func TestCorrelateDirErrors(t *testing.T) {
 	}
 	if _, err := New(Options{}).CorrelateDir(t.TempDir()); err == nil {
 		t.Fatal("missing entry ports should fail")
+	}
+}
+
+// A malformed line in one host's log fails the pass with an error naming
+// that host, without correlating the rest of the directory. IPToHost is
+// set, so no topology inference runs: the merge loop is what reads the
+// broken line. It sits first in app1's log, so the pass fails before any
+// graph could be emitted.
+func TestCorrelateDirMalformedLine(t *testing.T) {
+	res := fastRun(t, 10, nil)
+	dir := t.TempDir()
+	if err := activity.WriteHostLogs(dir, res.PerHost, false, false); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, activity.HostLogName("app1", false))
+	log, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append([]byte("not a record\n"), log...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := options(res)
+	emitted := 0
+	opts.Sinks = []GraphSink{GraphSinkFunc(func(*cag.Graph) { emitted++ })}
+	_, err = New(opts).CorrelateDir(dir)
+	if err == nil || !strings.HasPrefix(err.Error(), "core: app1: ") {
+		t.Fatalf("CorrelateDir error = %v, want one naming host app1", err)
+	}
+	if emitted != 0 {
+		t.Fatalf("%d graphs emitted by a pass that failed on its first record", emitted)
 	}
 }

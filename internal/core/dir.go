@@ -6,54 +6,15 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/activity"
-	"repro/internal/ranker"
 )
-
-// classifySource wraps a lazy source and applies the §3.1 BEGIN/END
-// transformation as records stream out, so directory correlation never
-// materialises a whole trace.
-type classifySource struct {
-	src interface {
-		Host() string
-		Peek() *activity.Activity
-		Pop() *activity.Activity
-	}
-	cls  *activity.Classifier
-	next *activity.Activity
-}
-
-func (s *classifySource) fill() {
-	if s.next == nil {
-		if a := s.src.Pop(); a != nil {
-			a.Type = s.cls.Classify(a)
-			s.next = a
-		}
-	}
-}
-
-// Host implements ranker.Source.
-func (s *classifySource) Host() string { return s.src.Host() }
-
-// Peek implements ranker.Source.
-func (s *classifySource) Peek() *activity.Activity {
-	s.fill()
-	return s.next
-}
-
-// Pop implements ranker.Source.
-func (s *classifySource) Pop() *activity.Activity {
-	s.fill()
-	a := s.next
-	s.next = nil
-	return a
-}
 
 // CorrelateDir streams one correlation pass over a directory of per-host
 // TCP_TRACE logs (<host>.trace or <host>.trace.gz, as written by
 // activity.WriteHostLogs / rubisgen -splitdir). The logs are decoded
-// lazily and replayed through the streaming engine (see CorrelateSources),
+// lazily, merged by timestamp and replayed through the streaming engine,
 // which buffers each flow component until it seals: configure a seal
 // horizon (Options.SealAfter / SealAfterByHost) to bound that buffering on
 // long inputs — with one, memory tracks recently-active components instead
@@ -62,6 +23,9 @@ func (s *classifySource) Pop() *activity.Activity {
 // If Options.IPToHost is nil the traced-node map is inferred with a cheap
 // first pass over the logs.
 func (c *Correlator) CorrelateDir(dir string) (*Result, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
 	if len(c.opts.EntryPorts) == 0 {
 		return nil, ErrNoEntryPorts
 	}
@@ -92,39 +56,60 @@ func (c *Correlator) CorrelateDir(dir string) (*Result, error) {
 		opts.IPToHost = m
 	}
 
-	cls := activity.NewClassifier(opts.EntryPorts...)
+	start := time.Now()
 	counters := make([]int64, len(names))
-	var sources []ranker.Source
-	var files []*activity.FileSource
+	hosts := make([]string, 0, len(names))
+	files := make([]*activity.FileSource, 0, len(names))
+	defer func() { closeAll(files) }()
 	for i, name := range names {
 		host := strings.TrimSuffix(strings.TrimSuffix(name, ".gz"), ".trace")
 		counters[i] = activity.HostIDBase(i)
 		fs, err := activity.OpenFileSource(host, filepath.Join(dir, name), &counters[i])
 		if err != nil {
-			closeAll(files)
 			return nil, err
 		}
 		files = append(files, fs)
-		sources = append(sources, &classifySource{src: fs, cls: cls})
+		hosts = append(hosts, host)
 	}
-	defer closeAll(files)
 
-	sub := New(opts)
-	res, err := sub.CorrelateSources(sources, 0)
-	if err != nil {
-		return nil, err
+	// Merge the logs by timestamp, the earlier file first on a tie, and
+	// classify each record as it is popped. The session takes the parsed
+	// records over: no copy. A log that stops on an error fails the pass
+	// at once, before the other logs are correlated to their ends.
+	s := newSession(opts, hosts)
+	every := 0
+	if opts.continuousConfigured() {
+		every = replayDrainEvery
+	}
+	for pushed := 1; ; pushed++ {
+		var next *activity.FileSource
+		for _, fs := range files {
+			a := fs.Peek()
+			if a == nil {
+				if err := fs.Err(); err != nil {
+					return nil, fmt.Errorf("core: %s: %w", fs.Host(), err)
+				}
+				continue
+			}
+			if next == nil || a.Timestamp < next.Peek().Timestamp {
+				next = fs
+			}
+		}
+		if next == nil {
+			break
+		}
+		a := next.Pop()
+		a.Type = s.cls.Classify(a)
+		s.replayPush(a)
+		if every > 0 && pushed%every == 0 {
+			s.Drain()
+		}
 	}
 	total := 0
 	for i := range counters {
 		total += int(counters[i] - activity.HostIDBase(i))
 	}
-	res.Activities = total
-	for _, fs := range files {
-		if ferr := fs.Err(); ferr != nil {
-			return nil, fmt.Errorf("core: %s: %w", fs.Host(), ferr)
-		}
-	}
-	return res, nil
+	return c.finishReplay(s, total, start), nil
 }
 
 func closeAll(files []*activity.FileSource) {

@@ -12,11 +12,11 @@ import (
 
 // drive runs a fresh ranker+engine pair to exhaustion over per-node
 // sources — the paper's sequential correlator as one global pass. It runs
-// driveOn, as every sealed flow component of the streaming engine does,
-// so the two cannot drift apart.
+// correlatePass, as every sealed flow component of the streaming engine
+// does, so the two cannot drift apart.
 func (c *Correlator) drive(sources []ranker.Source) *engine.Engine {
 	eng := engine.New()
-	c.driveOn(ranker.New(c.rankerConfig(), eng, nil), eng, sources)
+	correlatePass(ranker.New(c.opts.rankerConfig(), eng, nil), eng, sources)
 	return eng
 }
 

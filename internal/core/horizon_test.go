@@ -103,12 +103,11 @@ func TestSessionPerHostHorizonNoSplit(t *testing.T) {
 	// Mid-stream, before db1 catches up: the quick components have sealed
 	// on the short default horizon, the cross-host component has not —
 	// db1's longer horizon extends only its own components' deadlines.
-	ps := sess.impl
-	if ps.forcedSeals == 0 {
+	if sess.forcedSeals == 0 {
 		t.Fatal("no quick component force-sealed on the 30ms default horizon")
 	}
 	crossAlive := false
-	for _, c := range ps.comps {
+	for _, c := range sess.comps {
 		if !c.sealed && contribHas(c, "db1") {
 			crossAlive = true
 		}
@@ -158,8 +157,7 @@ func TestSessionGlobalHorizonSplits(t *testing.T) {
 		t.Fatal(err)
 	}
 	finish := pushLaggingScenario(t, sess)
-	ps := sess.impl
-	for _, c := range ps.comps {
+	for _, c := range sess.comps {
 		if contribHas(c, "db1") && !c.sealed {
 			t.Fatal("global horizon left the lagging request's component alive")
 		}
@@ -393,8 +391,8 @@ func TestOptionsValidation(t *testing.T) {
 		if _, err := New(opts).CorrelateTrace(nil); err == nil || !strings.Contains(err.Error(), tc.frag) {
 			t.Errorf("%s: CorrelateTrace error = %v, want mention of %q", tc.name, err, tc.frag)
 		}
-		if _, err := New(opts).CorrelateSources(nil, 0); err == nil || !strings.Contains(err.Error(), tc.frag) {
-			t.Errorf("%s: CorrelateSources error = %v, want mention of %q", tc.name, err, tc.frag)
+		if _, err := New(opts).CorrelateDir(t.TempDir()); err == nil || !strings.Contains(err.Error(), tc.frag) {
+			t.Errorf("%s: CorrelateDir error = %v, want mention of %q", tc.name, err, tc.frag)
 		}
 	}
 	// Per-host horizons alone (no global default) are a valid continuous
@@ -405,7 +403,7 @@ func TestOptionsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("per-host-only horizons rejected: %v", err)
 	}
-	if !sess.impl.continuous {
+	if !sess.continuous {
 		t.Fatal("per-host-only horizons did not enable continuous mode")
 	}
 	sess.Close()

@@ -79,7 +79,7 @@ type IngestOptions struct {
 // same merged-timestamp sequence an in-process replay pushes, whatever
 // the agents' batching did; a one-host or already-ordered stream passes
 // straight through. A host with a seal horizon is presumed, as
-// streamSession.watermark presumes, to hold nothing older than the newest
+// Session.watermark presumes, to hold nothing older than the newest
 // received timestamp minus that horizon, so a dead agent delays its peers
 // by its horizon instead of forever; without a horizon its peers' records
 // are held until it speaks, closes, or the ingest closes. Held records
@@ -155,7 +155,7 @@ const never = time.Duration(math.MinInt64)
 // floor is the oldest timestamp h can still contribute: its head item
 // or, with nothing held, its newest received timestamp (streams are
 // monotone per host), raised under a seal horizon to the sender-liveness
-// floor streamSession.watermark presumes.
+// floor Session.watermark presumes.
 func (h *frontHost) floor(maxRecv time.Duration) time.Duration {
 	if h.head < len(h.q) {
 		return h.q[h.head].key()
@@ -218,7 +218,7 @@ func NewIngest(s *Session, opts IngestOptions) *Ingest {
 		byName:  make(map[string]*frontHost),
 		done:    make(chan struct{}),
 	}
-	for _, sh := range s.impl.hosts {
+	for _, sh := range s.hosts {
 		h := &frontHost{name: sh.name, horizon: sh.horizon, bound: never}
 		in.front = append(in.front, h)
 		in.byName[h.name] = h

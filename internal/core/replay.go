@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/activity"
-	"repro/internal/ranker"
 )
 
 // Offline correlation is a deterministic replay into the streaming
@@ -49,7 +48,7 @@ func (c *Correlator) replayTrace(trace []*activity.Activity) *Result {
 	}
 	sort.Strings(hosts)
 
-	s := newStreamSession(c.opts, hosts)
+	s := newSession(c.opts, hosts)
 	cls := s.cls
 	every := 0
 	if c.opts.continuousConfigured() {
@@ -70,65 +69,12 @@ func (c *Correlator) replayTrace(trace []*activity.Activity) *Result {
 	return c.finishReplay(s, len(trace), start)
 }
 
-// replaySources correlates pre-classified per-node sources by merging
-// them in timestamp order (ties broken by source position — sources are
-// conventionally passed in sorted host order) and replaying the merged
-// stream through the streaming engine.
-func (c *Correlator) replaySources(sources []ranker.Source, totalHint int) *Result {
-	start := time.Now()
-	hosts := make([]string, 0, len(sources))
-	seen := make(map[string]struct{}, len(sources))
-	for _, src := range sources {
-		if _, dup := seen[src.Host()]; !dup {
-			seen[src.Host()] = struct{}{}
-			hosts = append(hosts, src.Host())
-		}
-	}
-	if len(hosts) == 0 {
-		return &Result{Activities: totalHint, CorrelationTime: time.Since(start)}
-	}
-
-	s := newStreamSession(c.opts, hosts)
-	every := 0
-	if c.opts.continuousConfigured() {
-		every = replayDrainEvery
-	}
-	pushed := 0
-	for {
-		pick := -1
-		var best time.Duration
-		for i, src := range sources {
-			a := src.Peek()
-			if a == nil {
-				continue
-			}
-			if pick < 0 || a.Timestamp < best {
-				pick, best = i, a.Timestamp
-			}
-		}
-		if pick < 0 {
-			break
-		}
-		// Sources hand over ownership (the historical pass fed them to the
-		// ranker directly), and their records are pre-classified — no copy.
-		s.replayPush(sources[pick].Pop())
-		pushed++
-		if every > 0 && pushed%every == 0 {
-			s.Drain()
-		}
-	}
-	if totalHint == 0 {
-		totalHint = pushed
-	}
-	return c.finishReplay(s, totalHint, start)
-}
-
 // finishReplay ends every stream (Close seals and drains the remainder)
 // and normalises the Result's replay-wide accounting (the engine's own
 // CorrelationTime only covers time blocked on shard work; a batch caller
 // cares about the whole pass, partition included — the quantity
 // Fig. 9/10/14 plot).
-func (c *Correlator) finishReplay(s *streamSession, total int, start time.Time) *Result {
+func (c *Correlator) finishReplay(s *Session, total int, start time.Time) *Result {
 	res := s.Close()
 	res.Activities = total
 	res.CorrelationTime = time.Since(start)

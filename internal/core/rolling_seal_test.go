@@ -94,7 +94,7 @@ func copyTrace(trace []*activity.Activity) []*activity.Activity {
 // session's state: held and live equal what they claim to count, every
 // array on the list is zeroed, and the list never holds more than live
 // components do.
-func assertRunFree(t *testing.T, s *streamSession) {
+func assertRunFree(t *testing.T, s *Session) {
 	t.Helper()
 	held := 0
 	for k, stack := range s.runFree.free {
@@ -173,7 +173,7 @@ func TestRollingSealBoundsNoise(t *testing.T) {
 			if (i+1)%drainEvery == 0 {
 				sess.Drain()
 				peak = max(peak, sess.Pending())
-				assertRunFree(t, sess.impl)
+				assertRunFree(t, sess)
 			}
 		}
 		if peak > bound+drainEvery {
@@ -240,7 +240,7 @@ func TestRollingSealThenBegin(t *testing.T) {
 			}
 			if (i+1)%5 == 0 {
 				sess.Drain()
-				assertRunFree(t, sess.impl)
+				assertRunFree(t, sess)
 			}
 		}
 		out := sess.Close()
@@ -330,10 +330,10 @@ func FuzzRollingSeal(f *testing.F) {
 			}
 			if (i+1)%drainEvery == 0 {
 				sess.Drain()
-				if n := beginLessActs(sess.impl); n > bound {
+				if n := beginLessActs(sess); n > bound {
 					t.Fatalf("BEGIN-less components hold %d activities after a Drain, bound %d", n, bound)
 				}
-				assertRunFree(t, sess.impl)
+				assertRunFree(t, sess)
 			}
 		}
 		out := sess.Close()
@@ -343,7 +343,7 @@ func FuzzRollingSeal(f *testing.F) {
 
 // beginLessActs counts the activities live components without a BEGIN
 // hold: what the rolling seal bounds.
-func beginLessActs(s *streamSession) int {
+func beginLessActs(s *Session) int {
 	n := 0
 	for _, c := range s.comps {
 		if !c.sealed && c.minBegin == noBound {
@@ -374,15 +374,15 @@ func TestRunFreeHygiene(t *testing.T) {
 			}
 			if i%16 == 0 {
 				sess.Drain()
-				assertRunFree(t, sess.impl)
+				assertRunFree(t, sess)
 			}
 		}
-		if sess.impl.runFree.live == 0 {
+		if sess.runFree.live == 0 {
 			t.Fatal("setup: no live run capacity before Close")
 		}
 		sess.Close()
-		assertRunFree(t, sess.impl)
-		if held := sess.impl.runFree.held; held != 0 {
+		assertRunFree(t, sess)
+		if held := sess.runFree.held; held != 0 {
 			t.Fatalf("closed session keeps %d records of run capacity", held)
 		}
 	})
@@ -392,7 +392,6 @@ func TestRunFreeHygiene(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := sess.impl
 		// Request 0 is force-sealed once the clock passes it; a straggler
 		// END on its connection then late-links onto a fresh component.
 		for k := 0; k < 8; k++ {
@@ -404,7 +403,7 @@ func TestRunFreeHygiene(t *testing.T) {
 			t.Fatal(err)
 		}
 		var stale *sessComponent
-		for _, c := range s.comps {
+		for _, c := range sess.comps {
 			if c.late {
 				stale = c
 			}
@@ -422,7 +421,7 @@ func TestRunFreeHygiene(t *testing.T) {
 			t.Fatalf("setup: straggler component forced=%v late=%v, want both", stale.forced, stale.late)
 		}
 		at := -1
-		for i, c := range s.compFree {
+		for i, c := range sess.compFree {
 			if c == stale {
 				at = i
 			}
@@ -431,12 +430,12 @@ func TestRunFreeHygiene(t *testing.T) {
 			t.Fatal("absorbed component not returned to the free list")
 		}
 		// Put it on top so the next new component reuses it.
-		last := len(s.compFree) - 1
-		s.compFree[at], s.compFree[last] = s.compFree[last], s.compFree[at]
+		last := len(sess.compFree) - 1
+		sess.compFree[at], sess.compFree[last] = sess.compFree[last], sess.compFree[at]
 
 		pushRequest(t, sess, 12, 130*time.Millisecond)
 		var reused *sessComponent
-		for _, c := range s.comps {
+		for _, c := range sess.comps {
 			if c == stale {
 				reused = c
 			}

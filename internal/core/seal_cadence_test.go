@@ -148,10 +148,9 @@ func TestSealBeforeNextRecord(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := sess.impl
 			pushRequest(t, sess, 0, 0)
 			var first *sessComponent
-			for _, c := range s.comps {
+			for _, c := range sess.comps {
 				first = c
 			}
 			if heartbeat {
@@ -169,7 +168,7 @@ func TestSealBeforeNextRecord(t *testing.T) {
 					first.sealed, first.forced, first.size)
 			}
 			var next *sessComponent
-			for _, c := range s.comps {
+			for _, c := range sess.comps {
 				if c != first {
 					next = c
 				}

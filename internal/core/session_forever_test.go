@@ -52,7 +52,6 @@ func TestSessionForeverOpenContinuousEmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := sess.impl
 
 	firstEmit := -1
 	peakDirs, peakEpochs := 0, 0
@@ -62,7 +61,7 @@ func TestSessionForeverOpenContinuousEmission(t *testing.T) {
 		if firstEmit < 0 && len(sess.Graphs()) > 0 {
 			firstEmit = k
 		}
-		if d, e, _ := ps.inc.Sizes(); true {
+		if d, e, _ := sess.inc.Sizes(); true {
 			if d > peakDirs {
 				peakDirs = d
 			}

@@ -6,186 +6,14 @@ import (
 	"math/bits"
 	"os"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
 	"repro/internal/activity"
 	"repro/internal/cag"
 	"repro/internal/engine"
-	"repro/internal/flow"
 	"repro/internal/ranker"
 )
-
-// streamSession is the one streaming correlation engine. Every execution
-// mode is a configuration of it — there is no other path: the online
-// Session pushes live records into it, the offline Correlate calls replay
-// a recorded input through it (replay.go), Workers bounds how many
-// goroutines correlate one barrier's batch (1 = the sequential
-// configuration, which starts none), and seal horizons (global or per
-// host) turn it continuous. That includes the PaperExactNoise
-// ablation: the Fig. 5 predicate's pending-SEND question is answered from
-// each shard's own window buffer, which the channel-closure invariant
-// makes equal to the global answer — every SEND that could match a
-// RECEIVE shares its Channel and therefore its component (see
-// ranker.matchingSendVisible, and assertChanClosure below for the debug
-// check).
-//
-// Pipeline:
-//
-//	Push ──> incremental flow partition (internal/flow.Incremental):
-//	         every activity joins a component as it arrives; components
-//	         fuse when a TCP connection or context epoch links them.
-//	CloseHost / seal horizon ──> sealing: a component seals when no open
-//	         host can extend it (the completion watermark), or — with a
-//	         horizon configured — at the push or heartbeat that carries
-//	         the activity clock past its deadline: its newest record
-//	         plus the largest horizon of the hosts that could still
-//	         extend it. Which components exist is thus a function of the
-//	         record stream alone, whatever the Drain cadence.
-//	Drain/CloseHost/Close ──> dispatch: the components sealed since the
-//	         last barrier are correlated there and then, each by the
-//	         unmodified sequential ranker+engine pass
-//	         (Correlator.driveOn), no shared state: stage 1 takes them in
-//	         turn, helped by up to Workers−1 goroutines started for the
-//	         batch, and absorbs the results in creation order.
-//	Drain/Close ──> the watermark emitter pops finished CAGs off a
-//	         min-heap in END-timestamp order while they end below the
-//	         watermark: the oldest BEGIN resident in any component, and
-//	         each open host's push bound. A BEGIN-less component (a
-//	         never-idle noise connection) holds nothing back. Last, Drain
-//	         rolls such a component: its aged records are correlated as
-//	         a prefix, the rest stays.
-//
-// The result is byte-identical to the historical sequential correlator
-// for the same per-host input order on well-formed traces
-// (TestParallelSessionEquivalence, TestParallelEquivalence): the
-// per-component passes are exact because components are closed under the
-// engine's two lookup relations, and the emitter's order is the
-// sequential completion order.
-//
-// With a seal horizon the session additionally runs continuously: a
-// component idle past its horizon is force-sealed as soon as the activity
-// clock (never wall time) passes its deadline, so Drain decides only when
-// its graphs leave, never which graphs exist; the watermark treats quiet
-// open streams as bounded by their own host horizons, and dispatched
-// components' flow bookkeeping is tombstoned then pruned — memory stays
-// bounded by recently-active components even if CloseHost is never
-// called. A never-idle component holding no BEGIN (a §5.3.3 noise
-// connection) rolls instead (rollPrefix), so it holds about two horizons
-// of records, not everything since it opened.
-// Per-host horizons (Options.SealAfterByHost) let one chronically
-// lagging agent extend only its own components' deadlines; Heartbeat
-// lets an idle-but-healthy agent advance the watermark without traffic.
-// See Options.SealAfter for the no-guess tradeoff this accepts.
-//
-// Contributor tracking relies on Options.IPToHost covering every declared
-// host's addresses (the same map the ranker's noise reasoning needs): an
-// activity can only extend a component from a host owning one of the
-// component's channel endpoints. Unresolvable endpoints are treated as
-// untraced, exactly like the ranker treats them.
-//
-// Identity handling: records are bound (activity.Bind) on the way in, so
-// every internal table — host streams, component buffers, endpoint
-// resolution — keys on dense symbols and packed keys, never on strings.
-// Host names reappear only where output order or reporting needs them
-// (correlateComponent's sorted sources, error messages).
-type streamSession struct {
-	opts    Options
-	workers int         // most goroutines correlating one batch (>= 1)
-	drv     *Correlator // sequential driver for sealed components
-	cls     *activity.Classifier
-	inc     *flow.Incremental
-
-	hosts map[activity.Sym]*sessHost
-
-	// ipHost resolves a channel endpoint's interned IP straight to the
-	// owning host's symbol — Options.IPToHost precomputed once, so the
-	// two endpoint resolutions every push performs are integer map hits
-	// instead of string lookups.
-	ipHost map[activity.Sym]activity.Sym
-
-	comps      map[int32]*sessComponent // keyed by current union-find root
-	nextCompID int
-
-	// runFree and compFree are stage 1's recycling: run arrays come back
-	// when a run outgrows one, when two runs merge and when a component's
-	// result is absorbed; component structs when one fuses away or is
-	// absorbed. Only stage 1 touches either — absorption waits until every
-	// helper is done with the batch.
-	runFree  runPool
-	compFree []*sessComponent
-
-	// chanOwner (debug only) maps each connection seen to the union-find
-	// node it first filed under, for the shard-closure assertion; nil
-	// unless debugShardClosure is set.
-	chanOwner map[activity.Channel]int32
-
-	// slab is the block allocator for the per-push buffered copy: pushes
-	// carve records out of slabSize blocks instead of allocating one
-	// Activity each. A block is reclaimed when every graph referencing
-	// its records has been released — acceptable grouping, since records
-	// of one block arrive together and seal together.
-	slab []activity.Activity
-
-	// deadlines queues every live component with a bounded horizon by
-	// the activity time past which it is force-sealed (sealExpired).
-	// Entries are revalidated lazily when they reach the top.
-	deadlines minHeap[deadline, *deadline]
-
-	// Correlation. Stage 1 is the session goroutine: apply + flow
-	// partition + the seal decisions (which MUST stay on deterministic
-	// event-stream points — Seal tombstones feed back into how later
-	// records partition). Sealed components wait on unsent until the next
-	// barrier (Drain, CloseHost, Close) correlates them as one batch
-	// (dispatch): stage 1 and its helpers take indexes into unsent off
-	// next, each writing results[i] with its own scratch[k]; scratch[0] is
-	// stage 1's, which rolled prefixes (rollStale) use too. helpers is
-	// what stage 1 waits on before it absorbs.
-	unsent  []*sessComponent // sealed, not yet correlated
-	results []sessShardResult
-	next    atomic.Int64
-	helpers sync.WaitGroup
-	scratch []*shardScratch
-
-	finished graphHeap    // correlated, held back by the watermark
-	emitted  []*cag.Graph // released (when no sink is registered)
-
-	// sinks is the emission chain: a copy of Options.Sinks, extended by
-	// AddSink before the first Push. Empty, the session accumulates into
-	// emitted.
-	sinks []GraphSink
-
-	pushed      int
-	pendingActs int
-	uncounted   int // shard deliveries not yet reported by Drain
-
-	// Continuous-mode state (any seal horizon configured). maxTs is the
-	// newest timestamp pushed or heartbeated on any stream — the activity
-	// clock every horizon is measured against. maxHorizon is the largest
-	// configured horizon: the prune lag for components whose own horizon
-	// is unbounded, wide enough for any straggler the liveness bounds
-	// admit.
-	continuous  bool
-	maxTs       time.Duration
-	maxHorizon  time.Duration
-	forcedSeals int
-
-	rstats   ranker.Stats
-	estats   engine.Stats
-	peakVert int
-	shards   int
-	// workTime is the wall-clock time this session spent correlating —
-	// the time spent in its barriers (correlation, absorption, emission),
-	// which is the shard work's critical path, not the sum of concurrent
-	// shard times. It matches the historical sequential session's
-	// drain-time accounting.
-	workTime time.Duration
-
-	closed bool
-	final  *Result
-}
 
 // slabSize is how many buffered-copy records fit in 64 KiB, a whole
 // number of pages, so less than one record's worth of a block goes unused.
@@ -193,7 +21,7 @@ const slabSize = 64 << 10 / int(unsafe.Sizeof(activity.Activity{}))
 
 // copyRec copies one record into the session's slab. The returned copy
 // is owned by the session (component buffers, then CAG vertices).
-func (s *streamSession) copyRec(a *activity.Activity) *activity.Activity {
+func (s *Session) copyRec(a *activity.Activity) *activity.Activity {
 	if len(s.slab) == 0 {
 		s.slab = make([]activity.Activity, slabSize)
 	}
@@ -257,7 +85,7 @@ const noBound = time.Duration(math.MaxInt64)
 
 // newSessComponent draws a component struct from the free list (or
 // allocates one) and resets every field.
-func (s *streamSession) newSessComponent(id int, ts time.Duration, root int32) *sessComponent {
+func (s *Session) newSessComponent(id int, ts time.Duration, root int32) *sessComponent {
 	var c *sessComponent
 	if n := len(s.compFree); n > 0 {
 		c = s.compFree[n-1]
@@ -277,7 +105,7 @@ func (s *streamSession) newSessComponent(id int, ts time.Duration, root int32) *
 // on (fused into another component, or returned to runFree): only the
 // run headers are cleared here, so the list pins no records. The
 // generation bump retires any deadline entry still naming the struct.
-func (s *streamSession) recycleComponent(c *sessComponent) {
+func (s *Session) recycleComponent(c *sessComponent) {
 	clear(c.runs[:cap(c.runs)])
 	c.gen++
 	s.compFree = append(s.compFree, c)
@@ -500,50 +328,6 @@ func (h *minHeap[T, P]) pop() T {
 	return top
 }
 
-func newStreamSession(opts Options, hosts []string) *streamSession {
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	drvOpts := opts
-	drvOpts.Workers = 0
-	drvOpts.Sinks = nil
-	s := &streamSession{
-		opts:       opts,
-		sinks:      slices.Clone(opts.Sinks),
-		workers:    workers,
-		drv:        New(drvOpts),
-		cls:        activity.NewClassifier(opts.EntryPorts...),
-		hosts:      make(map[activity.Sym]*sessHost, len(hosts)),
-		comps:      make(map[int32]*sessComponent),
-		continuous: opts.continuousConfigured(),
-		maxHorizon: opts.maxHorizon(),
-	}
-	s.inc = flow.NewIncremental(opts.ShardBy.flowMode(), s.mergeComponents)
-	if s.continuous {
-		// Continuous mode retires dispatched components; the close-driven
-		// mode never prunes and skips the reverse-index tracking cost.
-		s.inc.EnablePruning()
-	}
-	for _, h := range hosts {
-		sym := activity.Syms.Intern(h)
-		if s.hosts[sym] == nil {
-			s.hosts[sym] = &sessHost{
-				name:    activity.Syms.Name(sym),
-				open:    true,
-				horizon: opts.horizonFor(h),
-			}
-		}
-	}
-	if len(opts.IPToHost) > 0 {
-		s.ipHost = make(map[activity.Sym]activity.Sym, len(opts.IPToHost))
-		for ip, hn := range opts.IPToHost {
-			s.ipHost[activity.Syms.Intern(ip)] = activity.Syms.Intern(hn)
-		}
-	}
-	return s
-}
-
 // shardScratch is one correlating goroutine's reusable machinery: a
 // ranker+engine pair reset per component, plus the source-building
 // buffers. Its goroutine correlates components strictly one after
@@ -552,66 +336,63 @@ func newStreamSession(opts Options, hosts []string) *streamSession {
 type shardScratch struct {
 	rk   *ranker.Ranker
 	eng  *engine.Engine
-	runs []namedRun
-	srcs []ranker.SliceSource
-	refs []ranker.Source
+	srcs []ranker.Source
 	acts []*activity.Activity
 }
 
-// namedRun pairs one host's buffered run with its name for the
-// deterministic source sort.
-type namedRun struct {
-	name string
-	recs []pushRec
+func newShardScratch(cfg ranker.Config) *shardScratch {
+	eng := engine.New()
+	return &shardScratch{eng: eng, rk: ranker.New(cfg, eng, nil)}
 }
 
-func newShardScratch(drv *Correlator) *shardScratch {
-	eng := engine.New()
-	return &shardScratch{
-		eng: eng,
-		rk:  ranker.New(drv.rankerConfig(), eng, nil),
+// correlatePass is the paper's sequential correlator, run to exhaustion
+// over per-node sources on a caller-owned, reusable ranker+engine pair:
+// both are reset in place, and each candidate goes from the ranker to the
+// engine with the ordinals the ranker interned it under at load, so the
+// pass hashes each record once. The session correlates one sealed
+// component after another on the same pair — in continuous mode the
+// per-component ranker/engine construction dominated steady-state
+// allocations.
+func correlatePass(rk *ranker.Ranker, eng *engine.Engine, sources []ranker.Source) {
+	eng.Reset()
+	rk.Reset(eng, sources)
+	for {
+		a, o := rk.Next()
+		if a == nil {
+			break
+		}
+		eng.HandleOrds(a, o)
 	}
 }
 
 // correlateComponent runs the unmodified sequential pass over one sealed
-// component. Sources are built in sorted host-name order — the order the
+// component. Sources are ranked in sorted host-name order — the order the
 // global pass uses, which the deterministic tie-breaks rely on. (Symbol
 // numeric order depends on interning order, so it is never used for
 // anything output-visible.)
-func (s *streamSession) correlateComponent(sc *shardScratch, c *sessComponent) sessShardResult {
-	sc.runs = sc.runs[:0]
-	total := 0
-	for _, r := range c.runs {
-		sc.runs = append(sc.runs, namedRun{name: activity.Syms.Name(r.host), recs: r.recs})
-		total += len(r.recs)
-	}
-	// Components span a handful of hosts; insertion sort keeps this
-	// per-seal path free of the sort.Slice closure allocations.
-	for i := 1; i < len(sc.runs); i++ {
-		for j := i; j > 0 && sc.runs[j].name < sc.runs[j-1].name; j-- {
-			sc.runs[j], sc.runs[j-1] = sc.runs[j-1], sc.runs[j]
-		}
-	}
-	// Size acts up front: the per-run source windows alias its backing
-	// array, so it must not reallocate while they are being cut.
-	if cap(sc.acts) < total {
-		sc.acts = make([]*activity.Activity, 0, total)
+func (s *Session) correlateComponent(sc *shardScratch, c *sessComponent) sessShardResult {
+	// Size acts up front: the sources alias its backing array, so it must
+	// not reallocate while they are being cut.
+	if cap(sc.acts) < c.size {
+		sc.acts = make([]*activity.Activity, 0, c.size)
 	}
 	sc.acts = sc.acts[:0]
-	if cap(sc.srcs) < len(sc.runs) {
-		sc.srcs = make([]ranker.SliceSource, len(sc.runs))
-	}
-	sc.srcs = sc.srcs[:len(sc.runs)]
-	sc.refs = sc.refs[:0]
-	for i, r := range sc.runs {
+	sc.srcs = sc.srcs[:0]
+	for _, r := range c.runs {
 		start := len(sc.acts)
 		for _, pr := range r.recs {
 			sc.acts = append(sc.acts, pr.a)
 		}
-		sc.srcs[i].Reset(r.name, sc.acts[start:len(sc.acts):len(sc.acts)])
-		sc.refs = append(sc.refs, &sc.srcs[i])
+		sc.srcs = append(sc.srcs, ranker.Source{Host: activity.Syms.Name(r.host), Recs: sc.acts[start:len(sc.acts):len(sc.acts)]})
 	}
-	s.drv.driveOn(sc.rk, sc.eng, sc.refs)
+	// Components span a handful of hosts; insertion sort keeps this
+	// per-seal path free of the sort.Slice closure allocations.
+	for i := 1; i < len(sc.srcs); i++ {
+		for j := i; j > 0 && sc.srcs[j].Host < sc.srcs[j-1].Host; j-- {
+			sc.srcs[j], sc.srcs[j-1] = sc.srcs[j-1], sc.srcs[j]
+		}
+	}
+	correlatePass(sc.rk, sc.eng, sc.srcs)
 	return sessShardResult{
 		comp:         c,
 		graphs:       sc.eng.Outputs(),
@@ -621,11 +402,12 @@ func (s *streamSession) correlateComponent(sc *shardScratch, c *sessComponent) s
 	}
 }
 
-// Push validates the stream contract, classifies, and ingests. The
-// record is bound in place (idempotent) so the host lookup and all
-// downstream bookkeeping run on dense keys; the session buffers its own
-// slab copy, never the caller's record.
-func (s *streamSession) Push(a *activity.Activity) error {
+// Push feeds one raw TCP_TRACE record (classification happens inside).
+// Records of one host must arrive in that host's local-clock order; hosts
+// interleave arbitrarily. The record is bound in place (idempotent) so the
+// host lookup and all downstream bookkeeping run on dense keys; the
+// session buffers its own slab copy, never the caller's record.
+func (s *Session) Push(a *activity.Activity) error {
 	if s.closed {
 		return fmt.Errorf("core: push on closed session")
 	}
@@ -646,10 +428,13 @@ func (s *streamSession) Push(a *activity.Activity) error {
 	return nil
 }
 
-// PushBatch applies a run of records in order as one call. Application
-// stops at the first error, which is returned; earlier records stay
-// applied.
-func (s *streamSession) PushBatch(batch []*activity.Activity) error {
+// PushBatch feeds a run of raw records in order, as one call — the shape
+// a decoded transport frame arrives in. It is equivalent to calling Push
+// per record: application stops at the first error, which is returned,
+// and the records before it stay applied. The session copies what it
+// keeps, so the caller may recycle the batch's records afterwards
+// (activity.ReleaseRecord for pooled decode-side records).
+func (s *Session) PushBatch(batch []*activity.Activity) error {
 	for _, a := range batch {
 		if err := s.Push(a); err != nil {
 			return err
@@ -663,19 +448,20 @@ func (s *streamSession) PushBatch(batch []*activity.Activity) error {
 // stream — skips the online contract checks (the historical sequential
 // pass accepted per-host disorder too, producing whatever the ranker
 // makes of it).
-func (s *streamSession) replayPush(cp *activity.Activity) {
+func (s *Session) replayPush(cp *activity.Activity) {
 	activity.Bind(cp)
 	h := s.hosts[cp.CtxK.Host]
 	if h == nil {
-		// A source whose records carry an undeclared host name: declare it
-		// on the fly; the replay closes every host before draining.
+		// A host log whose records carry a name other than its file's:
+		// declare it on the fly; the replay closes every host before
+		// draining.
 		h = &sessHost{name: cp.Ctx.Host, open: true, horizon: s.opts.horizonFor(cp.Ctx.Host)}
 		s.hosts[cp.CtxK.Host] = h
 	}
 	s.ingest(cp, h)
 }
 
-// debugShardClosure turns on assertChanClosure in every streamSession:
+// debugShardClosure turns on assertChanClosure in every Session:
 // the per-push check that no Channel ever resolves to two live
 // components — the invariant the shard-aware Fig. 5 predicate rests on
 // (ranker.matchingSendVisible). Tests flip it directly; set
@@ -688,7 +474,7 @@ var debugShardClosure = os.Getenv("CORE_DEBUG_SHARD_CLOSURE") != ""
 // straggler is detached onto a fresh root by design (a late link), so the
 // previous owner must then be sealed or already retired — never live and
 // growing.
-func (s *streamSession) assertChanClosure(cp *activity.Activity, root int32) {
+func (s *Session) assertChanClosure(cp *activity.Activity, root int32) {
 	if s.chanOwner == nil {
 		s.chanOwner = make(map[activity.Channel]int32)
 	}
@@ -720,7 +506,7 @@ func (s *streamSession) assertChanClosure(cp *activity.Activity, root int32) {
 // component it ages past its deadline is sealed — and tombstoned — before
 // the record is partitioned: a continuation on one of its connections
 // detaches as a late link instead of fusing into it.
-func (s *streamSession) ingest(cp *activity.Activity, h *sessHost) {
+func (s *Session) ingest(cp *activity.Activity, h *sessHost) {
 	s.maxTs = max(s.maxTs, cp.Timestamp)
 	s.sealExpired()
 	lateBefore := s.inc.LateLinks()
@@ -765,14 +551,22 @@ func (s *streamSession) ingest(cp *activity.Activity, h *sessHost) {
 	s.pendingActs++
 }
 
-// Heartbeat is the host's agent asserting it is alive and will never
-// deliver an activity older than ts. The assertion
-// advances the host's watermark bound (quiet-but-healthy hosts stop
-// holding back emission) and the activity clock (seal horizons keep
-// advancing through traffic lulls): a component the clock passes is
-// sealed here, as at a push. A stale heartbeat — older than the host's
-// newest delivered record — is ignored.
-func (s *streamSession) Heartbeat(host string, ts time.Duration) error {
+// Heartbeat records a liveness assertion from one host's agent: the host
+// is alive and will never deliver an activity with a timestamp older
+// than ts. It advances the watermark past quiet-but-healthy streams —
+// without it, an idle host with no horizon holds back every emission,
+// and an idle host with a long horizon delays them by that horizon. A
+// heartbeat also advances the activity clock that seal horizons measure
+// against, so correlation keeps flowing through traffic lulls: a
+// component the new clock ages past its horizon is sealed at once, as at
+// a push, and a later record on one of its connections starts a fresh
+// component. Stale assertions (ts older than the host's newest record)
+// are ignored.
+//
+// Like pushed timestamps, heartbeats are activity-time, never wall
+// clock: replaying the same push/heartbeat/drain sequence reproduces the
+// same output.
+func (s *Session) Heartbeat(host string, ts time.Duration) error {
 	if s.closed {
 		return fmt.Errorf("core: heartbeat on closed session")
 	}
@@ -794,7 +588,7 @@ func (s *streamSession) Heartbeat(host string, ts time.Duration) error {
 
 // noteEndpoint records a channel endpoint's owning host as a possible
 // future contributor to the component.
-func (s *streamSession) noteEndpoint(c *sessComponent, ip activity.Sym) {
+func (s *Session) noteEndpoint(c *sessComponent, ip activity.Sym) {
 	if hn, ok := s.ipHost[ip]; ok {
 		if _, declared := s.hosts[hn]; declared {
 			c.noteHost(hn)
@@ -804,7 +598,7 @@ func (s *streamSession) noteEndpoint(c *sessComponent, ip activity.Sym) {
 
 // mergeComponents is the flow.Incremental merge callback: the loser
 // root's buffers fold into the winner root's.
-func (s *streamSession) mergeComponents(winner, loser int32) {
+func (s *Session) mergeComponents(winner, loser int32) {
 	cw, cl := s.comps[winner], s.comps[loser]
 	if cl != nil {
 		delete(s.comps, loser)
@@ -825,7 +619,7 @@ func (s *streamSession) mergeComponents(winner, loser int32) {
 }
 
 // fuse merges two component buffers (the larger absorbs the smaller).
-func (s *streamSession) fuse(a, b *sessComponent, root int32) *sessComponent {
+func (s *Session) fuse(a, b *sessComponent, root int32) *sessComponent {
 	// A sealed component's contents are final: its prune is scheduled and
 	// the next barrier correlates it as it stands. Reaching one here is
 	// only possible when IPToHost fails to cover a declared host — degrade
@@ -897,11 +691,14 @@ func (p *runPool) mergeRuns(x, y []pushRec) []pushRec {
 	return out
 }
 
-// CloseHost closes one host's stream, which is what seals components,
-// and correlates what it sealed. A closed host no longer extends any
-// component's horizon, so the deadlines are requeued and those the
-// clock has already passed seal here, as forced seals.
-func (s *streamSession) CloseHost(host string) error {
+// CloseHost marks one host's stream complete (its agent shut down). This
+// is what seals components absent a horizon: a flow component whose every
+// contributing host has closed can no longer grow, and CloseHost
+// correlates it before it returns. A closed host no longer extends any
+// component's horizon, so the deadlines are requeued and those the clock
+// has already passed seal here, as forced seals. It releases nothing; the
+// next Drain or Close does.
+func (s *Session) CloseHost(host string) error {
 	h, ok := s.hosts[activity.Syms.Intern(host)]
 	if !ok {
 		return fmt.Errorf("core: unknown host %q", host)
@@ -919,7 +716,7 @@ func (s *streamSession) CloseHost(host string) error {
 }
 
 // sealCompleted seals every component that no open host can extend.
-func (s *streamSession) sealCompleted() {
+func (s *Session) sealCompleted() {
 	for _, c := range s.comps {
 		if !c.sealed && !s.growable(c) {
 			s.seal(c)
@@ -935,7 +732,7 @@ func (s *streamSession) sealCompleted() {
 // horizon-less host stops pinning its components open the moment it
 // closes. 0 means unbounded: some open contributing host has no
 // horizon, so only closure can seal the component.
-func (s *streamSession) compHorizon(c *sessComponent) time.Duration {
+func (s *Session) compHorizon(c *sessComponent) time.Duration {
 	var horizon time.Duration
 	for _, hn := range c.contrib {
 		hh := s.hosts[hn]
@@ -968,7 +765,7 @@ func (s *streamSession) compHorizon(c *sessComponent) time.Duration {
 // component is gone (its struct recycled, which bumps gen) or sealed, or
 // if its horizon is unbounded (a horizon-less host is open; only that
 // host's closing can change it, and CloseHost requeues everything).
-func (s *streamSession) sealExpired() {
+func (s *Session) sealExpired() {
 	for len(s.deadlines) > 0 && s.deadlines[0].at < s.maxTs {
 		d := s.deadlines.pop()
 		c := d.c
@@ -991,7 +788,7 @@ func (s *streamSession) sealExpired() {
 
 // queueDeadline enters a live component in the seal queue, unless its
 // horizon is unbounded.
-func (s *streamSession) queueDeadline(c *sessComponent) {
+func (s *Session) queueDeadline(c *sessComponent) {
 	if horizon := s.compHorizon(c); horizon > 0 {
 		s.deadlines.push(deadline{at: c.maxTs + horizon, c: c, gen: c.gen})
 	}
@@ -999,7 +796,7 @@ func (s *streamSession) queueDeadline(c *sessComponent) {
 
 // requeueDeadlines rebuilds the seal queue from the live components, for
 // when a host's closing has shortened or bounded their horizons.
-func (s *streamSession) requeueDeadlines() {
+func (s *Session) requeueDeadlines() {
 	if !s.continuous {
 		return
 	}
@@ -1021,7 +818,7 @@ func (s *streamSession) requeueDeadlines() {
 // The prefixes are correlated one at a time on stage 1's own scratch:
 // they are small, and rolling is Drain's last step, after emit, so no
 // release waits on them.
-func (s *streamSession) rollStale() {
+func (s *Session) rollStale() {
 	if !s.continuous {
 		return
 	}
@@ -1075,7 +872,7 @@ func (c *sessComponent) oldest() time.Duration {
 // tombstoned, so it joins the suffix instead of being counted.
 // Per-host run order is preserved: each run gives up its leading
 // records only, so even an out-of-order replay run stays in push order.
-func (s *streamSession) rollPrefix(c *sessComponent, floor time.Duration) *sessComponent {
+func (s *Session) rollPrefix(c *sessComponent, floor time.Duration) *sessComponent {
 	p := s.newSessComponent(c.id, c.maxTs, c.root)
 	kept := c.runs[:0]
 	for _, r := range c.runs {
@@ -1106,7 +903,7 @@ func (s *streamSession) rollPrefix(c *sessComponent, floor time.Duration) *sessC
 // buffers never grow again: in continuous mode the flow partition
 // tombstones its root, so a straggler activity becomes a counted late
 // link on a fresh component instead of touching sealed buffers.
-func (s *streamSession) seal(c *sessComponent) {
+func (s *Session) seal(c *sessComponent) {
 	c.sealed = true
 	s.runFree.retire(c)
 	if s.continuous {
@@ -1124,7 +921,7 @@ func (s *streamSession) seal(c *sessComponent) {
 // through the ingest queue, reaches TCP. The flow-bookkeeping prune is
 // scheduled here too, where maxTs is a deterministic function of the
 // event stream and the Drain cadence.
-func (s *streamSession) dispatch() {
+func (s *Session) dispatch() {
 	ready := s.unsent
 	if len(ready) == 0 {
 		return
@@ -1162,7 +959,7 @@ func (s *streamSession) dispatch() {
 
 // correlateBatch correlates unsent components until none is left to
 // take. Stage 1 leaves unsent alone until every helper is done.
-func (s *streamSession) correlateBatch(sc *shardScratch) {
+func (s *Session) correlateBatch(sc *shardScratch) {
 	for {
 		i := int(s.next.Add(1)) - 1
 		if i >= len(s.unsent) {
@@ -1173,21 +970,21 @@ func (s *streamSession) correlateBatch(sc *shardScratch) {
 }
 
 // help is one helper goroutine's share of a batch.
-func (s *streamSession) help(sc *shardScratch) {
+func (s *Session) help(sc *shardScratch) {
 	defer s.helpers.Done()
 	s.correlateBatch(sc)
 }
 
 // growScratch makes sure there are at least n shardScratches.
-func (s *streamSession) growScratch(n int) {
+func (s *Session) growScratch(n int) {
 	for len(s.scratch) < n {
-		s.scratch = append(s.scratch, newShardScratch(s.drv))
+		s.scratch = append(s.scratch, newShardScratch(s.rcfg))
 	}
 }
 
 // growable reports whether any still-open declared host could push an
 // activity joining this component.
-func (s *streamSession) growable(c *sessComponent) bool {
+func (s *Session) growable(c *sessComponent) bool {
 	for _, hn := range c.contrib {
 		if hh := s.hosts[hn]; hh != nil && hh.open {
 			return true
@@ -1198,7 +995,7 @@ func (s *streamSession) growable(c *sessComponent) bool {
 
 // absorb folds one shard result into the session aggregates. Runs on
 // stage 1 only, so the comps map and aggregates stay single-owner.
-func (s *streamSession) absorb(r sessShardResult) {
+func (s *Session) absorb(r sessShardResult) {
 	s.pendingActs -= r.comp.size
 	s.uncounted += int(r.rstats.Delivered)
 	addRankerStats(&s.rstats, r.rstats)
@@ -1239,7 +1036,7 @@ func (s *streamSession) absorb(r sessShardResult) {
 // no longer blocks emission forever. A push violating that presumption is
 // the same late-link event the forced seal accepts, and can regress the
 // emitted order (surfaced downstream via live.Monitor.OutOfOrder).
-func (s *streamSession) watermark() time.Duration {
+func (s *Session) watermark() time.Duration {
 	wm := noBound
 	for _, c := range s.comps {
 		wm = min(wm, c.minBegin)
@@ -1265,7 +1062,7 @@ func (s *streamSession) watermark() time.Duration {
 // inequality makes cross-batch ties impossible: any graph arriving later
 // has an END at or above every watermark used before, so the released
 // stream is globally sorted.
-func (s *streamSession) emit(all bool) {
+func (s *Session) emit(all bool) {
 	if len(s.finished) == 0 {
 		return
 	}
@@ -1285,12 +1082,17 @@ func (s *streamSession) emit(all bool) {
 	}
 }
 
-// Drain correlates the components sealed since the last barrier,
-// releases what the watermark permits,
-// and then rolls aged prefixes off never-idle BEGIN-less components.
-// Rolling comes last because a prefix roots no graph: no release waits
-// on it.
-func (s *streamSession) Drain() int {
+// Drain runs the correlator until no further candidate is safely
+// decidable, returning the number of activities processed this call: it
+// correlates the components force-sealed since the last Drain (in
+// continuous mode, by the push or heartbeat that carried the activity
+// clock past their horizon) and releases the graphs the watermark
+// permits. Last, it correlates the aged records of never-idle components
+// that hold no BEGIN (see Options.SealAfter); rolling comes last because
+// such a prefix roots no graph, so no release waits on it. Seals never
+// wait for a Drain, so the cadence decides only when graphs leave, not
+// which graphs exist.
+func (s *Session) Drain() int {
 	start := time.Now()
 	s.dispatch()
 	if s.continuous {
@@ -1304,8 +1106,9 @@ func (s *streamSession) Drain() int {
 	return n
 }
 
-// Close seals and correlates everything and releases every held graph.
-func (s *streamSession) Close() *Result {
+// Close marks every stream complete, drains the remainder and returns the
+// final result. Closing twice returns the same result.
+func (s *Session) Close() *Result {
 	if s.closed {
 		return s.final
 	}

@@ -4,9 +4,9 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
-	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/analysis"
 	"repro/internal/cag"
@@ -210,33 +210,43 @@ func FuzzMonitorMatchesOracle(f *testing.F) {
 }
 
 // TestMonitorKeepsNoGraph: a default monitor must not retain the CAGs it
-// ingests. Every graph of one long interval carries a finalizer, and all
-// of them must run before the interval closes.
+// ingests. Every graph of one long interval is probed with a weak
+// pointer, and all of them must read nil before the interval closes. A
+// weak pointer, unlike a finalizer, accepts a graph that does not head
+// its own allocation.
 func TestMonitorKeepsNoGraph(t *testing.T) {
 	m := NewMonitor(Config{Interval: time.Hour})
-	var finalized atomic.Int64
-	n := feedFinalized(t, m, &finalized)
+	probes := feedProbed(t, m)
 	if got := m.Footprint().TrackedPatterns; got == 0 {
 		t.Fatal("TrackedPatterns = 0 in an open exact-mode interval")
 	}
+	reachable := len(probes)
 	deadline := time.Now().Add(10 * time.Second)
-	for finalized.Load() < int64(n) && time.Now().Before(deadline) {
+	for reachable > 0 && time.Now().Before(deadline) {
 		runtime.GC()
-		time.Sleep(10 * time.Millisecond)
+		reachable = 0
+		for _, p := range probes {
+			if p.Value() != nil {
+				reachable++
+			}
+		}
+		if reachable > 0 {
+			time.Sleep(10 * time.Millisecond)
+		}
 	}
-	if got := finalized.Load(); got != int64(n) {
-		t.Fatalf("%d of %d ingested graphs still reachable before Flush", int64(n)-got, n)
+	if reachable > 0 {
+		t.Fatalf("%d of %d ingested graphs still reachable before Flush", reachable, len(probes))
 	}
 	m.Flush()
-	if st := m.Stats(); st.Ingested != n || st.Intervals != 1 {
-		t.Fatalf("ingested %d over %d intervals, want %d over 1", st.Ingested, st.Intervals, n)
+	if st := m.Stats(); st.Ingested != len(probes) || st.Intervals != 1 {
+		t.Fatalf("ingested %d over %d intervals, want %d over 1", st.Ingested, st.Intervals, len(probes))
 	}
 }
 
-// feedFinalized correlates a small RUBiS run and ingests its graphs,
-// each with a finalizer that bumps finalized. It returns the graph count
-// and holds no reference to any graph afterwards.
-func feedFinalized(t *testing.T, m *Monitor, finalized *atomic.Int64) int {
+// feedProbed correlates a small RUBiS run and ingests its graphs,
+// returning a weak pointer to each. It holds no reference to any graph
+// afterwards.
+func feedProbed(t *testing.T, m *Monitor) []weak.Pointer[cag.Graph] {
 	cfg := rubis.DefaultConfig(100)
 	cfg.Scale = 0.01
 	res, err := rubis.Run(cfg)
@@ -254,12 +264,13 @@ func feedFinalized(t *testing.T, m *Monitor, finalized *atomic.Int64) int {
 	if len(graphs) == 0 {
 		t.Fatal("no graphs")
 	}
+	probes := make([]weak.Pointer[cag.Graph], len(graphs))
 	for i := range graphs {
-		runtime.SetFinalizer(graphs[i], func(*cag.Graph) { finalized.Add(1) })
+		probes[i] = weak.Make(graphs[i])
 		m.Ingest(graphs[i])
 		graphs[i] = nil
 	}
-	return len(graphs)
+	return probes
 }
 
 // BenchmarkMonitorIngest measures the monitor's per-graph cost over a

@@ -93,12 +93,12 @@ func TestQueueHoldsWindowPlusBlock(t *testing.T) {
 		t.Fatalf("PeakBuffered = %d: a 1 ms window over requests 30 ms apart holds a few records", st.PeakBuffered)
 	}
 	for _, q := range r.queues {
-		if len(q.src.as) <= 2*rankBlock {
-			t.Fatalf("%s holds %d records: too few to span several blocks", q.src.host, len(q.src.as))
+		if len(q.src.Recs) <= 2*rankBlock {
+			t.Fatalf("%s holds %d records: too few to span several blocks", q.src.Host, len(q.src.Recs))
 		}
 		if c := cap(q.buf); c > st.PeakBuffered+rankBlock {
 			t.Errorf("%s: buffer capacity %d, want at most %d (window %d + block %d)",
-				q.src.host, c, st.PeakBuffered+rankBlock, st.PeakBuffered, rankBlock)
+				q.src.Host, c, st.PeakBuffered+rankBlock, st.PeakBuffered, rankBlock)
 		}
 	}
 }
@@ -112,17 +112,14 @@ func TestReusedQueueRanksTheSame(t *testing.T) {
 	for i := range 100 {
 		trace = append(trace, request(time.Duration(i)*30*time.Millisecond, int64(i), 0, 0, 0)...)
 	}
-	sources := func() []Source {
-		byHost := SplitByHost(trace)
-		var s []Source
-		for _, h := range []string{"app1", "db1", "web1"} {
-			s = append(s, NewSliceSource(h, byHost[h]))
-		}
-		return s
+	byHost := SplitByHost(trace)
+	var sources []Source // plain logs: both passes read the same ones
+	for _, h := range []string{"app1", "db1", "web1"} {
+		sources = append(sources, NewSliceSource(h, byHost[h]))
 	}
 	cfg := Config{Window: time.Millisecond, IPToHost: ipToHost}
 	eng := engine.New()
-	want, _ := rankerPass(New(cfg, eng, sources()), eng)
+	want, _ := rankerPass(New(cfg, eng, sources), eng)
 
 	var burst []*activity.Activity
 	for i := range 1000 {
@@ -135,7 +132,7 @@ func TestReusedQueueRanksTheSame(t *testing.T) {
 		r.Next()
 	}
 	eng.Reset()
-	r.Reset(eng, sources())
+	r.Reset(eng, sources)
 	if got, _ := rankerPass(r, eng); !slices.Equal(got, want) {
 		t.Fatalf("reused ranker ranked %d records, a fresh one %d, in another order", len(got), len(want))
 	}

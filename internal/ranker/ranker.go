@@ -1,8 +1,8 @@
 // Package ranker implements the candidate-selection half of the Correlator
 // (§4.1 of the paper). Activities logged on different nodes arrive as
-// per-node streams ordered by each node's local clock. The ranker fetches
-// them into per-node queues under a sliding time window and repeatedly
-// picks the next candidate for the engine:
+// per-node logs (Source), each ordered by its node's local clock. The
+// ranker fetches them into per-node queues under a sliding time window
+// and repeatedly picks the next candidate for the engine:
 //
 //	Rule 1: a queue-head RECEIVE whose matching SEND is already in the
 //	        engine's mmap is the candidate.
@@ -41,55 +41,17 @@ import (
 // in a normal build. Off by default: the first is quadratic in the buffer.
 var Debug = os.Getenv("RANKER_DEBUG") != ""
 
-// Source yields one node's activities in that node's local-clock order.
-type Source interface {
-	// Host returns the node name the stream belongs to.
-	Host() string
-	// Peek returns the next activity without consuming it, or nil when the
-	// stream is exhausted.
-	Peek() *activity.Activity
-	// Pop consumes and returns the next activity, or nil when exhausted.
-	Pop() *activity.Activity
+// Source is one node's log: its activities in that node's local-clock
+// order. The ranker reads Recs and never writes it.
+type Source struct {
+	Host string
+	Recs []*activity.Activity
 }
 
-// SliceSource adapts an in-memory slice (one node's log) to Source.
-type SliceSource struct {
-	host string
-	as   []*activity.Activity
-	pos  int
-}
-
-// NewSliceSource wraps one node's activities. The slice must already be in
-// local-timestamp order (a kernel log is; SplitByHost sorts).
-func NewSliceSource(host string, as []*activity.Activity) *SliceSource {
-	return &SliceSource{host: host, as: as}
-}
-
-// Reset rearms the source over a new slice, reusing the struct — the
-// session rebuilds its per-component sources in place.
-func (s *SliceSource) Reset(host string, as []*activity.Activity) {
-	s.host, s.as, s.pos = host, as, 0
-}
-
-// Host implements Source.
-func (s *SliceSource) Host() string { return s.host }
-
-// Peek implements Source.
-func (s *SliceSource) Peek() *activity.Activity {
-	if s.pos >= len(s.as) {
-		return nil
-	}
-	return s.as[s.pos]
-}
-
-// Pop implements Source.
-func (s *SliceSource) Pop() *activity.Activity {
-	if s.pos >= len(s.as) {
-		return nil
-	}
-	a := s.as[s.pos]
-	s.pos++
-	return a
+// NewSliceSource returns the Source of one node's log. The slice must
+// already be in local-timestamp order (a kernel log is; SplitByHost sorts).
+func NewSliceSource(host string, as []*activity.Activity) Source {
+	return Source{Host: host, Recs: as}
 }
 
 // sortByTimestamp sorts a node log in place by timestamp (stable, so
@@ -203,34 +165,23 @@ type entry struct {
 	drop bool // the attribute filter rejects it: skipped, not admitted
 }
 
-// queue is one source's entries. buf[head:n] is the admitted window, the
-// buffer the paper's rules see; buf[cur:] is the loaded block not yet
-// fetched. A filter-dropped entry is skipped as the cursor passes it and
-// the next admitted entry is moved down over it, so buf[n:cur] is dead.
+// queue is one source's entries. src.Recs[:pos] have been loaded.
+// buf[head:n] is the admitted window, the buffer the paper's rules see;
+// buf[cur:] is the loaded block not yet fetched. A filter-dropped entry is
+// skipped as the cursor passes it and the next admitted entry is moved
+// down over it, so buf[n:cur] is dead.
 type queue struct {
-	src          *SliceSource // concrete: no interface call per record
+	src          Source
+	pos          int
 	buf          []entry
 	head, n, cur int
-}
-
-// sliceOf returns s itself when it is a *SliceSource, else a SliceSource
-// over everything s yields.
-func sliceOf(s Source) *SliceSource {
-	if sl, ok := s.(*SliceSource); ok {
-		return sl
-	}
-	var as []*activity.Activity
-	for a := s.Pop(); a != nil; a = s.Pop() {
-		as = append(as, a)
-	}
-	return NewSliceSource(s.Host(), as)
 }
 
 func (q *queue) len() int { return q.n - q.head }
 
 // exhausted reports whether the cursor has passed every record of the
 // source, filter-dropped ones included.
-func (q *queue) exhausted() bool { return q.cur == len(q.buf) && q.src.pos == len(q.src.as) }
+func (q *queue) exhausted() bool { return q.cur == len(q.buf) && q.pos == len(q.src.Recs) }
 
 // peek returns the head entry, or nil when the buffer is empty. The
 // pointer is valid until the queue next changes.
@@ -278,8 +229,7 @@ type Ranker struct {
 // New builds a ranker over the given per-node sources that feeds eng:
 // each loaded record is interned on eng, whose mmap also answers Rule 1
 // and is_noise. Sources are ranked in the order given; use deterministic
-// ordering for reproducible runs. A source that is not a *SliceSource is
-// read to its end here.
+// ordering for reproducible runs.
 func New(cfg Config, eng *engine.Engine, sources []Source) *Ranker {
 	if cfg.Window <= 0 {
 		cfg.Window = time.Millisecond
@@ -316,7 +266,7 @@ func (r *Ranker) Reset(eng *engine.Engine, sources []Source) {
 			q = &queue{}
 			r.queues[i] = q
 		}
-		q.src = sliceOf(s)
+		q.src, q.pos = s, 0
 		clear(q.buf)
 		q.buf = q.buf[:0]
 		q.head, q.n, q.cur = 0, 0, 0
@@ -333,7 +283,7 @@ func (r *Ranker) Stats() Stats { return r.stats }
 // block, so a queue never holds more than its largest window and one
 // block. Returns false when the source is exhausted.
 func (r *Ranker) load(q *queue) bool {
-	rest := q.src.as[q.src.pos:]
+	rest := q.src.Recs[q.pos:]
 	if len(rest) == 0 {
 		return false
 	}
@@ -353,7 +303,7 @@ func (r *Ranker) load(q *queue) bool {
 	for i, a := range rest[:k] {
 		blk[i] = entry{a: a, ts: a.Timestamp, size: a.Size, typ: a.Type}
 	}
-	q.src.pos += k
+	q.pos += k
 	for i := range blk {
 		e := &blk[i]
 		if r.cfg.Filter != nil && r.cfg.Filter(e.a) {
@@ -654,7 +604,7 @@ func (r *Ranker) isNoise(h *entry) bool {
 		return true // the sender is outside the traced deployment
 	}
 	for _, q := range r.queues {
-		if q.src.host == senderHost {
+		if q.src.Host == senderHost {
 			return q.exhausted() // an exhausted sender can never send it
 		}
 	}

@@ -294,26 +294,6 @@ func TestPaperExactNoiseMode(t *testing.T) {
 	}
 }
 
-func TestSliceSource(t *testing.T) {
-	as := []*activity.Activity{
-		act(activity.Begin, 1, httpdCtx, clientCh, 1, 1),
-		act(activity.Send, 2, httpdCtx, webApp, 1, 1),
-	}
-	s := NewSliceSource("web1", as)
-	if s.Host() != "web1" {
-		t.Fatalf("Host = %q", s.Host())
-	}
-	if s.Peek() != as[0] || s.Remaining() != 2 {
-		t.Fatal("Peek/Remaining broken")
-	}
-	if s.Pop() != as[0] || s.Pop() != as[1] {
-		t.Fatal("Pop order broken")
-	}
-	if s.Pop() != nil || s.Peek() != nil {
-		t.Fatal("exhausted source should return nil")
-	}
-}
-
 func TestSplitByHostSorts(t *testing.T) {
 	a1 := act(activity.Send, 5*time.Millisecond, httpdCtx, webApp, 1, 1)
 	a2 := act(activity.Begin, 1*time.Millisecond, httpdCtx, clientCh, 1, 1)
@@ -341,9 +321,6 @@ func (r *Ranker) Exhausted() bool {
 // Buffered returns the number of activities currently resident in the
 // queues (the ranker buffer of Fig. 11's memory accounting).
 func (r *Ranker) Buffered() int { return r.buffered }
-
-// Remaining returns the number of unconsumed activities.
-func (s *SliceSource) Remaining() int { return len(s.as) - s.pos }
 
 func TestExhaustedAndBuffered(t *testing.T) {
 	eng := engine.New()
@@ -398,10 +375,10 @@ func TestRule2TimestampTieBreak(t *testing.T) {
 		r := New(Config{Window: time.Second}, engine.New(), order)
 		if got := r.Rank(); got != early {
 			t.Fatalf("sources %s,%s: first candidate %v, want the earlier BEGIN %v",
-				order[0].Host(), order[1].Host(), got, early)
+				order[0].Host, order[1].Host, got, early)
 		}
 		if got := r.Rank(); got != late {
-			t.Fatalf("sources %s,%s: second candidate %v, want %v", order[0].Host(), order[1].Host(), got, late)
+			t.Fatalf("sources %s,%s: second candidate %v, want %v", order[0].Host, order[1].Host, got, late)
 		}
 	}
 }
@@ -546,28 +523,4 @@ func TestDebugAssertionsFire(t *testing.T) {
 
 	eng.Reset()
 	mustPanic("ordinals from before an engine Reset", func() { r.Next() })
-}
-
-// streamSource hides a SliceSource behind the Source interface, as a
-// reader over a log file would.
-type streamSource struct{ Source }
-
-// A Source that is not a *SliceSource is read into one and ranks exactly
-// as the slice it yields.
-func TestNonSliceSourceRanksTheSame(t *testing.T) {
-	trace := append(request(0, 1, 0, 3*time.Millisecond, 0), request(30*time.Millisecond, 2, 0, 0, -time.Millisecond)...)
-	byHost := SplitByHost(trace)
-	var plain, wrapped []Source
-	for _, h := range []string{"app1", "db1", "web1"} {
-		plain = append(plain, NewSliceSource(h, byHost[h]))
-		wrapped = append(wrapped, streamSource{NewSliceSource(h, byHost[h])})
-	}
-	cfg := Config{Window: time.Millisecond, IPToHost: ipToHost}
-	eng := engine.New()
-	want, _ := rankerPass(New(cfg, eng, plain), eng)
-	eng = engine.New()
-	got, _ := rankerPass(New(cfg, eng, wrapped), eng)
-	if !slices.Equal(got, want) || len(want) != len(trace) {
-		t.Fatalf("ranked %d records through the interface, %d from slices, want %d in one order", len(got), len(want), len(trace))
-	}
 }
