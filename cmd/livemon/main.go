@@ -2,8 +2,9 @@
 // a production deployment of PreciseTracer would do continuously. It has
 // two front ends:
 //
-// Replay mode (-indir) reads per-host TCP_TRACE logs and replays them
-// through the session in arrival order, in process.
+// Replay mode (-indir) correlates a directory of per-host TCP_TRACE logs
+// in process: core.CorrelateDir streams them, merged by timestamp, with
+// the monitor first in the sink chain.
 //
 // Listen mode (-listen) is the real deployment shape: it opens the
 // network collector and correlates streams shipped by one traceagent per
@@ -13,7 +14,7 @@
 //
 //	rubisgen -clients 300 -scale 0.1 -splitdir traces/
 //	livemon -indir traces/ -interval 5s
-//	livemon -indir traces/ -sealafter 50ms,db1=500ms -heartbeat 25ms
+//	livemon -indir traces/ -sealafter 50ms,db1=500ms
 //	livemon -indir traces/ -sketched -maxpatterns 64 -export otlp=spans.ndjson
 //	livemon -listen 127.0.0.1:9411 -hosts 'web=10.0.0.1,app1=10.0.0.2,db1=10.0.0.3' -sealafter 50ms &
 //	traceagent -addr 127.0.0.1:9411 -indir traces/ -heartbeat 25ms
@@ -25,7 +26,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -49,23 +49,18 @@ func run() error {
 		baseline    = flag.Int("baseline", 3, "intervals used to learn the healthy baseline")
 		threshold   = flag.Float64("threshold", 8, "alert threshold in latency-share percentage points")
 		entryPort   = flag.Int("entryport", 80, "first-tier service port")
-		chunk       = flag.Int("chunk", 256, "records pushed between drain rounds")
+		chunk       = flag.Int("chunk", 256, "listen mode: records applied between drain rounds (replay drains on CorrelateDir's own cadence)")
 		sketched    = flag.Bool("sketched", false, "bounded-memory monitor: track at most -maxpatterns patterns per interval (space-saving sketch) and keep lifetime latency/share quantiles")
 		maxPatterns = flag.Int("maxpatterns", 0, "sketched mode pattern capacity per interval (0 = default)")
 	)
 	shared := cli.RegisterCorrelator(flag.CommandLine)
-	heartbeatFlag := cli.RegisterHeartbeat(flag.CommandLine)
 	pprofAddr := cli.RegisterPprof(flag.CommandLine)
 	flag.Parse()
-	heartbeat := *heartbeatFlag
 	if (*inDir == "") == (*listen == "") {
 		return cli.Usagef("exactly one of -indir (replay) or -listen (collector) is required")
 	}
 	if *listen != "" && *hostSpec == "" {
 		return cli.Usagef("-listen needs -hosts (sessions declare every stream up front)")
-	}
-	if *listen != "" && heartbeat != 0 {
-		return cli.Usagef("-heartbeat is replay-mode only; in listen mode agents heartbeat themselves (traceagent -heartbeat)")
 	}
 	if *window <= 0 {
 		return cli.Usagef("-window must be > 0 (got %v)", *window)
@@ -81,9 +76,6 @@ func run() error {
 	}
 	if *maxPatterns < 0 {
 		return cli.Usagef("-maxpatterns must be >= 0 (got %d)", *maxPatterns)
-	}
-	if err := cli.ValidateHeartbeat(heartbeat); err != nil {
-		return err
 	}
 
 	monitor := live.NewMonitor(live.Config{
@@ -115,7 +107,7 @@ func run() error {
 	if *listen != "" {
 		err = serveCollector(*listen, *hostSpec, opts, monitor, *chunk)
 	} else {
-		err = replay(*inDir, opts, monitor, *chunk, heartbeat)
+		err = replay(*inDir, opts, monitor)
 	}
 	if cerr := exports.Close(); err == nil {
 		err = cerr
@@ -239,61 +231,17 @@ func printFront(st core.IngestStats) {
 	}
 }
 
-// replay is the original in-process mode: read the logs, push in arrival
-// order.
-func replay(inDir string, opts core.Options, monitor *live.Monitor, chunk int, heartbeat time.Duration) error {
-	perHost, err := activity.ReadHostLogs(inDir)
+// replay is the in-process mode: one CorrelateDir pass over the logs.
+// Its watermark emitter delivers CAGs in the END-timestamp order
+// Monitor.Ingest needs; -sealafter makes the pass continuous.
+func replay(inDir string, opts core.Options, monitor *live.Monitor) error {
+	res, err := core.New(opts).CorrelateDir(inDir)
 	if err != nil {
 		return err
 	}
-	var hosts []string
-	for h := range perHost {
-		hosts = append(hosts, h)
-	}
-	sort.Strings(hosts)
-
-	merged := activity.Merge(perHost)
-	opts.IPToHost = activity.InferIPToHost(merged)
-
-	// Every worker count runs the same streaming engine; its watermark
-	// emitter delivers CAGs in the END-timestamp order Monitor.Ingest
-	// needs. -sealafter turns it continuous — CAGs flow without waiting
-	// for any stream to close — and per-host overrides let a chronically
-	// lagging agent keep a longer horizon without splitting its requests.
-	sess, err := core.NewSession(opts, hosts)
-	if err != nil {
-		return err
-	}
-	// Replay in approximate arrival order: global timestamp order,
-	// pushed per-host (which preserves each host's local order).
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].Timestamp < merged[j].Timestamp })
-	var pushed int
-	var lastBeat time.Duration
-	for _, a := range merged {
-		if err := sess.Push(a); err != nil {
-			return err
-		}
-		pushed++
-		// The replay is globally timestamp-ordered, so at clock t every
-		// agent can honestly assert it holds nothing older than t — the
-		// heartbeat a real deployment's agents would send on a timer.
-		if heartbeat > 0 && a.Timestamp >= lastBeat+heartbeat {
-			lastBeat = a.Timestamp
-			for _, h := range hosts {
-				if err := sess.Heartbeat(h, a.Timestamp); err != nil {
-					return err
-				}
-			}
-		}
-		if pushed%chunk == 0 {
-			sess.Drain()
-		}
-	}
-	res := sess.Close()
 	monitor.Flush()
-
-	fmt.Printf("replayed %d activities from %d hosts; %d causal paths; correlation %v\n",
-		pushed, len(hosts), monitor.Stats().Ingested, res.CorrelationTime.Round(time.Millisecond))
+	fmt.Printf("replayed %d activities; %d causal paths; correlation %v\n",
+		res.Activities, monitor.Stats().Ingested, res.CorrelationTime.Round(time.Millisecond))
 	report(res, monitor, opts.Workers)
 	return nil
 }

@@ -49,7 +49,6 @@ func run() error {
 		hops      = flag.Bool("hops", false, "print per-component latency distributions (p50/p95/p99)")
 		outliers  = flag.Int("outliers", 0, "show the N slowest requests and their dominant component")
 		lint      = flag.Bool("lint", false, "check the trace for integrity problems before correlating")
-		shardBy   = flag.String("shardby", "flow", "flow-component partition policy: flow (request epochs) or context (whole context lifetimes)")
 	)
 	shared := cli.RegisterCorrelator(flag.CommandLine)
 	pprofAddr := cli.RegisterPprof(flag.CommandLine)
@@ -71,20 +70,10 @@ func run() error {
 	if err != nil {
 		return cli.Usagef("%v", err)
 	}
-	var mode core.ShardMode
-	switch *shardBy {
-	case "flow":
-		mode = core.ShardByFlow
-	case "context":
-		mode = core.ShardByContext
-	default:
-		return cli.Usagef("unknown -shardby %q (want flow or context)", *shardBy)
-	}
 	opts := core.Options{
 		Window:          *window,
 		EntryPorts:      ports,
 		PaperExactNoise: *paperMode,
-		ShardBy:         mode,
 	}
 	exports, err := shared.Apply(&opts)
 	if err != nil {

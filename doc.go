@@ -16,7 +16,8 @@
 //	                     point) and the one streaming correlation engine
 //	                     every execution mode is a configuration of
 //	internal/flow        shard-key computation: union-find closure over
-//	                     TCP channels and context epochs
+//	                     TCP channels and context request epochs (the
+//	                     engine's same-CAG check, Fig. 3)
 //	internal/ranker      candidate selection: sliding window, Rule 1/2,
 //	                     is_noise, concurrency-disturbance swap (§4.1, §4.3)
 //	                     over ranking keys copied out in blocks
@@ -53,9 +54,9 @@
 //
 // Binaries: cmd/rubisgen (generate traces), cmd/precisetracer (offline
 // correlator CLI), cmd/experiments (regenerate the evaluation),
-// cmd/livemon (online monitor: in-process replay or network collector),
-// cmd/traceagent (per-host collection agent feeding a livemon
-// collector). Runnable walk-throughs live under examples/.
+// cmd/livemon (online monitor over a CorrelateDir replay or a network
+// collector), cmd/traceagent (per-host collection agent feeding a
+// livemon collector). Runnable walk-throughs live under examples/.
 //
 // # The streaming pipeline
 //

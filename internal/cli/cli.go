@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/export"
@@ -56,20 +55,6 @@ func RegisterCorrelator(fs *flag.FlagSet) *Correlator {
 		export: fs.String("export", "",
 			"graph export sinks, comma-separated kind=dest specs: otlp=FILE (OTLP-JSON lines), otlp=http(s)://HOST/v1/traces (OTLP/HTTP), dot=DIR (one .dot per CAG), dump=FILE (canonical text dumps)"),
 	}
-}
-
-// RegisterHeartbeat defines the replay-mode -heartbeat flag (livemon).
-func RegisterHeartbeat(fs *flag.FlagSet) *time.Duration {
-	return fs.Duration("heartbeat", 0,
-		"replay mode agent liveness cadence in activity time (listen-mode heartbeats come from the agents; see traceagent -heartbeat); 0 = no heartbeats")
-}
-
-// ValidateHeartbeat rejects negative cadences.
-func ValidateHeartbeat(d time.Duration) error {
-	if d < 0 {
-		return Usagef("-heartbeat must be >= 0 (got %v)", d)
-	}
-	return nil
 }
 
 // Apply validates the shared flags and installs them into opts:

@@ -98,12 +98,3 @@ func TestParseExportsRejects(t *testing.T) {
 		t.Fatalf("empty spec: %v active=%v", err, ex.Active())
 	}
 }
-
-func TestValidateHeartbeat(t *testing.T) {
-	if err := ValidateHeartbeat(-time.Second); !errors.Is(err, ErrUsage) {
-		t.Fatalf("err = %v", err)
-	}
-	if err := ValidateHeartbeat(0); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -34,7 +34,6 @@ import (
 	"repro/internal/activity"
 	"repro/internal/cag"
 	"repro/internal/engine"
-	"repro/internal/flow"
 	"repro/internal/ranker"
 )
 
@@ -91,14 +90,11 @@ type Options struct {
 	// original single-threaded pass on well-formed traces. Larger values
 	// start up to Workers−1 helpers per barrier, which correlate
 	// independent components concurrently (see internal/flow for the shard
-	// key) and exit when the batch is done. Negative values are rejected.
+	// key: TCP connections closed over request epochs) and exit when the
+	// batch is done. Negative values are rejected.
 	// CLIs mapping a "0 = all CPUs" flag should resolve it with
 	// ResolveWorkers.
 	Workers int
-
-	// ShardBy selects the partition policy of the streaming engine's flow
-	// components; see ShardMode.
-	ShardBy ShardMode
 
 	// SealAfter, when positive, turns the session into a continuous
 	// correlator: a flow component whose newest activity is more than
@@ -210,34 +206,6 @@ func (o *Options) maxHorizon() time.Duration {
 		}
 	}
 	return h
-}
-
-// ShardMode selects the partition policy of the streaming engine
-// (Options.ShardBy). Both policies shard by TCP flow key — the union-find
-// closure over channels and contexts computed by internal/flow — and both
-// produce graphs identical to the global sequential pass; they differ in
-// how the context relation is scoped, i.e. how fine the shards get.
-type ShardMode int
-
-const (
-	// ShardByFlow (default) breaks context chains at request-epoch
-	// boundaries: thread-pool reuse does not merge unrelated requests into
-	// one shard. Finest sharding, exact on well-formed traces.
-	ShardByFlow ShardMode = iota
-	// ShardByContext unions a context's whole lifetime — coarser shards
-	// that stay exact even when epoch boundaries are unrecoverable
-	// (heavily truncated or lossy traces).
-	ShardByContext
-)
-
-// String implements fmt.Stringer.
-func (m ShardMode) String() string { return m.flowMode().String() }
-
-func (m ShardMode) flowMode() flow.Mode {
-	if m == ShardByContext {
-		return flow.ModeContext
-	}
-	return flow.ModeFlow
 }
 
 // ResolveWorkers maps a CLI-style worker-count flag onto Options.Workers:

@@ -64,7 +64,7 @@ type IngestOptions struct {
 // Ingest is the serialized front of a Session: Sessions demand
 // single-goroutine use, the network collector delivers from one goroutine
 // per agent connection. Ingest owns the session goroutine and funnels
-// concurrent Push/Heartbeat/CloseHost calls through a bounded queue,
+// concurrent PushBatch/Heartbeat/CloseHost calls through a bounded queue,
 // draining on the configured cadence. It satisfies transport.Sink.
 //
 // Ingest is also the ordering front. Agents batch independently, so
@@ -280,21 +280,14 @@ func (in *Ingest) Heartbeat(host string, ts time.Duration) error {
 	return in.send(ingestOp{kind: opHeartbeat, host: host, ts: ts})
 }
 
-// replyPool recycles the one-shot reply channels CloseHost, Sync and
-// Stats block on. A channel is returned to the pool only after its reply
-// has been received, so a pooled channel is always empty.
-var replyPool = sync.Pool{New: func() any { return make(chan error, 1) }}
-
-// ask sends op and waits for the run goroutine's reply.
+// ask sends op and waits for the run goroutine's reply on a one-shot
+// channel (CloseHost, Sync and Stats are rare).
 func (in *Ingest) ask(op ingestOp) error {
-	reply := replyPool.Get().(chan error)
-	op.reply = reply
-	err := in.send(op)
-	if err == nil {
-		err = <-reply
+	op.reply = make(chan error, 1)
+	if err := in.send(op); err != nil {
+		return err
 	}
-	replyPool.Put(reply)
-	return err
+	return <-op.reply
 }
 
 // CloseHost ends one host's stream, waiting until every previously

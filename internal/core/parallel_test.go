@@ -38,14 +38,13 @@ func rubisTrace(t testing.TB, clients int, scale float64, noise int) *rubis.Resu
 	return res
 }
 
-func correlate(t testing.TB, res *rubis.Result, workers int, mode ShardMode) *Result {
+func correlate(t testing.TB, res *rubis.Result, workers int) *Result {
 	t.Helper()
 	out, err := New(Options{
 		Window:     10 * time.Millisecond,
 		EntryPorts: []int{rubis.EntryPort},
 		IPToHost:   res.IPToHost,
 		Workers:    workers,
-		ShardBy:    mode,
 	}).CorrelateTrace(res.Trace)
 	if err != nil {
 		t.Fatal(err)
@@ -98,8 +97,8 @@ func assertSameGraphs(t *testing.T, label string, want, got *Result) {
 }
 
 // TestParallelEquivalence is the headline guarantee of the sharded
-// pipeline: for every worker count and shard mode, the concurrent
-// correlator emits exactly the sequential correlator's graphs, in the
+// pipeline: for every worker count, the concurrent correlator emits
+// exactly the sequential correlator's graphs, in the
 // same order, with the same pattern census and latency breakdowns.
 func TestParallelEquivalence(t *testing.T) {
 	cases := []struct {
@@ -115,23 +114,21 @@ func TestParallelEquivalence(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			res := rubisTrace(t, tc.clients, tc.scale, tc.noise)
-			seq := correlate(t, res, 1, ShardByFlow)
+			seq := correlate(t, res, 1)
 			if len(seq.Graphs) == 0 {
 				t.Fatal("sequential pass produced no graphs")
 			}
 			for _, workers := range []int{4, 8} {
-				for _, mode := range []ShardMode{ShardByFlow, ShardByContext} {
-					label := fmt.Sprintf("workers=%d shardby=%s", workers, mode)
-					par := correlate(t, res, workers, mode)
-					assertSameGraphs(t, label, seq, par)
-					// The shard engines collectively did exactly the
-					// sequential engine's work.
-					if par.Engine.Begins != seq.Engine.Begins ||
-						par.Engine.Finished != seq.Engine.Finished ||
-						par.Engine.Sends != seq.Engine.Sends ||
-						par.Engine.Receives != seq.Engine.Receives {
-						t.Fatalf("%s: engine stats diverged: got %+v, want %+v", label, par.Engine, seq.Engine)
-					}
+				label := fmt.Sprintf("workers=%d", workers)
+				par := correlate(t, res, workers)
+				assertSameGraphs(t, label, seq, par)
+				// The shard engines collectively did exactly the
+				// sequential engine's work.
+				if par.Engine.Begins != seq.Engine.Begins ||
+					par.Engine.Finished != seq.Engine.Finished ||
+					par.Engine.Sends != seq.Engine.Sends ||
+					par.Engine.Receives != seq.Engine.Receives {
+					t.Fatalf("%s: engine stats diverged: got %+v, want %+v", label, par.Engine, seq.Engine)
 				}
 			}
 		})
@@ -142,9 +139,9 @@ func TestParallelEquivalence(t *testing.T) {
 // scheduling must never leak into the output.
 func TestParallelDeterminism(t *testing.T) {
 	res := rubisTrace(t, 120, 0.03, 4)
-	first := correlate(t, res, 8, ShardByFlow)
+	first := correlate(t, res, 8)
 	for run := 0; run < 3; run++ {
-		again := correlate(t, res, 8, ShardByFlow)
+		again := correlate(t, res, 8)
 		assertSameGraphs(t, fmt.Sprintf("run %d", run), first, again)
 	}
 }
@@ -178,7 +175,7 @@ func TestParallelOnGraphOrder(t *testing.T) {
 				i, streamed[i].End().Timestamp, streamed[i-1].End().Timestamp)
 		}
 	}
-	seq := correlate(t, res, 1, ShardByFlow)
+	seq := correlate(t, res, 1)
 	if len(streamed) != len(seq.Graphs) {
 		t.Fatalf("streamed %d graphs, sequential emitted %d", len(streamed), len(seq.Graphs))
 	}
@@ -240,7 +237,7 @@ func TestParallelSmallInputs(t *testing.T) {
 	}
 
 	res := rubisTrace(t, 2, 0.01, 0)
-	seq := correlate(t, res, 1, ShardByFlow)
-	par := correlate(t, res, 16, ShardByFlow)
+	seq := correlate(t, res, 1)
+	par := correlate(t, res, 16)
 	assertSameGraphs(t, "tiny", seq, par)
 }

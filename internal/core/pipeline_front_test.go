@@ -23,7 +23,7 @@ import (
 // under a watchdog.
 func TestSessionPoolSettlesAndStops(t *testing.T) {
 	res := rubisTrace(t, 80, 0.02, 0)
-	want := correlate(t, res, 1, ShardByFlow)
+	want := correlate(t, res, 1)
 	trace := arrivalOrder(res.Trace)
 	hosts := hostsOf(res)
 	base := runtime.NumGoroutine()
@@ -159,7 +159,7 @@ func TestSequentialSessionStartsNoGoroutine(t *testing.T) {
 func TestReplayEarlyCloseMatchesLateClose(t *testing.T) {
 	res := rubisTrace(t, 120, 0.05, 4)
 	for _, workers := range []int{1, 4} {
-		early := correlate(t, res, workers, ShardByFlow)
+		early := correlate(t, res, workers)
 		hosts := make([]string, 0, len(res.PerHost))
 		for h := range res.PerHost {
 			hosts = append(hosts, h)

@@ -242,7 +242,7 @@ func newSession(opts Options, hosts []string) *Session {
 		continuous: opts.continuousConfigured(),
 		maxHorizon: opts.maxHorizon(),
 	}
-	s.inc = flow.NewIncremental(opts.ShardBy.flowMode(), s.mergeComponents)
+	s.inc = flow.NewIncremental(flow.ModeFlow, s.mergeComponents)
 	if s.continuous {
 		// Continuous mode retires dispatched components; the close-driven
 		// mode never prunes and skips the reverse-index tracking cost.

@@ -61,7 +61,7 @@ func TestSessionForeverOpenContinuousEmission(t *testing.T) {
 		if firstEmit < 0 && len(sess.Graphs()) > 0 {
 			firstEmit = k
 		}
-		if d, e, _ := sess.inc.Sizes(); true {
+		if d, e := sess.inc.Sizes(); true {
 			if d > peakDirs {
 				peakDirs = d
 			}

@@ -26,21 +26,20 @@ func pushReplay(t *testing.T, sess *Session, res *rubis.Result, chunk int) *Resu
 	return sess.Close()
 }
 
-func sessionOptions(res *rubis.Result, workers int, mode ShardMode) Options {
+func sessionOptions(res *rubis.Result, workers int) Options {
 	return Options{
 		Window:     10 * time.Millisecond,
 		EntryPorts: []int{rubis.EntryPort},
 		IPToHost:   res.IPToHost,
 		Workers:    workers,
-		ShardBy:    mode,
 	}
 }
 
 // TestParallelSessionEquivalence is the tentpole guarantee: for the same
 // push order, the sharded push-mode Session emits exactly the sequential
-// Session's graphs — same contents, same order — for every worker count
-// and shard mode, and the shard engines collectively did exactly the
-// sequential engine's work.
+// Session's graphs — same contents, same order — for every worker count,
+// and the shard engines collectively did exactly the sequential engine's
+// work.
 func TestParallelSessionEquivalence(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -55,7 +54,7 @@ func TestParallelSessionEquivalence(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			res := rubisTrace(t, tc.clients, tc.scale, tc.noise)
-			seqSess, err := NewSession(sessionOptions(res, 1, ShardByFlow), hostsOf(res))
+			seqSess, err := NewSession(sessionOptions(res, 1), hostsOf(res))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,26 +63,24 @@ func TestParallelSessionEquivalence(t *testing.T) {
 				t.Fatal("sequential session produced no graphs")
 			}
 			for _, workers := range []int{4, 8} {
-				for _, mode := range []ShardMode{ShardByFlow, ShardByContext} {
-					label := fmt.Sprintf("workers=%d shardby=%s", workers, mode)
-					parSess, err := NewSession(sessionOptions(res, workers, mode), hostsOf(res))
-					if err != nil {
-						t.Fatal(err)
-					}
-					par := pushReplay(t, parSess, res, 256)
-					assertSameGraphs(t, label, seq, par)
-					if par.Engine.Begins != seq.Engine.Begins ||
-						par.Engine.Finished != seq.Engine.Finished ||
-						par.Engine.Sends != seq.Engine.Sends ||
-						par.Engine.Receives != seq.Engine.Receives {
-						t.Fatalf("%s: engine stats diverged: got %+v, want %+v", label, par.Engine, seq.Engine)
-					}
-					if par.Activities != seq.Activities {
-						t.Fatalf("%s: activities %d, want %d", label, par.Activities, seq.Activities)
-					}
-					if par.Shards == 0 {
-						t.Fatalf("%s: sharded session reported no shards", label)
-					}
+				label := fmt.Sprintf("workers=%d", workers)
+				parSess, err := NewSession(sessionOptions(res, workers), hostsOf(res))
+				if err != nil {
+					t.Fatal(err)
+				}
+				par := pushReplay(t, parSess, res, 256)
+				assertSameGraphs(t, label, seq, par)
+				if par.Engine.Begins != seq.Engine.Begins ||
+					par.Engine.Finished != seq.Engine.Finished ||
+					par.Engine.Sends != seq.Engine.Sends ||
+					par.Engine.Receives != seq.Engine.Receives {
+					t.Fatalf("%s: engine stats diverged: got %+v, want %+v", label, par.Engine, seq.Engine)
+				}
+				if par.Activities != seq.Activities {
+					t.Fatalf("%s: activities %d, want %d", label, par.Activities, seq.Activities)
+				}
+				if par.Shards == 0 {
+					t.Fatalf("%s: sharded session reported no shards", label)
 				}
 			}
 		})
@@ -95,7 +92,7 @@ func TestParallelSessionEquivalence(t *testing.T) {
 func TestParallelSessionDeterminism(t *testing.T) {
 	res := rubisTrace(t, 120, 0.03, 4)
 	run := func() *Result {
-		sess, err := NewSession(sessionOptions(res, 8, ShardByFlow), hostsOf(res))
+		sess, err := NewSession(sessionOptions(res, 8), hostsOf(res))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +110,7 @@ func TestParallelSessionDeterminism(t *testing.T) {
 func TestParallelSessionOnGraphOrder(t *testing.T) {
 	res := rubisTrace(t, 120, 0.03, 0)
 	var streamed []*cag.Graph
-	opts := sessionOptions(res, 4, ShardByFlow)
+	opts := sessionOptions(res, 4)
 	opts.Sinks = []GraphSink{GraphSinkFunc(func(g *cag.Graph) { streamed = append(streamed, g) })}
 	sess, err := NewSession(opts, hostsOf(res))
 	if err != nil {
@@ -131,7 +128,7 @@ func TestParallelSessionOnGraphOrder(t *testing.T) {
 			t.Fatalf("stream order regressed at %d", i)
 		}
 	}
-	seqSess, err := NewSession(sessionOptions(res, 1, ShardByFlow), hostsOf(res))
+	seqSess, err := NewSession(sessionOptions(res, 1), hostsOf(res))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +150,7 @@ func TestParallelSessionOnGraphOrder(t *testing.T) {
 func TestParallelSessionStaggeredClose(t *testing.T) {
 	res := rubisTrace(t, 120, 0.03, 0)
 	hosts := hostsOf(res)
-	sess, err := NewSession(sessionOptions(res, 4, ShardByFlow), hosts)
+	sess, err := NewSession(sessionOptions(res, 4), hosts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +192,7 @@ func TestParallelSessionStaggeredClose(t *testing.T) {
 	if len(out.Graphs) != mid {
 		t.Fatalf("Close added %d graphs after the final drain", len(out.Graphs)-mid)
 	}
-	seqSess, err := NewSession(sessionOptions(res, 1, ShardByFlow), hosts)
+	seqSess, err := NewSession(sessionOptions(res, 1), hosts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +342,7 @@ func TestSessionInterleavedCloseHostPush(t *testing.T) {
 	res := rubisTrace(t, 80, 0.03, 0)
 	hosts := hostsOf(res)
 	run := func(workers int) *Result {
-		sess, err := NewSession(sessionOptions(res, workers, ShardByFlow), hosts)
+		sess, err := NewSession(sessionOptions(res, workers), hosts)
 		if err != nil {
 			t.Fatal(err)
 		}

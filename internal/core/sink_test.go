@@ -16,14 +16,14 @@ func TestSinkChainOrder(t *testing.T) {
 	res := fastRun(t, 60, nil)
 	for _, workers := range []int{1, 2} {
 		label := fmt.Sprintf("workers=%d", workers)
-		ref := pushReplay(t, mustSession(t, sessionOptions(res, workers, ShardByFlow), hostsOf(res)), res, 64)
+		ref := pushReplay(t, mustSession(t, sessionOptions(res, workers), hostsOf(res)), res, 64)
 		if len(ref.Graphs) == 0 {
 			t.Fatalf("%s: reference run produced no graphs", label)
 		}
 
 		var first, last []*cag.Graph
 		col := &Collect{}
-		opts := sessionOptions(res, workers, ShardByFlow)
+		opts := sessionOptions(res, workers)
 		opts.Sinks = []GraphSink{
 			GraphSinkFunc(func(g *cag.Graph) {
 				if n := len(first); len(col.Graphs) != n || len(last) != n {

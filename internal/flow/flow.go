@@ -14,22 +14,15 @@
 // The channel relation is exact: SEND/RECEIVE byte matching (Fig. 4) is
 // per directed channel, and both directions of one TCP connection belong
 // together (request and reply share the socket pair), so the shard key
-// normalises the endpoint pair. The context relation is where the two
-// modes differ:
-//
-//   - ModeContext unions everything a context ever touches. Thread pools
-//     (one JBoss thread serving many connections over its lifetime) chain
-//     otherwise-unrelated requests into large components — always safe,
-//     sometimes coarse.
-//   - ModeFlow (the default) scopes the context relation to request
-//     epochs: a context's link chain is broken whenever it starts working
-//     on a message that is not connected to what it was doing before (a
-//     BEGIN or RECEIVE on a channel from a different component). Thread
-//     reuse across requests then no longer merges their components. This
-//     matches the engine's own thread-reuse defence (the same-CAG check of
-//     Fig. 3 lines 29–32): the context edge a RECEIVE would inherit from a
-//     previous epoch is suppressed there too, so splitting the epochs
-//     changes no graph.
+// normalises the endpoint pair. The context relation is scoped to
+// request epochs: a context's link chain is broken whenever it starts
+// working on a message that is not connected to what it was doing before
+// (a BEGIN or RECEIVE on a channel from a different component). Thread
+// reuse across requests (one JBoss thread serving many connections over
+// its lifetime) then never merges their components. This mirrors the
+// engine's own thread-reuse defence, the same-CAG check of Fig. 3 lines
+// 29–32: the context edge a RECEIVE would inherit from a previous epoch
+// is suppressed there too, so splitting the epochs changes no graph.
 //
 // # The channel-closure guarantee
 //
@@ -38,8 +31,8 @@
 // Structurally, every directed channel and its reverse share one
 // union-find node (Incremental files Chan.Reverse() under the same
 // node), and every branch of Add either files the activity directly
-// under its connection's node or unions the activity's epoch/context node
-// with it — including the RECEIVE-before-SEND case, where Add joins the
+// under its connection's node or unions the activity's epoch node with
+// it — including the RECEIVE-before-SEND case, where Add joins the
 // not-yet-sendful connection to the current epoch (an over-merge, never a
 // split). So all SENDs that could match a RECEIVE (same Channel) land in
 // the RECEIVE's component, and a per-shard pending/buffered-SEND lookup
@@ -51,29 +44,13 @@
 // decided.
 package flow
 
-// Mode selects how the context relation is closed over.
+// Mode names the partition policy. There is one, ModeFlow; the type
+// stays because NewIncremental's callers (the benchmark module among
+// them) pass it.
 type Mode int
 
-const (
-	// ModeFlow scopes context links to request epochs (finest safe
-	// sharding for well-formed traces).
-	ModeFlow Mode = iota
-	// ModeContext unions a context's entire lifetime (coarser, robust
-	// even to traces with lost epoch boundaries).
-	ModeContext
-)
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case ModeFlow:
-		return "flow"
-	case ModeContext:
-		return "context"
-	default:
-		return "unknown"
-	}
-}
+// ModeFlow scopes context links to request epochs (see the package doc).
+const ModeFlow Mode = 0
 
 // dsu is a union-find forest over dynamically allocated nodes.
 type dsu struct {

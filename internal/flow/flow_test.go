@@ -48,8 +48,8 @@ func twoRequests() []*activity.Activity {
 
 // partition feeds a whole trace through Incremental, the one remaining
 // partitioner, and returns its components in order of first arrival.
-func partition(trace []*activity.Activity, mode Mode) [][]*activity.Activity {
-	inc := NewIncremental(mode, nil)
+func partition(trace []*activity.Activity) [][]*activity.Activity {
+	inc := NewIncremental(ModeFlow, nil)
 	roots := make([]int32, len(trace))
 	for i, a := range trace {
 		roots[i] = inc.Add(a)
@@ -76,31 +76,28 @@ func swapRequests(tr []*activity.Activity) []*activity.Activity {
 }
 
 // TestPartitionIndependentRequests: two unrelated requests stay two
-// six-activity components in both modes, whichever request arrives first.
+// six-activity components, whichever request arrives first.
 func TestPartitionIndependentRequests(t *testing.T) {
-	for _, mode := range []Mode{ModeFlow, ModeContext} {
-		for _, tr := range [][]*activity.Activity{twoRequests(), swapRequests(twoRequests())} {
-			comps := partition(tr, mode)
-			if len(comps) != 2 {
-				t.Fatalf("mode %s: got %d components, want 2", mode, len(comps))
+	for _, tr := range [][]*activity.Activity{twoRequests(), swapRequests(twoRequests())} {
+		comps := partition(tr)
+		if len(comps) != 2 {
+			t.Fatalf("got %d components, want 2", len(comps))
+		}
+		for i, c := range comps {
+			if len(c) != 6 {
+				t.Fatalf("component %d has %d activities, want 6", i, len(c))
 			}
-			for i, c := range comps {
-				if len(c) != 6 {
-					t.Fatalf("mode %s: component %d has %d activities, want 6", mode, i, len(c))
-				}
-				for _, a := range c[1:] {
-					if a.Timestamp/time.Second != c[0].Timestamp/time.Second {
-						t.Fatalf("mode %s: component %d mixes the two requests", mode, i)
-					}
+			for _, a := range c[1:] {
+				if a.Timestamp/time.Second != c[0].Timestamp/time.Second {
+					t.Fatalf("component %d mixes the two requests", i)
 				}
 			}
 		}
 	}
 }
 
-// TestPartitionThreadReuse is the case the two modes disagree on: the same
-// app thread serves both requests (pool reuse). ModeContext chains them
-// into one component; ModeFlow splits them at the epoch boundary because
+// TestPartitionThreadReuse: the same app thread serves both requests
+// (pool reuse). The partitioner splits them at the epoch boundary because
 // the second request arrives on a connection unrelated to the first. The
 // split holds whichever request the thread serves first.
 func TestPartitionThreadReuse(t *testing.T) {
@@ -111,17 +108,14 @@ func TestPartitionThreadReuse(t *testing.T) {
 		}
 	}
 	for _, order := range [][]*activity.Activity{tr, swapRequests(tr)} {
-		if got := partition(order, ModeContext); len(got) != 1 {
-			t.Fatalf("ModeContext: got %d components, want 1", len(got))
-		}
-		if got := partition(order, ModeFlow); len(got) != 2 {
-			t.Fatalf("ModeFlow: got %d components, want 2", len(got))
+		if got := partition(order); len(got) != 2 {
+			t.Fatalf("got %d components, want 2", len(got))
 		}
 	}
 }
 
 // TestPartitionPersistentConnection: both requests reuse one web→app
-// connection, so the shared connection couples them and both modes must
+// connection, so the shared connection couples them and the partitioner must
 // keep them together, whichever request arrives first.
 func TestPartitionPersistentConnection(t *testing.T) {
 	tr := twoRequests()
@@ -133,18 +127,16 @@ func TestPartitionPersistentConnection(t *testing.T) {
 			a.Chan.Dst.Port = 50000
 		}
 	}
-	for _, mode := range []Mode{ModeFlow, ModeContext} {
-		for _, order := range [][]*activity.Activity{tr, swapRequests(tr)} {
-			if got := partition(order, mode); len(got) != 1 {
-				t.Fatalf("mode %s: got %d components, want 1", mode, len(got))
-			}
+	for _, order := range [][]*activity.Activity{tr, swapRequests(tr)} {
+		if got := partition(order); len(got) != 1 {
+			t.Fatalf("got %d components, want 1", len(got))
 		}
 	}
 }
 
 // TestPartitionInertReceiveKeepsEpoch: a noise RECEIVE (sender untraced,
 // no SEND anywhere on its directed channel) on the worker's context must
-// not break the request's epoch chain in ModeFlow. Logged before the
+// not break the request's epoch chain. Logged before the
 // request's BEGIN it stays a component of its own; logged mid-request it
 // may join the request, but the request stays whole.
 func TestPartitionInertReceiveKeepsEpoch(t *testing.T) {
@@ -152,7 +144,7 @@ func TestPartitionInertReceiveKeepsEpoch(t *testing.T) {
 	noise := mk(99, activity.Receive, 500*time.Microsecond, "web", 10, "10.0.0.99", "10.0.0.1", 6000, 22, 64)
 
 	before := append([]*activity.Activity{noise}, req...)
-	comps := partition(before, ModeFlow)
+	comps := partition(before)
 	if len(comps) != 2 || len(comps[0]) != 1 || len(comps[1]) != 6 {
 		var sizes []int
 		for _, c := range comps {
@@ -162,7 +154,7 @@ func TestPartitionInertReceiveKeepsEpoch(t *testing.T) {
 	}
 
 	mid := append(req[:2:2], append([]*activity.Activity{noise}, req[2:]...)...)
-	comps = partition(mid, ModeFlow)
+	comps = partition(mid)
 	for _, c := range comps {
 		n := 0
 		for _, a := range c {

@@ -8,7 +8,9 @@ import (
 
 // Incremental partitions the activity stream online: it assigns each
 // pushed activity to a flow component *as it arrives*, merging components
-// whenever a TCP connection or a context epoch links them. It powers the
+// whenever a TCP connection or a context's request epoch links them. The
+// epochs mirror the engine's same-CAG check (Fig. 3 lines 29–32), so a
+// pooled thread's successive requests stay in separate components. It powers the
 // streaming session (internal/core): the session keys its per-component
 // buffers on the roots returned by Add and fuses them in the OnMerge
 // callback.
@@ -33,7 +35,7 @@ import (
 //
 // Add upholds the package's channel-closure guarantee (see the package
 // doc): every branch below either files the activity under its
-// connection's node or unions the epoch/context node with it, so a
+// connection's node or unions the epoch node with it, so a
 // Channel never splits across live components — the invariant the
 // shard-aware exact is_noise predicate relies on, fuzzed by
 // TestChanKeyNeverSplits.
@@ -45,16 +47,14 @@ import (
 // later activity resolving to it (a "late link") is counted in
 // LateLinks and detached onto a fresh component instead of resurrecting
 // the dispatched shard. Prune then deletes the component's
-// dir/epoch/ctxNode entries, so the maps stay bounded by *open* (plus
+// dir/epoch entries, so the maps stay bounded by *open* (plus
 // sealed-but-unpruned) components. The union-find parent array itself
 // still grows one slot per node — a few bytes per connection, accepted;
 // the maps and their keys were the leak.
 type Incremental struct {
-	mode    Mode
 	d       dsu
 	dir     map[activity.Channel]chanInfo
-	epoch   map[activity.CtxKey]int32 // ModeFlow: current request epoch
-	ctxNode map[activity.CtxKey]int32 // ModeContext: whole-lifetime node
+	epoch   map[activity.CtxKey]int32 // a context's current request epoch
 	onMerge func(winner, loser int32)
 
 	keys       map[int32]*compKeys // root -> keys for Prune; nil = untracked
@@ -91,16 +91,14 @@ type compKeys struct {
 	ctxs  []activity.CtxKey
 }
 
-// NewIncremental returns an empty incremental partitioner. onMerge, when
-// non-nil, fires synchronously inside Add whenever two distinct
-// components fuse: the loser root's bookkeeping must be folded into the
-// winner root's before Add returns.
-func NewIncremental(mode Mode, onMerge func(winner, loser int32)) *Incremental {
+// NewIncremental returns an empty incremental partitioner; the Mode is
+// always ModeFlow. onMerge, when non-nil, fires synchronously inside Add
+// whenever two distinct components fuse: the loser root's bookkeeping
+// must be folded into the winner root's before Add returns.
+func NewIncremental(_ Mode, onMerge func(winner, loser int32)) *Incremental {
 	return &Incremental{
-		mode:       mode,
 		dir:        make(map[activity.Channel]chanInfo),
 		epoch:      make(map[activity.CtxKey]int32),
-		ctxNode:    make(map[activity.CtxKey]int32),
 		onMerge:    onMerge,
 		tombstones: make(map[int32]struct{}),
 	}
@@ -233,32 +231,8 @@ func (in *Incremental) Add(a *activity.Activity) int32 {
 	ci, late := in.channel(a)
 	ch := ci.node
 
-	if in.mode == ModeContext {
-		cn, ok := in.ctxNode[a.CtxK]
-		if ok && in.sealed(cn) {
-			delete(in.ctxNode, a.CtxK)
-			ok = false
-			// A BEGIN on a retired thread is a new request reusing it —
-			// normal operation, detached silently. Anything else is the
-			// context continuing work the seal cut off: a straggler.
-			if a.Type != activity.Begin {
-				late = true
-			}
-		}
-		if !ok {
-			cn = in.d.node()
-			in.ctxNode[a.CtxK] = cn
-			in.noteCtx(a.CtxK, cn)
-		}
-		in.union(cn, ch)
-		if late {
-			in.lateLinks++
-		}
-		return in.d.find(cn)
-	}
-
-	// ModeFlow: scope the context relation to request epochs, with the
-	// send-less RECEIVE coarsening documented on the type.
+	// Scope the context relation to request epochs, with the send-less
+	// RECEIVE coarsening documented on the type.
 	//
 	// A sealed current epoch matters only on the paths that would union
 	// into it (the channel() detach guarantees ch is never sealed, so the
@@ -344,7 +318,7 @@ func (in *Incremental) Seal(root int32) {
 }
 
 // Prune deletes a sealed component's interning entries — its share of
-// dir/epoch/ctxNode — and retires the tombstone, bounding the maps by
+// dir/epoch — and retires the tombstone, bounding the maps by
 // the components not yet pruned. Requires EnablePruning before the
 // first Add (without the key index Prune only drops the tombstone).
 // Keys that moved on (an epoch re-opened under a live root, or an entry
@@ -365,9 +339,6 @@ func (in *Incremental) Prune(root int32) {
 		for _, cx := range k.ctxs {
 			if e, ok := in.epoch[cx]; ok && in.d.find(e) == root {
 				delete(in.epoch, cx)
-			}
-			if cn, ok := in.ctxNode[cx]; ok && in.d.find(cn) == root {
-				delete(in.ctxNode, cx)
 			}
 		}
 		delete(in.keys, root)
@@ -433,9 +404,9 @@ func (in *Incremental) LateLinks() int { return in.lateLinks }
 // Pruned returns how many components have been pruned.
 func (in *Incremental) Pruned() int { return in.pruned }
 
-// Sizes returns the interning map populations (directed channels, flow
-// epochs, context nodes) — the quantities Prune keeps bounded by unpruned
+// Sizes returns the interning map populations (directed channels and
+// request epochs) — the quantities Prune keeps bounded by unpruned
 // components.
-func (in *Incremental) Sizes() (dirs, epochs, ctxNodes int) {
-	return len(in.dir), len(in.epoch), len(in.ctxNode)
+func (in *Incremental) Sizes() (dirs, epochs int) {
+	return len(in.dir), len(in.epoch)
 }

@@ -9,8 +9,8 @@ import (
 
 // incrementalComponents feeds a trace through Incremental in the given
 // arrival order and groups activities by final root.
-func incrementalComponents(trace []*activity.Activity, mode Mode) map[int32][]*activity.Activity {
-	inc := NewIncremental(mode, nil)
+func incrementalComponents(trace []*activity.Activity) map[int32][]*activity.Activity {
+	inc := NewIncremental(ModeFlow, nil)
 	roots := make([]int32, len(trace))
 	for i, a := range trace {
 		roots[i] = inc.Add(a)
@@ -24,15 +24,13 @@ func incrementalComponents(trace []*activity.Activity, mode Mode) map[int32][]*a
 }
 
 func TestIncrementalIndependentRequests(t *testing.T) {
-	for _, mode := range []Mode{ModeFlow, ModeContext} {
-		comps := incrementalComponents(twoRequests(), mode)
-		if len(comps) != 2 {
-			t.Fatalf("mode %s: %d components, want 2", mode, len(comps))
-		}
-		for _, members := range comps {
-			if len(members) != 6 {
-				t.Fatalf("mode %s: component of %d members, want 6", mode, len(members))
-			}
+	comps := incrementalComponents(twoRequests())
+	if len(comps) != 2 {
+		t.Fatalf("%d components, want 2", len(comps))
+	}
+	for _, members := range comps {
+		if len(members) != 6 {
+			t.Fatalf("component of %d members, want 6", len(members))
 		}
 	}
 }
@@ -47,10 +45,8 @@ func TestIncrementalPersistentConnectionMerges(t *testing.T) {
 			a.Chan.Dst.Port = 50000
 		}
 	}
-	for _, mode := range []Mode{ModeFlow, ModeContext} {
-		if comps := incrementalComponents(tr, mode); len(comps) != 1 {
-			t.Fatalf("mode %s: %d components, want 1", mode, len(comps))
-		}
+	if comps := incrementalComponents(tr); len(comps) != 1 {
+		t.Fatalf("%d components, want 1", len(comps))
 	}
 }
 
@@ -61,11 +57,8 @@ func TestIncrementalThreadReuseSplitsEpochs(t *testing.T) {
 			a.Ctx.TID = 20
 		}
 	}
-	if comps := incrementalComponents(tr, ModeContext); len(comps) != 1 {
-		t.Fatalf("ModeContext: %d components, want 1", len(comps))
-	}
-	if comps := incrementalComponents(tr, ModeFlow); len(comps) != 2 {
-		t.Fatalf("ModeFlow: %d components, want 2", len(comps))
+	if comps := incrementalComponents(tr); len(comps) != 2 {
+		t.Fatalf("%d components, want 2", len(comps))
 	}
 }
 
@@ -176,50 +169,48 @@ func TestIncrementalSealDetachesLateLinks(t *testing.T) {
 // session has ever seen; and a post-prune return of a connection starts a
 // fresh component instead of merging into freed state.
 func TestIncrementalPruneBoundsMaps(t *testing.T) {
-	for _, mode := range []Mode{ModeFlow, ModeContext} {
-		inc := NewIncremental(mode, nil)
-		inc.EnablePruning()
-		// One request's worth of interning: 4 directed channels (2 conns
-		// × 2 directions) and 2 contexts.
-		const maxDirs, maxCtxs = 4, 2
-		var openRoot int32 = -1
-		for r := 0; r < 200; r++ {
-			tr := twoRequests()[:6]
-			for _, a := range tr {
-				// Distinct ports/threads per round: every round is a new
-				// connection the maps would otherwise remember forever.
-				a.Chan.Src.Port += int32(r) * 10
-				a.Chan.Dst.Port += int32(r) * 10
-				a.Ctx.TID += int32(r) * 10
-				a.Timestamp += time.Duration(r) * 10 * time.Millisecond
-				openRoot = inc.Add(a)
-			}
-			inc.Seal(openRoot)
-			inc.Prune(openRoot)
-			dirs, epochs, ctxNodes := inc.Sizes()
-			if dirs > maxDirs || epochs+ctxNodes > maxCtxs {
-				t.Fatalf("mode %s round %d: maps grew past one open component: dirs=%d epochs=%d ctxNodes=%d",
-					mode, r, dirs, epochs, ctxNodes)
-			}
+	inc := NewIncremental(ModeFlow, nil)
+	inc.EnablePruning()
+	// One request's worth of interning: 4 directed channels (2 conns
+	// × 2 directions) and 2 contexts.
+	const maxDirs, maxCtxs = 4, 2
+	var openRoot int32 = -1
+	for r := 0; r < 200; r++ {
+		tr := twoRequests()[:6]
+		for _, a := range tr {
+			// Distinct ports/threads per round: every round is a new
+			// connection the maps would otherwise remember forever.
+			a.Chan.Src.Port += int32(r) * 10
+			a.Chan.Dst.Port += int32(r) * 10
+			a.Ctx.TID += int32(r) * 10
+			a.Timestamp += time.Duration(r) * 10 * time.Millisecond
+			openRoot = inc.Add(a)
 		}
-		if dirs, epochs, ctxNodes := inc.Sizes(); dirs != 0 || epochs != 0 || ctxNodes != 0 {
-			t.Fatalf("mode %s: maps not empty after pruning everything: %d/%d/%d", mode, dirs, epochs, ctxNodes)
+		inc.Seal(openRoot)
+		inc.Prune(openRoot)
+		dirs, epochs := inc.Sizes()
+		if dirs > maxDirs || epochs > maxCtxs {
+			t.Fatalf("round %d: maps grew past one open component: dirs=%d epochs=%d",
+				r, dirs, epochs)
 		}
-		if inc.Pruned() != 200 {
-			t.Fatalf("mode %s: Pruned = %d, want 200", mode, inc.Pruned())
-		}
-		// A connection from a pruned component returning after the prune
-		// is a fresh component: no merge into freed state, and (the
-		// documented limit) no longer countable as a late link.
-		before := inc.LateLinks()
-		back := mk(999, activity.Send, time.Hour, "web", 10, "10.0.0.1", "10.0.0.2", 50000, 8009, 80)
-		fresh := inc.Add(back)
-		if inc.Root(fresh) == inc.Root(openRoot) {
-			t.Fatal("post-prune activity merged into the pruned root")
-		}
-		if inc.LateLinks() != before {
-			t.Fatalf("post-prune activity counted as a late link (%d -> %d)", before, inc.LateLinks())
-		}
+	}
+	if dirs, epochs := inc.Sizes(); dirs != 0 || epochs != 0 {
+		t.Fatalf("maps not empty after pruning everything: %d/%d", dirs, epochs)
+	}
+	if inc.Pruned() != 200 {
+		t.Fatalf("Pruned = %d, want 200", inc.Pruned())
+	}
+	// A connection from a pruned component returning after the prune
+	// is a fresh component: no merge into freed state, and (the
+	// documented limit) no longer countable as a late link.
+	before := inc.LateLinks()
+	back := mk(999, activity.Send, time.Hour, "web", 10, "10.0.0.1", "10.0.0.2", 50000, 8009, 80)
+	fresh := inc.Add(back)
+	if inc.Root(fresh) == inc.Root(openRoot) {
+		t.Fatal("post-prune activity merged into the pruned root")
+	}
+	if inc.LateLinks() != before {
+		t.Fatalf("post-prune activity counted as a late link (%d -> %d)", before, inc.LateLinks())
 	}
 }
 

@@ -14,29 +14,27 @@ import (
 // reuse, thread-pool reuse, send-less noise RECEIVEs and fully random
 // arrival orders — including RECEIVE arriving before its SEND, the
 // over-merge case — no Channel may ever land in two components. Checked
-// for the Incremental partitioner in both modes.
+// for the Incremental partitioner.
 func TestChanKeyNeverSplits(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomInvariantTrace(rng)
 		rng.Shuffle(len(tr), func(i, j int) { tr[i], tr[j] = tr[j], tr[i] })
 
-		for _, mode := range []Mode{ModeFlow, ModeContext} {
-			inc := NewIncremental(mode, nil)
-			roots := make([]int32, len(tr))
-			for i, a := range tr {
-				roots[i] = inc.Add(a)
+		inc := NewIncremental(ModeFlow, nil)
+		roots := make([]int32, len(tr))
+		for i, a := range tr {
+			roots[i] = inc.Add(a)
+		}
+		owner := make(map[activity.Channel]int32)
+		for i, a := range tr {
+			norm := normChan(a.Chan)
+			root := inc.Root(roots[i])
+			if prev, ok := owner[norm]; ok && prev != root {
+				t.Fatalf("seed %d: channel %v split across components %d and %d (incremental)",
+					seed, norm, prev, root)
 			}
-			owner := make(map[activity.Channel]int32)
-			for i, a := range tr {
-				norm := normChan(a.Chan)
-				root := inc.Root(roots[i])
-				if prev, ok := owner[norm]; ok && prev != root {
-					t.Fatalf("seed %d mode %s: channel %v split across components %d and %d (incremental)",
-						seed, mode, norm, prev, root)
-				}
-				owner[norm] = root
-			}
+			owner[norm] = root
 		}
 	}
 }
@@ -52,29 +50,27 @@ func TestChanKeySplitsOnlyAtSeals(t *testing.T) {
 		tr := randomInvariantTrace(rng)
 		rng.Shuffle(len(tr), func(i, j int) { tr[i], tr[j] = tr[j], tr[i] })
 
-		for _, mode := range []Mode{ModeFlow, ModeContext} {
-			inc := NewIncremental(mode, nil)
-			inc.EnablePruning()
-			owner := make(map[activity.Channel]int32)
-			var added []int32
-			for _, a := range tr {
-				n := inc.Add(a)
-				norm := normChan(a.Chan)
-				if prev, ok := owner[norm]; ok {
-					pr := inc.Root(prev)
-					if pr != n && !inc.sealed(pr) {
-						t.Fatalf("seed %d mode %s: channel %v moved from live component %d to %d without a seal",
-							seed, mode, norm, pr, n)
-					}
+		inc := NewIncremental(ModeFlow, nil)
+		inc.EnablePruning()
+		owner := make(map[activity.Channel]int32)
+		var added []int32
+		for _, a := range tr {
+			n := inc.Add(a)
+			norm := normChan(a.Chan)
+			if prev, ok := owner[norm]; ok {
+				pr := inc.Root(prev)
+				if pr != n && !inc.sealed(pr) {
+					t.Fatalf("seed %d: channel %v moved from live component %d to %d without a seal",
+						seed, norm, pr, n)
 				}
-				owner[norm] = n
-				added = append(added, n)
-				// Seal a random already-seen component now and then, the
-				// way a horizon would, so later adds on its connections
-				// exercise the late-link detach.
-				if rng.Intn(16) == 0 {
-					inc.Seal(added[rng.Intn(len(added))])
-				}
+			}
+			owner[norm] = n
+			added = append(added, n)
+			// Seal a random already-seen component now and then, the
+			// way a horizon would, so later adds on its connections
+			// exercise the late-link detach.
+			if rng.Intn(16) == 0 {
+				inc.Seal(added[rng.Intn(len(added))])
 			}
 		}
 	}

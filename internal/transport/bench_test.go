@@ -15,11 +15,6 @@ import (
 // once, so a benchmark behind it measures the transport tier alone.
 type releaseSink struct{}
 
-func (releaseSink) Push(a *activity.Activity) error {
-	activity.ReleaseRecord(a)
-	return nil
-}
-
 func (releaseSink) PushBatch(recs []*activity.Activity) error {
 	for _, a := range recs {
 		activity.ReleaseRecord(a)

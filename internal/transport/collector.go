@@ -16,24 +16,16 @@ import (
 // Sink is where the collector delivers applied items — in production the
 // serialized ingest front of the correlation session (core.Ingest). Sink
 // methods are called from many connection goroutines concurrently; the
-// implementation serializes (that is its whole job). A blocking Push IS
-// the backpressure: the connection goroutine stops reading its socket,
-// TCP flow control fills the agent's send buffer, and the agent's
-// producer blocks on its bounded unacked queue.
+// implementation serializes (that is its whole job). PushBatch takes one
+// decoded frame's run of records, one host's, in a single call and owns
+// them afterwards. A blocking PushBatch IS the backpressure: the
+// connection goroutine stops reading its socket, TCP flow control fills
+// the agent's send buffer, and the agent's producer blocks on its bounded
+// unacked queue.
 type Sink interface {
-	Push(a *activity.Activity) error
+	PushBatch(recs []*activity.Activity) error
 	Heartbeat(host string, ts time.Duration) error
 	CloseHost(host string) error
-}
-
-// BatchSink is the optional Sink upgrade for whole-frame delivery: a
-// sink that can take one decoded frame's run of records in a single
-// call (core.Ingest does — one queue operation instead of one per
-// record). The collector detects it at construction and prefers it.
-// PushBatch transfers ownership of the records to the sink.
-type BatchSink interface {
-	Sink
-	PushBatch(recs []*activity.Activity) error
 }
 
 // CollectorConfig parametrises a Collector.
@@ -68,9 +60,8 @@ type HostStatus struct {
 // applied high-water mark) lives in the collector, not the connection, so
 // an agent may reconnect or restart at will.
 type Collector struct {
-	sink  Sink
-	batch BatchSink // sink's batch upgrade, nil when unsupported
-	cfg   CollectorConfig
+	sink Sink
+	cfg  CollectorConfig
 
 	mu    sync.Mutex
 	cond  *sync.Cond // signals a host's connection slot being released
@@ -111,7 +102,6 @@ func NewCollector(sink Sink, cfg CollectorConfig) (*Collector, error) {
 		done:     make(chan struct{}),
 		shutdown: make(chan struct{}),
 	}
-	c.batch, _ = sink.(BatchSink)
 	c.hosts = make(map[string]*hostState, len(cfg.Hosts))
 	c.cond = sync.NewCond(&c.mu)
 	for _, h := range cfg.Hosts {
@@ -310,12 +300,12 @@ func (c *Collector) handle(conn net.Conn) {
 }
 
 // applyBatch applies one batch's items above the host's high-water mark.
-// Sink calls happen without the collector mutex held — Push may block on
-// ingest backpressure, and that block must only stall this connection.
+// Sink calls happen without the collector mutex held — PushBatch may
+// block on ingest backpressure, and that block must only stall this
+// connection.
 //
 // Consecutive records accumulate into one run and reach the sink as a
-// single PushBatch when it supports batches (core.Ingest does): one
-// queue hop per frame instead of one per record. Heartbeats flush the
+// single PushBatch: one queue hop per frame instead of one per record. Heartbeats flush the
 // pending run first, so the sink sees items in exact sequence order.
 // Decoded records come from the activity record pool; ownership of a
 // record passes to the sink with the flush, while records the sink never
@@ -331,7 +321,7 @@ func (c *Collector) applyBatch(hs *hostState, payload []byte) (applied int, err 
 		if len(pend) == 0 {
 			return nil
 		}
-		if err := c.push(pend); err != nil {
+		if err := c.sink.PushBatch(pend); err != nil {
 			// Ownership of the run is ambiguous after a failed hand-off;
 			// leave the records to the GC rather than risk recycling one
 			// the sink retained. This path drops the connection anyway.
@@ -400,22 +390,6 @@ func (c *Collector) applyBatch(hs *hostState, payload []byte) (applied int, err 
 		err = flush()
 	}
 	return applied, err
-}
-
-// push hands one run of records to the sink — whole when the sink
-// understands batches, record by record otherwise. The caller's mark
-// accounting assumes all-or-nothing; a partial per-record failure aborts
-// the connection, and resume replays from the last acked sequence.
-func (c *Collector) push(recs []*activity.Activity) error {
-	if c.batch != nil {
-		return c.batch.PushBatch(recs)
-	}
-	for _, a := range recs {
-		if err := c.sink.Push(a); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // refuse sends a terminal error frame and lets the deferred close drop

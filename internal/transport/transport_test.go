@@ -16,6 +16,9 @@ import (
 	"repro/internal/transport"
 )
 
+// The ingest front is the collector's production sink.
+var _ transport.Sink = (*core.Ingest)(nil)
+
 // Soak knobs: `make soak` scales these up; the defaults keep the test
 // inside the ordinary `go test ./...` budget.
 var (

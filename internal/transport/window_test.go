@@ -24,10 +24,6 @@ type seqSink struct {
 	blocked chan struct{} // closed once a batch blocks on the gate
 }
 
-func (s *seqSink) Push(a *activity.Activity) error {
-	return s.PushBatch([]*activity.Activity{a})
-}
-
 func (s *seqSink) PushBatch(recs []*activity.Activity) error {
 	s.mu.Lock()
 	if gate := s.gate; gate != nil && recs[len(recs)-1].ID > s.hold {
