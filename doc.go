@@ -403,9 +403,9 @@
 // Interval request counts and mean latency stay exact scalars in either
 // mode. With capacity to spare the sketched output is byte-identical to
 // exact mode (TestMonitorSketchedMatchesExact); under pressure it
-// degrades only the per-pattern view, within the sketch bounds, and
-// Monitor.Footprint exposes the state sizes the capacity soak gate
-// (TestMonitorSketchedCapacity) holds flat.
+// degrades only the per-pattern view, within the sketch bounds, and the
+// capacity soak gate (TestMonitorSketchedCapacity) holds the monitor's
+// state sizes flat.
 //
 // Ownership is part of the contract. The collector decodes every frame
 // into pooled records (activity.NewRecord), the session copies whatever

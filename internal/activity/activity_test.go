@@ -222,7 +222,9 @@ func TestClassifierApply(t *testing.T) {
 		{Type: Receive, Chan: Channel{Src: EP("10.0.0.9", 5000), Dst: EP("10.0.0.1", 80)}},
 		{Type: Send, Chan: Channel{Src: EP("10.0.0.1", 80), Dst: EP("10.0.0.9", 5000)}},
 	}
-	c.Apply(as)
+	for _, a := range as {
+		a.Type = c.Classify(a)
+	}
 	if as[0].Type != Begin || as[1].Type != End {
 		t.Fatalf("Apply results: %v %v", as[0].Type, as[1].Type)
 	}

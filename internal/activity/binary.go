@@ -56,18 +56,6 @@ func AppendBinary(buf []byte, a *Activity) []byte {
 	return buf
 }
 
-// DecodeBinary decodes one record from the front of buf, returning the
-// record and the number of bytes consumed. It errors (never panics) on
-// truncated or malformed input.
-func DecodeBinary(buf []byte) (*Activity, int, error) {
-	a := &Activity{}
-	n, err := DecodeBinaryInto(a, buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	return a, n, nil
-}
-
 // DecodeBinaryInto decodes one record from the front of buf into *a
 // (overwriting every field), returning the number of bytes consumed. It
 // is the allocation-free decode boundary: identity strings resolve to

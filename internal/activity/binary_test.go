@@ -24,7 +24,15 @@ func binSample() *Activity {
 	}
 }
 
-// boundSample is binSample with CtxK filled — what DecodeBinary
+// decodeBinary decodes one record from the front of buf into a fresh
+// Activity.
+func decodeBinary(buf []byte) (*Activity, int, error) {
+	a := &Activity{}
+	n, err := DecodeBinaryInto(a, buf)
+	return a, n, err
+}
+
+// boundSample is binSample with CtxK filled — what DecodeBinaryInto
 // emits, since the binary codec binds at the decode boundary.
 func boundSample() *Activity {
 	a := binSample()
@@ -35,7 +43,7 @@ func boundSample() *Activity {
 func TestBinaryRoundTrip(t *testing.T) {
 	a := boundSample()
 	buf := AppendBinary(nil, a)
-	got, n, err := DecodeBinary(buf)
+	got, n, err := decodeBinary(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +68,7 @@ func TestBinaryStream(t *testing.T) {
 		buf = AppendBinary(buf, a)
 	}
 	for i := 0; len(buf) > 0; i++ {
-		got, n, err := DecodeBinary(buf)
+		got, n, err := decodeBinary(buf)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
@@ -77,29 +85,29 @@ func TestBinaryDecodeMalformed(t *testing.T) {
 	// Every strict prefix is truncated and must error (the encoding has
 	// no trailing optional part).
 	for i := 0; i < len(full); i++ {
-		if _, _, err := DecodeBinary(full[:i]); err == nil {
+		if _, _, err := decodeBinary(full[:i]); err == nil {
 			t.Fatalf("truncation to %d bytes decoded successfully", i)
 		}
 	}
 	// Bad type tag.
 	bad := bytes.Clone(full)
 	bad[0] = 99
-	if _, _, err := DecodeBinary(bad); err == nil {
+	if _, _, err := decodeBinary(bad); err == nil {
 		t.Fatal("bad type tag accepted")
 	}
 	// String length running past the buffer.
-	if _, _, err := DecodeBinary([]byte{byte(Send), 0, 0xff, 0xff, 0x03}); err == nil {
+	if _, _, err := decodeBinary([]byte{byte(Send), 0, 0xff, 0xff, 0x03}); err == nil {
 		t.Fatal("oversized string length accepted")
 	}
-	if _, _, err := DecodeBinary(nil); err == nil {
+	if _, _, err := decodeBinary(nil); err == nil {
 		t.Fatal("empty buffer accepted")
 	}
 	// An empty source or destination IP, which ParseRecord rejects too.
-	if _, _, err := DecodeBinary(rawBinary(1, 1, "10.0.0.1", "10.0.0.9")); err != nil {
+	if _, _, err := decodeBinary(rawBinary(1, 1, "10.0.0.1", "10.0.0.9")); err != nil {
 		t.Fatalf("well-formed raw record rejected: %v", err)
 	}
 	for _, c := range []struct{ src, dst string }{{"", "10.0.0.9"}, {"10.0.0.1", ""}} {
-		if a, _, err := DecodeBinary(rawBinary(1, 1, c.src, c.dst)); err == nil {
+		if a, _, err := decodeBinary(rawBinary(1, 1, c.src, c.dst)); err == nil {
 			t.Errorf("src %q dst %q: empty IP decoded to channel %v", c.src, c.dst, a.Chan)
 		}
 		line := fmt.Sprintf("1.000000 web1 httpd 1 1 SEND %s:80-%s:5000 512", c.src, c.dst)
@@ -135,7 +143,7 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		}
 		buf := AppendBinary(nil, a)
 		Bind(a) // decode emits bound records; bind the expectation too
-		got, n, err := DecodeBinary(buf)
+		got, n, err := decodeBinary(buf)
 		if srcIP == "" || dstIP == "" {
 			if err == nil {
 				t.Fatalf("record with an empty IP decoded: %+v", got)
@@ -164,14 +172,14 @@ func FuzzBinaryDecode(f *testing.F) {
 	f.Add(rawBinary(1, -1<<31-1, "10.0.0.1", "10.0.0.9"))
 	f.Add(rawBinary(1, 1, "", ""))
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		a, n, err := DecodeBinary(buf)
+		a, n, err := decodeBinary(buf)
 		if err != nil {
 			return
 		}
 		if n <= 0 || n > len(buf) {
 			t.Fatalf("consumed %d of %d bytes", n, len(buf))
 		}
-		back, _, err := DecodeBinary(AppendBinary(nil, a))
+		back, _, err := decodeBinary(AppendBinary(nil, a))
 		if err != nil {
 			t.Fatalf("re-decode of accepted record failed: %v", err)
 		}
@@ -221,7 +229,7 @@ func TestPIDTIDRange(t *testing.T) {
 		{1, 1<<32 + 7, false},
 	}
 	for _, c := range cases {
-		a, _, err := DecodeBinary(rawBinary(c.pid, c.tid, "10.0.0.1", "10.0.0.9"))
+		a, _, err := decodeBinary(rawBinary(c.pid, c.tid, "10.0.0.1", "10.0.0.9"))
 		if (err == nil) != c.ok {
 			t.Errorf("binary pid=%d tid=%d: err %v, want ok=%v", c.pid, c.tid, err, c.ok)
 		} else if c.ok && (int64(a.Ctx.PID) != c.pid || int64(a.Ctx.TID) != c.tid ||

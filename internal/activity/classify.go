@@ -39,19 +39,3 @@ func (c *Classifier) Classify(a *Activity) Type {
 	}
 	return a.Type
 }
-
-// Apply rewrites a slice of raw records in place, classifying each one.
-func (c *Classifier) Apply(as []*Activity) {
-	for _, a := range as {
-		a.Type = c.Classify(a)
-	}
-}
-
-// EntryPorts returns a copy of the configured entry ports.
-func (c *Classifier) EntryPorts() []int {
-	out := make([]int, 0, len(c.entryPorts))
-	for p := range c.entryPorts {
-		out = append(out, p)
-	}
-	return out
-}

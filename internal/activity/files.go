@@ -245,9 +245,3 @@ func (s *FileSource) advance() {
 		s.err = err
 	}
 }
-
-// openAppend opens a file for appending (test helper exported within the
-// package).
-func openAppend(path string) (*os.File, error) {
-	return os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-}

@@ -1,6 +1,7 @@
 package activity
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -133,7 +134,7 @@ func TestFileSourceParseError(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Append a corrupt line.
-	f, err := openAppend(path)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}

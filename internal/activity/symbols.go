@@ -124,12 +124,6 @@ func (s *Symbols) Name(sym Sym) string {
 	return (*s.chunks.Load())[sym/symChunk][sym%symChunk]
 }
 
-// Len returns the number of interned strings (the reserved zero symbol
-// not counted).
-func (s *Symbols) Len() int {
-	return int(s.count.Load()) - 1
-}
-
 // CtxKey is the dense key form of a Context: the same identity as the
 // (host, program, pid, tid) tuple, with the strings replaced by their
 // interned symbols. Comparable, fixed-width, and free of pointer or

@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -27,7 +29,11 @@ func TestAccumulatorMatchesAggregate(t *testing.T) {
 	}
 	// The reference: the PatternReport shape of an Aggregate —
 	// alphabetical categories with percentages of the truncated means.
-	cats, vals := avg.Percentages()
+	cats := slices.Sorted(maps.Keys(avg.Components))
+	vals := make([]float64, len(cats))
+	for i, c := range cats {
+		vals[i] = avg.Percent(c)
+	}
 	acc := NewAccumulator(avg.Name, avg.Signature)
 	for _, g := range graphs {
 		acc.Observe(g.Latency())

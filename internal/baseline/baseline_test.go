@@ -125,43 +125,3 @@ func TestBaselineCorrelationTimesMeasured(t *testing.T) {
 		t.Fatal("nesting time not measured")
 	}
 }
-
-func TestConvolutionEstimatesServiceDelay(t *testing.T) {
-	// Light load so the lag histogram is not smeared: the mysqld estimate
-	// should land near its per-query service time (~2-3ms).
-	res, trace := classifiedTrace(t, func(c *rubis.Config) { c.Clients = 20 })
-	delays := Convolution(trace, ConvolutionConfig{})
-	_ = res
-	d, ok := DelayFor(delays, "mysqld")
-	if !ok || d.Pairs == 0 {
-		t.Fatalf("no mysqld estimate: %v", delays)
-	}
-	if d.Mode < 500*time.Microsecond || d.Mode > 10*time.Millisecond {
-		t.Fatalf("mysqld mode = %v, expected low-millisecond service time", d.Mode)
-	}
-}
-
-func TestConvolutionSupportDegradesWithConcurrency(t *testing.T) {
-	// Aggregate inference gets noisier as concurrent requests interleave —
-	// the imprecision argument of §6.1 in measurable form.
-	_, light := classifiedTrace(t, func(c *rubis.Config) { c.Clients = 10 })
-	_, heavy := classifiedTrace(t, func(c *rubis.Config) { c.Clients = 300; c.HttpdWorkers = 0 })
-	dl, _ := DelayFor(Convolution(light, ConvolutionConfig{}), "java")
-	dh, _ := DelayFor(Convolution(heavy, ConvolutionConfig{}), "java")
-	if dl.Pairs == 0 || dh.Pairs == 0 {
-		t.Fatal("missing estimates")
-	}
-	if dh.Support >= dl.Support {
-		t.Fatalf("support should degrade with load: light=%.3f heavy=%.3f", dl.Support, dh.Support)
-	}
-}
-
-func TestConvolutionEmptyTrace(t *testing.T) {
-	delays := Convolution(nil, ConvolutionConfig{})
-	if len(delays) != 0 {
-		t.Fatalf("empty trace produced %v", delays)
-	}
-	if _, ok := DelayFor(delays, "x"); ok {
-		t.Fatal("DelayFor on empty should be false")
-	}
-}

@@ -2,7 +2,6 @@ package cag
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -140,27 +139,8 @@ func Aggregate(graphs []*Graph) (*AveragePath, error) {
 	return avg, nil
 }
 
-// Percentages converts the average path's component latencies into latency
-// percentages of the mean end-to-end latency — the quantity plotted in
-// Fig. 15 and Fig. 17. Categories are returned in deterministic
-// (alphabetical) order.
-func (a *AveragePath) Percentages() ([]string, []float64) {
-	cats := make([]string, 0, len(a.Components))
-	for c := range a.Components {
-		cats = append(cats, c)
-	}
-	sort.Strings(cats)
-	vals := make([]float64, len(cats))
-	if a.MeanLatency <= 0 {
-		return cats, vals
-	}
-	for i, c := range cats {
-		vals[i] = 100 * float64(a.Components[c]) / float64(a.MeanLatency)
-	}
-	return cats, vals
-}
-
-// Percent returns one category's latency percentage.
+// Percent returns one category's latency percentage of the mean
+// end-to-end latency — the quantity plotted in Fig. 15 and Fig. 17.
 func (a *AveragePath) Percent(category string) float64 {
 	if a.MeanLatency <= 0 {
 		return 0

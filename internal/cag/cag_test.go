@@ -154,7 +154,7 @@ func TestSignatureIsomorphism(t *testing.T) {
 	// Same shape, different base times, PIDs, TIDs and ports => isomorphic.
 	g1 := buildThreeTier(t, 0, 1)
 	g2 := buildThreeTier(t, 5*time.Second, 77)
-	if !Isomorphic(g1, g2) {
+	if Signature(g1) != Signature(g2) {
 		t.Fatalf("expected isomorphic:\n%s\nvs\n%s", Signature(g1), Signature(g2))
 	}
 }
@@ -171,7 +171,7 @@ func TestSignatureDistinguishesShapes(t *testing.T) {
 	if err := g2.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if Isomorphic(g1, g2) {
+	if Signature(g1) == Signature(g2) {
 		t.Fatal("different shapes must not be isomorphic")
 	}
 }
@@ -270,10 +270,9 @@ func TestPercentagesSumTo100(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, vals := avg.Percentages()
 	var sum float64
-	for _, v := range vals {
-		sum += v
+	for c := range avg.Components {
+		sum += avg.Percent(c)
 	}
 	if sum < 99.9 || sum > 100.1 {
 		t.Fatalf("percentages sum to %f, want 100", sum)

@@ -112,10 +112,6 @@ func Classify(graphs []*Graph) []*Pattern {
 	return out
 }
 
-// Isomorphic reports whether two CAGs belong to the same causal path
-// pattern.
-func Isomorphic(a, b *Graph) bool { return Signature(a) == Signature(b) }
-
 // Dump renders the graph as an indented textual tree for debugging and the
 // CLI. Vertices appear in insertion order with their parent links.
 func Dump(g *Graph) string {

@@ -110,7 +110,7 @@ func TestPropertySignatureInvariance(t *testing.T) {
 		if countHosts(g1) != countHosts(g2) {
 			return true
 		}
-		return Isomorphic(g1, g2) == (Signature(g1) == Signature(g2))
+		return Signature(g1) == Signature(g2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

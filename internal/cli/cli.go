@@ -49,7 +49,7 @@ type Correlator struct {
 func RegisterCorrelator(fs *flag.FlagSet) *Correlator {
 	return &Correlator{
 		workers: fs.Int("workers", 1,
-			"correlation workers sizing the streaming engine's pool (1 = sequential configuration, 0 = all CPUs)"),
+			"goroutines that correlate one barrier's sealed components: the caller plus up to N-1 helpers it starts (1 = sequential configuration, 0 = all CPUs)"),
 		sealAfter: fs.String("sealafter", "",
 			"activity-time seal horizon(s): a default duration and/or host=duration overrides, comma-separated (e.g. '50ms,db1=500ms'); empty = close-driven sealing only"),
 		export: fs.String("export", "",

@@ -8,10 +8,7 @@
 // are guaranteed monotonic per node, matching a real kernel's trace log.
 package clock
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Clock converts global virtual time into one node's local timestamps.
 type Clock struct {
@@ -52,12 +49,6 @@ func New(opts ...Option) *Clock {
 	return c
 }
 
-// Offset returns the configured constant skew.
-func (c *Clock) Offset() time.Duration { return c.offset }
-
-// DriftPPM returns the configured drift rate.
-func (c *Clock) DriftPPM() float64 { return c.driftPPM }
-
 // Local converts a global virtual time into this node's local timestamp.
 // Successive calls with non-decreasing global times yield non-decreasing
 // local times (a kernel log is totally ordered in its own clock).
@@ -72,11 +63,6 @@ func (c *Clock) Local(global time.Duration) time.Duration {
 	c.last = local
 	c.primed = true
 	return local
-}
-
-// String implements fmt.Stringer.
-func (c *Clock) String() string {
-	return fmt.Sprintf("clock{offset=%v drift=%.1fppm quantum=%v}", c.offset, c.driftPPM, c.quantum)
 }
 
 // SkewScenario assigns per-node clocks for an experiment. The paper's §5.2

@@ -55,7 +55,7 @@ func TestSkewScenarioMaxPairwise(t *testing.T) {
 	const n = 8
 	var lo, hi time.Duration
 	for i := 0; i < n; i++ {
-		off := s.ClockFor(i, n).Offset()
+		off := s.ClockFor(i, n).offset
 		if i == 0 || off < lo {
 			lo = off
 		}
@@ -72,8 +72,8 @@ func TestSkewScenarioMaxPairwise(t *testing.T) {
 func TestSkewScenarioSingleNode(t *testing.T) {
 	s := SkewScenario{MaxSkew: time.Second}
 	c := s.ClockFor(0, 1)
-	if c.Offset() != 0 {
-		t.Fatalf("single node offset = %v, want 0", c.Offset())
+	if c.offset != 0 {
+		t.Fatalf("single node offset = %v, want 0", c.offset)
 	}
 }
 
@@ -105,16 +105,8 @@ func TestSkewScenarioDriftAlternates(t *testing.T) {
 	s := SkewScenario{MaxSkew: 100 * time.Millisecond, DriftPPM: 50}
 	c0 := s.ClockFor(0, 4)
 	c1 := s.ClockFor(1, 4)
-	if c0.DriftPPM() != 50 || c1.DriftPPM() != -50 {
-		t.Fatalf("drift signs: %f %f", c0.DriftPPM(), c1.DriftPPM())
-	}
-}
-
-func TestClockString(t *testing.T) {
-	c := New(WithOffset(time.Millisecond), WithDriftPPM(10), WithQuantum(time.Microsecond))
-	s := c.String()
-	if s == "" {
-		t.Fatal("empty String")
+	if c0.driftPPM != 50 || c1.driftPPM != -50 {
+		t.Fatalf("drift signs: %f %f", c0.driftPPM, c1.driftPPM)
 	}
 }
 

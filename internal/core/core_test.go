@@ -257,6 +257,40 @@ func TestCorrelateDirErrors(t *testing.T) {
 	}
 }
 
+// TestCorrelateDirTieEarlierFileFirst pins CorrelateDir's merge tie rule:
+// on equal timestamps the record of the earlier file (in sorted file-name
+// order) is pushed first. A log may carry records of a host other than
+// its file's (the replay declares that host on the fly), so two files can
+// feed one host's stream: here a.trace holds web1's BEGIN and b.trace its
+// END, both at 1ms. Earlier-file-first keeps BEGIN before END and yields
+// the one-request graph; the other tie order would hand web1's END to the
+// engine before its BEGIN.
+func TestCorrelateDirTieEarlierFileFirst(t *testing.T) {
+	dir := t.TempDir()
+	begin := mkRaw(0, activity.Receive, time.Millisecond, "web1", "httpd", 1, "10.9.9.9", "10.0.0.1", 40000, 80)
+	end := mkRaw(0, activity.Send, time.Millisecond, "web1", "httpd", 1, "10.0.0.1", "10.9.9.9", 80, 40000)
+	for name, a := range map[string]*activity.Activity{"a.trace": begin, "b.trace": end} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(activity.FormatRecord(a, false)+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := New(Options{
+		Window:     time.Millisecond,
+		EntryPorts: []int{80},
+		IPToHost:   map[string]string{"10.0.0.1": "web1"},
+	}).CorrelateDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Graphs) != 1 {
+		t.Fatalf("got %d graphs, want the one web1 request", len(out.Graphs))
+	}
+	got := cag.Dump(out.Graphs[0])
+	if b, e := strings.Index(got, "BEGIN"), strings.Index(got, "END"); b < 0 || e < b {
+		t.Fatalf("dump does not run BEGIN then END:\n%s", got)
+	}
+}
+
 // A malformed line in one host's log fails the pass with an error naming
 // that host, without correlating the rest of the directory. IPToHost is
 // set, so no topology inference runs: the merge loop is what reads the

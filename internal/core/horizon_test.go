@@ -212,7 +212,7 @@ func TestSessionHorizonIgnoresClosedHosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess.Drain()
-	if n := len(sess.Graphs()); n != 0 {
+	if n := len(sess.emitted); n != 0 {
 		t.Fatalf("emitted %d graphs before the component went stale", n)
 	}
 	// db1 stays open but quiet; its heartbeat advances the activity clock
@@ -221,7 +221,7 @@ func TestSessionHorizonIgnoresClosedHosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess.Drain()
-	if n := len(sess.Graphs()); n != 1 {
+	if n := len(sess.emitted); n != 1 {
 		t.Fatalf("emitted %d graphs, want 1 — closed web1 pinned the horizon open", n)
 	}
 	out := sess.Close()
@@ -256,14 +256,14 @@ func TestSessionHeartbeatAdvancesWatermark(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess.Drain()
-	if n := len(sess.Graphs()); n != 0 {
+	if n := len(sess.emitted); n != 0 {
 		t.Fatalf("emitted %d graphs while the silent db1 stream bounded nothing", n)
 	}
 	if err := sess.Heartbeat("db1", 10*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	sess.Drain()
-	if n := len(sess.Graphs()); n != 1 {
+	if n := len(sess.emitted); n != 1 {
 		t.Fatalf("emitted %d graphs after db1's heartbeat, want 1", n)
 	}
 }
@@ -278,7 +278,7 @@ func TestSessionHeartbeatAdvancesActivityClock(t *testing.T) {
 	}
 	pushRequest(t, sess, 0, time.Millisecond)
 	sess.Drain()
-	if n := len(sess.Graphs()); n != 0 {
+	if n := len(sess.emitted); n != 0 {
 		t.Fatalf("emitted %d graphs before the clock advanced", n)
 	}
 	if err := sess.Heartbeat("web2", 100*time.Millisecond); err != nil {
@@ -288,7 +288,7 @@ func TestSessionHeartbeatAdvancesActivityClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess.Drain()
-	if n := len(sess.Graphs()); n != 1 {
+	if n := len(sess.emitted); n != 1 {
 		t.Fatalf("emitted %d graphs after heartbeats advanced the clock, want 1", n)
 	}
 	out := sess.Close()

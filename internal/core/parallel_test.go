@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -88,8 +90,14 @@ func assertSameGraphs(t *testing.T, label string, want, got *Result) {
 		if wa.MeanLatency != ga.MeanLatency {
 			t.Fatalf("%s: pattern %d mean latency %v, want %v", label, i, ga.MeanLatency, wa.MeanLatency)
 		}
-		wc, wv := wa.Percentages()
-		gc, gv := ga.Percentages()
+		wc, gc := slices.Sorted(maps.Keys(wa.Components)), slices.Sorted(maps.Keys(ga.Components))
+		wv, gv := make([]float64, len(wc)), make([]float64, len(gc))
+		for j, c := range wc {
+			wv[j] = wa.Percent(c)
+		}
+		for j, c := range gc {
+			gv[j] = ga.Percent(c)
+		}
 		if fmt.Sprint(wc, wv) != fmt.Sprint(gc, gv) {
 			t.Fatalf("%s: pattern %d breakdown differs:\ngot  %v %v\nwant %v %v", label, i, gc, gv, wc, wv)
 		}

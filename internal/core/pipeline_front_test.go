@@ -61,7 +61,7 @@ func TestSessionPoolSettlesAndStops(t *testing.T) {
 			}
 			sess.Drain()
 			var o outcome
-			o.pending = sess.Pending()
+			o.pending = sess.pendingActs
 			o.first = sess.Close()
 			o.second = sess.Close()
 			done <- o

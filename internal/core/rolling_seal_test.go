@@ -172,7 +172,7 @@ func TestRollingSealBoundsNoise(t *testing.T) {
 			}
 			if (i+1)%drainEvery == 0 {
 				sess.Drain()
-				peak = max(peak, sess.Pending())
+				peak = max(peak, sess.pendingActs)
 				assertRunFree(t, sess)
 			}
 		}
@@ -227,7 +227,7 @@ func TestRollingSealThenBegin(t *testing.T) {
 			if a.Ctx.Program == "httpd" && a.Timestamp == 301*time.Millisecond && !rolledBeforeBegin {
 				// The BEGIN is next: the chatter component must have
 				// rolled, or this test exercises nothing.
-				if p := sess.Pending(); p >= chatter {
+				if p := sess.pendingActs; p >= chatter {
 					t.Fatalf("workers=%d: %d of %d chatter records still pending at the BEGIN", workers, p, chatter)
 				}
 				rolledBeforeBegin = true

@@ -212,7 +212,7 @@ func TestCloseHostShortensHorizon(t *testing.T) {
 		pushRequest(t, sess, k, time.Duration(k)*10*time.Millisecond)
 	}
 	sess.Drain()
-	for _, g := range sess.Graphs() {
+	for _, g := range sess.emitted {
 		if spansBothHosts(g) {
 			t.Fatal("the cross-host request was released while db1's horizon still covered it")
 		}
@@ -222,7 +222,7 @@ func TestCloseHostShortensHorizon(t *testing.T) {
 	}
 	sess.Drain()
 	var cross *cag.Graph
-	for _, g := range sess.Graphs() {
+	for _, g := range sess.emitted {
 		if spansBothHosts(g) {
 			cross = g
 		}

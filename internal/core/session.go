@@ -274,11 +274,3 @@ func newSession(opts Options, hosts []string) *Session {
 func (s *Session) AddSink(sink GraphSink) {
 	s.sinks = append(s.sinks, sink)
 }
-
-// Graphs returns the CAGs completed so far (when not streaming to
-// sinks).
-func (s *Session) Graphs() []*cag.Graph { return s.emitted }
-
-// Pending returns the number of activities buffered but not yet
-// correlated by a finished shard.
-func (s *Session) Pending() int { return s.pendingActs }

@@ -58,7 +58,7 @@ func TestSessionForeverOpenContinuousEmission(t *testing.T) {
 	for k := 0; k < requests; k++ {
 		pushRequest(t, sess, k, time.Duration(k)*spacing)
 		sess.Drain()
-		if firstEmit < 0 && len(sess.Graphs()) > 0 {
+		if firstEmit < 0 && len(sess.emitted) > 0 {
 			firstEmit = k
 		}
 		if d, e := sess.inc.Sizes(); true {
@@ -78,7 +78,7 @@ func TestSessionForeverOpenContinuousEmission(t *testing.T) {
 	if firstEmit > 10 {
 		t.Fatalf("first emission only after request %d (horizon is %v, spacing %v)", firstEmit, sealAfter, spacing)
 	}
-	mid := len(sess.Graphs())
+	mid := len(sess.emitted)
 	if mid < requests*3/4 {
 		t.Fatalf("only %d/%d graphs released while all streams were open", mid, requests)
 	}
@@ -92,7 +92,7 @@ func TestSessionForeverOpenContinuousEmission(t *testing.T) {
 
 	// The released stream must be END-ordered (the watermark guarantee
 	// survives forced sealing when the liveness bound holds).
-	graphs := sess.Graphs()
+	graphs := sess.emitted
 	for i := 1; i < len(graphs); i++ {
 		if graphs[i].End().Timestamp < graphs[i-1].End().Timestamp {
 			t.Fatalf("emitted stream regressed at %d", i)
@@ -160,7 +160,7 @@ func TestSessionSealAfterZeroUnchanged(t *testing.T) {
 			pushRequest(t, sess, k, time.Duration(k)*10*time.Millisecond)
 			sess.Drain()
 		}
-		return sess, len(sess.Graphs())
+		return sess, len(sess.emitted)
 	}
 	closeDriven, midClose := feed(0)
 	continuous, midCont := feed(25 * time.Millisecond)
@@ -201,7 +201,7 @@ func TestSessionSealAfterAtEveryPoolSize(t *testing.T) {
 			pushRequest(t, sess, k, time.Duration(k)*10*time.Millisecond)
 			sess.Drain()
 		}
-		if len(sess.Graphs()) == 0 {
+		if len(sess.emitted) == 0 {
 			t.Fatalf("workers=%d: forever-open session emitted nothing before Close", workers)
 		}
 		out := sess.Close()
@@ -222,7 +222,7 @@ func TestSessionSealAfterAtEveryPoolSize(t *testing.T) {
 		pushRequest(t, sess, k, time.Duration(k)*10*time.Millisecond)
 		sess.Drain()
 	}
-	if len(sess.Graphs()) == 0 {
+	if len(sess.emitted) == 0 {
 		t.Fatal("forever-open exact session emitted nothing before Close")
 	}
 	out := sess.Close()
@@ -281,7 +281,7 @@ func TestSessionForcedSealLateLink(t *testing.T) {
 		pushRequest(t, sess, k, time.Duration(k)*10*time.Millisecond)
 	}
 	sess.Drain()
-	if len(sess.Graphs()) == 0 {
+	if len(sess.emitted) == 0 {
 		t.Fatal("setup: nothing force-sealed")
 	}
 	// A straggler END on request 0's connection, at the current clock

@@ -175,7 +175,7 @@ func TestParallelSessionStaggeredClose(t *testing.T) {
 		t.Fatal("trace has no web1 front tier")
 	}
 	sess.Drain()
-	if n := len(sess.Graphs()); n != 0 {
+	if n := len(sess.emitted); n != 0 {
 		t.Fatalf("emitted %d graphs while the front tier was open", n)
 	}
 	// Closing the last stream seals every component; Drain (not Close)
@@ -184,7 +184,7 @@ func TestParallelSessionStaggeredClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess.Drain()
-	mid := len(sess.Graphs())
+	mid := len(sess.emitted)
 	if mid == 0 {
 		t.Fatal("no graphs released after the last CloseHost")
 	}
@@ -247,13 +247,13 @@ func TestParallelSessionWatermarkReleasesEarly(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess.Drain()
-	if n := len(sess.Graphs()); n != 1 {
+	if n := len(sess.emitted); n != 1 {
 		t.Fatalf("watermark released %d graphs, want 1 (web1's finished request)", n)
 	}
-	if got := sess.Graphs()[0].End().Timestamp; got != 2*time.Millisecond {
+	if got := sess.emitted[0].End().Timestamp; got != 2*time.Millisecond {
 		t.Fatalf("released the wrong graph (END %v)", got)
 	}
-	if sess.Pending() == 0 {
+	if sess.pendingActs == 0 {
 		t.Fatal("web2's request should still be pending")
 	}
 	out := sess.Close()
@@ -319,7 +319,7 @@ func TestSessionDrainEmptyAndDoubleClose(t *testing.T) {
 		if n := sess.Drain(); n != 0 {
 			t.Fatalf("workers=%d: empty drain processed %d", workers, n)
 		}
-		if sess.Pending() != 0 {
+		if sess.pendingActs != 0 {
 			t.Fatalf("workers=%d: empty session pending", workers)
 		}
 		out := sess.Close()

@@ -88,10 +88,10 @@ func TestSessionEmitsBeforeClose(t *testing.T) {
 		}
 	}
 	sess.Drain()
-	if len(sess.Graphs()) == 0 {
+	if len(sess.emitted) == 0 {
 		t.Fatal("no CAGs emitted mid-stream")
 	}
-	mid := len(sess.Graphs())
+	mid := len(sess.emitted)
 	out := sess.Close()
 	if len(out.Graphs) < mid {
 		t.Fatalf("close lost graphs: %d < %d", len(out.Graphs), mid)
@@ -125,10 +125,10 @@ func TestSessionNoGuessingWhileOpen(t *testing.T) {
 	if n := sess.Drain(); n != 0 {
 		t.Fatalf("session decided %d activities while the sender's stream was open", n)
 	}
-	if len(sess.Graphs()) != 0 {
+	if len(sess.emitted) != 0 {
 		t.Fatal("session emitted a graph from an undecidable RECEIVE")
 	}
-	if sess.Pending() == 0 {
+	if sess.pendingActs == 0 {
 		t.Fatal("the RECEIVE should be buffered")
 	}
 	out := sess.Close()
@@ -173,7 +173,7 @@ func TestSessionDrainIdleButOpen(t *testing.T) {
 		if n := sess.Drain(); n != 0 {
 			t.Fatalf("blocked drain %d processed %d activities", i, n)
 		}
-		if sess.Pending() == 0 {
+		if sess.pendingActs == 0 {
 			t.Fatal("undecidable RECEIVE no longer pending")
 		}
 	}
@@ -187,8 +187,8 @@ func TestSessionDrainIdleButOpen(t *testing.T) {
 	if resolved := out.Ranker.Delivered + out.Ranker.NoiseDropped + out.Ranker.ForcedPops; resolved == 0 {
 		t.Fatalf("held RECEIVE never resolved after close: %+v", out.Ranker)
 	}
-	if sess.Pending() != 0 {
-		t.Fatalf("pending = %d after close", sess.Pending())
+	if sess.pendingActs != 0 {
+		t.Fatalf("pending = %d after close", sess.pendingActs)
 	}
 }
 

@@ -10,7 +10,6 @@ package des
 
 import (
 	"container/heap"
-	"fmt"
 	"time"
 )
 
@@ -23,15 +22,9 @@ type Event struct {
 	canceled bool
 }
 
-// At returns the virtual time at which the event fires.
-func (e *Event) At() time.Duration { return e.at }
-
 // Cancel prevents the event from firing. Cancelling an already-fired or
 // already-cancelled event is a no-op.
 func (e *Event) Cancel() { e.canceled = true }
-
-// Canceled reports whether Cancel was called.
-func (e *Event) Canceled() bool { return e.canceled }
 
 type eventHeap []*Event
 
@@ -72,11 +65,10 @@ func (h *eventHeap) Pop() any {
 // Simulator owns the virtual clock and the pending-event queue.
 // The zero value is not usable; construct with New.
 type Simulator struct {
-	now     time.Duration
-	events  eventHeap
-	seq     uint64
-	fired   uint64
-	running bool
+	now    time.Duration
+	events eventHeap
+	seq    uint64
+	fired  uint64
 }
 
 // New returns an empty simulator positioned at virtual time zero.
@@ -86,13 +78,6 @@ func New() *Simulator {
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() time.Duration { return s.now }
-
-// Fired returns the number of events executed so far; useful for
-// complexity-shaped assertions in tests and benchmarks.
-func (s *Simulator) Fired() uint64 { return s.fired }
-
-// Pending returns the number of events still queued.
-func (s *Simulator) Pending() int { return len(s.events) }
 
 // Schedule queues fn to run after delay. A negative delay is treated as
 // zero (run "now", after currently queued same-time events).
@@ -138,42 +123,4 @@ func (s *Simulator) Step() bool {
 func (s *Simulator) Run() {
 	for s.Step() {
 	}
-}
-
-// RunUntil executes events with fire times <= horizon, then advances the
-// clock to horizon. Events scheduled beyond the horizon stay queued.
-func (s *Simulator) RunUntil(horizon time.Duration) {
-	for len(s.events) > 0 {
-		next := s.peek()
-		if next == nil {
-			break
-		}
-		if next.at > horizon {
-			break
-		}
-		s.Step()
-	}
-	if s.now < horizon {
-		s.now = horizon
-	}
-}
-
-// peek returns the earliest non-cancelled event without popping it.
-func (s *Simulator) peek() *Event {
-	for len(s.events) > 0 {
-		if !s.events[0].canceled {
-			return s.events[0]
-		}
-		popped, ok := heap.Pop(&s.events).(*Event)
-		_ = popped
-		if !ok {
-			return nil
-		}
-	}
-	return nil
-}
-
-// String implements fmt.Stringer for debugging.
-func (s *Simulator) String() string {
-	return fmt.Sprintf("des.Simulator{now=%v pending=%d fired=%d}", s.now, len(s.events), s.fired)
 }

@@ -26,26 +26,6 @@ func NewTokenPool(sim *Simulator, capacity int) *TokenPool {
 	return &TokenPool{sim: sim, capacity: capacity}
 }
 
-// Capacity returns the configured number of tokens.
-func (p *TokenPool) Capacity() int { return p.capacity }
-
-// InUse returns the number of tokens currently held.
-func (p *TokenPool) InUse() int { return p.inUse }
-
-// PeakInUse returns the highest concurrent token usage observed.
-func (p *TokenPool) PeakInUse() int { return p.peakInUse }
-
-// Grants returns the total number of successful acquisitions.
-func (p *TokenPool) Grants() uint64 { return p.grants }
-
-// MeanWait returns the average virtual time spent queued per grant.
-func (p *TokenPool) MeanWait() time.Duration {
-	if p.grants == 0 {
-		return 0
-	}
-	return time.Duration(p.totalWaitNs / int64(p.grants))
-}
-
 // Acquire requests a token; granted(now) runs (possibly immediately) when
 // one is available.
 func (p *TokenPool) Acquire(granted func()) {
@@ -59,15 +39,6 @@ func (p *TokenPool) Acquire(granted func()) {
 		p.grant(p.sim.Now() - start)
 		granted()
 	})
-}
-
-// TryAcquire takes a token only if one is free right now.
-func (p *TokenPool) TryAcquire() bool {
-	if p.inUse < p.capacity && len(p.waiters) == 0 {
-		p.grant(0)
-		return true
-	}
-	return false
 }
 
 func (p *TokenPool) grant(waited time.Duration) {
@@ -105,14 +76,11 @@ func (p *TokenPool) Waiting() int { return len(p.waiters) }
 // what produces realistic response-time inflation near saturation for the
 // throughput/response-time figures (Fig. 12, 13, 16).
 type CPU struct {
-	sim     *Simulator
-	cores   int
-	busy    int
-	queue   []cpuJob
-	busyNs  int64 // integral of busy cores over time
-	lastUpd time.Duration
-
-	jobs uint64
+	sim   *Simulator
+	cores int
+	busy  int
+	queue []cpuJob
+	jobs  uint64 // completed demands
 }
 
 type cpuJob struct {
@@ -126,28 +94,6 @@ func NewCPU(sim *Simulator, cores int) *CPU {
 		cores = 1
 	}
 	return &CPU{sim: sim, cores: cores}
-}
-
-// Cores returns the configured core count.
-func (c *CPU) Cores() int { return c.cores }
-
-// Jobs returns the number of completed demands.
-func (c *CPU) Jobs() uint64 { return c.jobs }
-
-// Utilization returns mean busy-core fraction since the start of the run.
-func (c *CPU) Utilization() float64 {
-	c.account()
-	elapsed := c.sim.Now()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(c.busyNs) / float64(int64(elapsed)*int64(c.cores))
-}
-
-func (c *CPU) account() {
-	now := c.sim.Now()
-	c.busyNs += int64(now-c.lastUpd) * int64(c.busy)
-	c.lastUpd = now
 }
 
 // Use runs `demand` worth of work and calls done on completion. Zero or
@@ -165,10 +111,8 @@ func (c *CPU) Use(demand time.Duration, done func()) {
 }
 
 func (c *CPU) start(demand time.Duration, done func()) {
-	c.account()
 	c.busy++
 	c.sim.Schedule(demand, func() {
-		c.account()
 		c.busy--
 		c.jobs++
 		if len(c.queue) > 0 {
@@ -181,6 +125,3 @@ func (c *CPU) start(demand time.Duration, done func()) {
 		done()
 	})
 }
-
-// QueueLen returns the number of jobs waiting for a core.
-func (c *CPU) QueueLen() int { return len(c.queue) }

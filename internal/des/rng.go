@@ -1,7 +1,6 @@
 package des
 
 import (
-	"math"
 	"math/rand"
 	"time"
 )
@@ -26,14 +25,6 @@ func (g *RNG) Exp(mean time.Duration) time.Duration {
 	return time.Duration(g.r.ExpFloat64() * float64(mean))
 }
 
-// Uniform draws uniformly from [lo, hi).
-func (g *RNG) Uniform(lo, hi time.Duration) time.Duration {
-	if hi <= lo {
-		return lo
-	}
-	return lo + time.Duration(g.r.Int63n(int64(hi-lo)))
-}
-
 // Normal draws from a normal distribution clamped at zero.
 func (g *RNG) Normal(mean, stddev time.Duration) time.Duration {
 	v := float64(mean) + g.r.NormFloat64()*float64(stddev)
@@ -42,12 +33,6 @@ func (g *RNG) Normal(mean, stddev time.Duration) time.Duration {
 	}
 	return time.Duration(v)
 }
-
-// Intn draws uniformly from [0, n). n must be > 0.
-func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
-
-// Float64 draws uniformly from [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
 
 // Pick returns an index drawn according to the given non-negative weights.
 // If the weights sum to zero it returns 0.
@@ -72,24 +57,4 @@ func (g *RNG) Pick(weights []float64) int {
 		}
 	}
 	return len(weights) - 1
-}
-
-// Pareto draws from a bounded Pareto distribution with the given shape and
-// minimum, capped at max. Used for heavy-tailed message sizes.
-func (g *RNG) Pareto(shape float64, minV, maxV int) int {
-	if minV < 1 {
-		minV = 1
-	}
-	if maxV < minV {
-		maxV = minV
-	}
-	u := g.r.Float64()
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	v := float64(minV) / math.Pow(1-u, 1/shape)
-	if v > float64(maxV) {
-		v = float64(maxV)
-	}
-	return int(v)
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/activity"
 	"repro/internal/analysis"
 	"repro/internal/baseline"
-	"repro/internal/cag"
 	"repro/internal/core"
 	"repro/internal/ranker"
 	"repro/internal/rubis"
@@ -624,22 +623,11 @@ func AblationSkewCorrection(scale float64) (*Table, error) {
 		raw := rep.Share("httpd2java").Mean
 
 		est := analysis.EstimateOffsets(out.Graphs, "web1")
-		var sum time.Duration
-		n := 0
-		sig := rep.Signature
-		for _, g := range out.Graphs {
-			if cag.Signature(g) != sig {
-				continue
-			}
-			if d, ok := est.CorrectedComponentLatencies(g)["httpd2java"]; ok {
-				sum += d
-				n++
-			}
+		corRep, err := analysis.DominantPatternCorrected(out.Graphs, 3, est)
+		if err != nil {
+			return nil, err
 		}
-		corrected := time.Duration(0)
-		if n > 0 {
-			corrected = sum / time.Duration(n)
-		}
+		corrected := corRep.Share("httpd2java").Mean
 		t.AddRow(skew.String(),
 			raw.Round(time.Microsecond).String(),
 			corrected.Round(time.Microsecond).String(),

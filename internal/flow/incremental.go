@@ -387,10 +387,6 @@ func (in *Incremental) PruneBefore(clock time.Duration) int {
 // root, following any merges since.
 func (in *Incremental) Root(n int32) int32 { return in.d.find(n) }
 
-// Components returns the number of union-find nodes allocated so far —
-// an upper bound on live components, for diagnostics.
-func (in *Incremental) Components() int { return len(in.d.parent) }
-
 // LateLinks returns how many added activities genuinely linked to a
 // sealed (dispatched) component — arrived on one of its connections, or
 // continued its context mid-request — and were detached onto a fresh
@@ -400,9 +396,6 @@ func (in *Incremental) Components() int { return len(in.d.parent) }
 // detached without being counted; it never belonged to the dispatched
 // work.
 func (in *Incremental) LateLinks() int { return in.lateLinks }
-
-// Pruned returns how many components have been pruned.
-func (in *Incremental) Pruned() int { return in.pruned }
 
 // Sizes returns the interning map populations (directed channels and
 // request epochs) — the quantities Prune keeps bounded by unpruned

@@ -197,8 +197,8 @@ func TestIncrementalPruneBoundsMaps(t *testing.T) {
 	if dirs, epochs := inc.Sizes(); dirs != 0 || epochs != 0 {
 		t.Fatalf("maps not empty after pruning everything: %d/%d", dirs, epochs)
 	}
-	if inc.Pruned() != 200 {
-		t.Fatalf("Pruned = %d, want 200", inc.Pruned())
+	if inc.pruned != 200 {
+		t.Fatalf("Pruned = %d, want 200", inc.pruned)
 	}
 	// A connection from a pruned component returning after the prune
 	// is a fresh component: no merge into freed state, and (the

@@ -62,22 +62,6 @@ const (
 	Orphan                      // no ground-truth activities at all (noise CAG)
 )
 
-// String implements fmt.Stringer.
-func (v Verdict) String() string {
-	switch v {
-	case Correct:
-		return "correct"
-	case Mixed:
-		return "mixed"
-	case Deformed:
-		return "deformed"
-	case Orphan:
-		return "orphan"
-	default:
-		return fmt.Sprintf("Verdict(%d)", int(v))
-	}
-}
-
 // Judge classifies a single CAG.
 func (t *Truth) Judge(g *cag.Graph) (Verdict, int64) {
 	reqs := g.RequestIDs()

@@ -149,11 +149,3 @@ func TestEmptyTruthAccuracyIsOne(t *testing.T) {
 		t.Fatalf("empty accuracy = %f", rep.PathAccuracy())
 	}
 }
-
-func TestVerdictString(t *testing.T) {
-	for _, v := range []Verdict{Correct, Mixed, Deformed, Orphan} {
-		if v.String() == "" {
-			t.Fatal("empty verdict string")
-		}
-	}
-}

@@ -658,48 +658,6 @@ func (m *Monitor) Stats() Stats {
 	}
 }
 
-// SketchFootprint reports the monitor's state sizes — in sketched mode
-// the quantities that must stay flat (capacity-bounded) as the stream
-// grows; TestMonitorSketchedCapacity gates them under make soak-short.
-type SketchFootprint struct {
-	// TrackedPatterns is the current interval's tracked signature count
-	// (≤ MaxPatterns in sketched mode; every pattern the interval has
-	// seen in exact mode).
-	TrackedPatterns int
-	// Baselines is the rolling baseline table size (≤ 2×MaxPatterns in
-	// sketched mode).
-	Baselines int
-	// ShareCategories is the number of categories with a lifetime share
-	// quantile sketch (≤ MaxPatterns).
-	ShareCategories int
-	// LatencyTuples is the lifetime latency sketch's summary size —
-	// O((1/ε)·log(εN)), effectively constant.
-	LatencyTuples int
-	// MaxShareTuples is the largest per-category share sketch.
-	MaxShareTuples int
-}
-
-// Footprint returns the monitor's state sizes. Exact mode reports its
-// tracked patterns and baselines, which grow with the pattern vocabulary
-// (not the traffic); the quantile fields stay zero.
-func (m *Monitor) Footprint() SketchFootprint {
-	var f SketchFootprint
-	f.Baselines = len(m.baselines)
-	if m.cur != nil {
-		f.TrackedPatterns = len(m.cur.accs)
-	}
-	if m.latQ != nil {
-		f.LatencyTuples = m.latQ.Size()
-	}
-	f.ShareCategories = len(m.shareQ)
-	for _, q := range m.shareQ {
-		if q.Size() > f.MaxShareTuples {
-			f.MaxShareTuples = q.Size()
-		}
-	}
-	return f
-}
-
 // QuantileTable renders the lifetime latency and per-category share
 // quantiles (sketched mode; empty otherwise). Latency rows are the
 // end-to-end distribution over every ingested CAG; category rows are

@@ -1,8 +1,10 @@
 package live
 
 import (
+	"maps"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -126,10 +128,9 @@ func reportOf(avg *cag.AveragePath) *analysis.PatternReport {
 	rep := &analysis.PatternReport{
 		Name: avg.Name, Signature: avg.Signature, Count: avg.Count, MeanLatency: avg.MeanLatency,
 	}
-	cats, vals := avg.Percentages()
-	for i, c := range cats {
+	for _, c := range slices.Sorted(maps.Keys(avg.Components)) {
 		rep.Shares = append(rep.Shares, analysis.ComponentShare{
-			Category: c, Mean: avg.Components[c], Percent: vals[i],
+			Category: c, Mean: avg.Components[c], Percent: avg.Percent(c),
 		})
 	}
 	return rep

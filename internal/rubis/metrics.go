@@ -1,7 +1,6 @@
 package rubis
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/stats"
@@ -21,7 +20,6 @@ type Metrics struct {
 	InWindow    int
 	sumRT       time.Duration
 	MaxRT       time.Duration
-	sumRTAll    time.Duration
 	PerTx       map[string]int
 	perTxLatSum map[string]time.Duration
 
@@ -42,7 +40,6 @@ func newMetrics(start, end time.Duration) *Metrics {
 
 func (m *Metrics) record(tx *Transaction, rt, completedAt time.Duration) {
 	m.TotalCompleted++
-	m.sumRTAll += rt
 	m.PerTx[tx.Name]++
 	m.perTxLatSum[tx.Name] += rt
 	if completedAt >= m.WindowStart && completedAt < m.WindowEnd {
@@ -72,14 +69,6 @@ func (m *Metrics) AvgResponseTime() time.Duration {
 	return m.sumRT / time.Duration(m.InWindow)
 }
 
-// AvgResponseTimeAll returns the whole-session mean response time.
-func (m *Metrics) AvgResponseTimeAll() time.Duration {
-	if m.TotalCompleted == 0 {
-		return 0
-	}
-	return m.sumRTAll / time.Duration(m.TotalCompleted)
-}
-
 // ResponseTimePercentile returns the in-window response-time quantile
 // (approximate, log-bucketed).
 func (m *Metrics) ResponseTimePercentile(q float64) time.Duration {
@@ -93,10 +82,4 @@ func (m *Metrics) TxAvgResponseTime(name string) time.Duration {
 		return 0
 	}
 	return m.perTxLatSum[name] / time.Duration(n)
-}
-
-// String implements fmt.Stringer.
-func (m *Metrics) String() string {
-	return fmt.Sprintf("metrics{completed=%d window=%d tput=%.1f/s avgRT=%v maxRT=%v}",
-		m.TotalCompleted, m.InWindow, m.Throughput(), m.AvgResponseTime(), m.MaxRT)
 }

@@ -186,16 +186,6 @@ var Transactions = []Transaction{
 	},
 }
 
-// TransactionByName returns the named transaction, or nil.
-func TransactionByName(name string) *Transaction {
-	for i := range Transactions {
-		if Transactions[i].Name == name {
-			return &Transactions[i]
-		}
-	}
-	return nil
-}
-
 // weights returns the mix's weight vector over Transactions.
 func weights(m Mix) []float64 {
 	w := make([]float64, len(Transactions))

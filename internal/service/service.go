@@ -32,18 +32,6 @@ const (
 	ThreadPerConnection
 )
 
-// String implements fmt.Stringer.
-func (k PoolKind) String() string {
-	switch k {
-	case ProcessPerConnection:
-		return "process-per-conn"
-	case ThreadPerConnection:
-		return "thread-per-conn"
-	default:
-		return fmt.Sprintf("PoolKind(%d)", int(k))
-	}
-}
-
 // TierSpec describes one tier of the service.
 type TierSpec struct {
 	// Program is the component's program name (context identifier field).

@@ -194,12 +194,6 @@ func TestPropertyRandomTopologies(t *testing.T) {
 	}
 }
 
-func TestPoolKindString(t *testing.T) {
-	if ProcessPerConnection.String() == "" || ThreadPerConnection.String() == "" {
-		t.Fatal("empty pool kind strings")
-	}
-}
-
 func TestResultFields(t *testing.T) {
 	res, err := Run(threeTier())
 	if err != nil {

@@ -117,6 +117,3 @@ func (q *Quantile) N() uint64 { return q.n }
 // Size is the current number of summary tuples — the figure the
 // capacity tests bound.
 func (q *Quantile) Size() int { return len(q.tuples) }
-
-// Eps is the configured rank-error fraction.
-func (q *Quantile) Eps() float64 { return q.eps }

@@ -53,8 +53,8 @@ func TestTopKErrorBounds(t *testing.T) {
 				sk.Observe(key)
 			}
 			n := uint64(len(tc.stream))
-			if sk.N() != n {
-				t.Fatalf("N = %d, want %d", sk.N(), n)
+			if sk.n != n {
+				t.Fatalf("N = %d, want %d", sk.n, n)
 			}
 			if sk.Len() > tc.k {
 				t.Fatalf("tracked %d items, capacity %d", sk.Len(), tc.k)
@@ -74,7 +74,7 @@ func TestTopKErrorBounds(t *testing.T) {
 			}
 			for key, tru := range truth {
 				if tru > bound {
-					if _, _, tracked := sk.Count(key); !tracked {
+					if _, tracked := sk.items[key]; !tracked {
 						t.Fatalf("heavy hitter %s (true %d > N/k %d) not tracked", key, tru, bound)
 					}
 				}
@@ -111,16 +111,16 @@ func TestTopKSmall(t *testing.T) {
 	if ev, ok := sk.Observe("c"); !ok || ev != "b" {
 		t.Fatalf("expected eviction of b, got %q ok=%v", ev, ok)
 	}
-	count, errB, tracked := sk.Count("c")
-	if !tracked || count != 2 || errB != 1 {
-		t.Fatalf("c = (%d, %d, %v), want (2, 1, true)", count, errB, tracked)
+	it, tracked := sk.items["c"]
+	if !tracked || it.count != 2 || it.err != 1 {
+		t.Fatalf("c = %+v (tracked %v), want count 2, err 1", it, tracked)
 	}
-	if _, _, tracked := sk.Count("b"); tracked {
+	if _, tracked := sk.items["b"]; tracked {
 		t.Fatal("evicted key still tracked")
 	}
 	sk.Reset()
-	if sk.Len() != 0 || sk.N() != 0 {
-		t.Fatalf("reset left Len=%d N=%d", sk.Len(), sk.N())
+	if sk.Len() != 0 || sk.n != 0 {
+		t.Fatalf("reset left Len=%d N=%d", sk.Len(), sk.n)
 	}
 }
 
@@ -191,8 +191,8 @@ func TestQuantileBoundedSize(t *testing.T) {
 
 func TestQuantileEdgeCases(t *testing.T) {
 	q := NewQuantile(0)
-	if q.Eps() != 0.01 {
-		t.Fatalf("default eps = %g", q.Eps())
+	if q.eps != 0.01 {
+		t.Fatalf("default eps = %g", q.eps)
 	}
 	if q.Query(0.5) != 0 {
 		t.Fatal("empty sketch should query 0")

@@ -85,16 +85,6 @@ func (t *TopK) Observe(key string) (evicted string, ok bool) {
 	return evicted, true
 }
 
-// Count reports the estimated count and error bound for key, and
-// whether the sketch currently tracks it.
-func (t *TopK) Count(key string) (count, errBound uint64, tracked bool) {
-	it, exists := t.items[key]
-	if !exists {
-		return 0, 0, false
-	}
-	return it.count, it.err, true
-}
-
 // Items returns the tracked counters ordered by count descending, key
 // ascending — a deterministic ranking.
 func (t *TopK) Items() []Counter {
@@ -110,9 +100,6 @@ func (t *TopK) Items() []Counter {
 	})
 	return out
 }
-
-// N is the total number of observations.
-func (t *TopK) N() uint64 { return t.n }
 
 // Len is the number of items currently tracked (≤ k).
 func (t *TopK) Len() int { return len(t.items) }

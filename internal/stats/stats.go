@@ -1,74 +1,16 @@
 // Package stats provides the small statistical toolkit the evaluation
-// harness needs: streaming summaries, log-scale latency histograms with
-// percentile queries, and linear-fit checks used to verify the paper's
-// complexity claims (e.g. Fig. 9's "correlation time is linear in the
-// number of requests").
+// harness needs: log-scale latency histograms with percentile queries,
+// linear-fit checks used to verify the paper's complexity claims (e.g.
+// Fig. 9's "correlation time is linear in the number of requests"), and
+// terminal sparklines.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 )
-
-// Summary accumulates count/mean/min/max/variance in one pass (Welford).
-type Summary struct {
-	n        int64
-	mean     float64
-	m2       float64
-	min, max float64
-}
-
-// Add records one observation.
-func (s *Summary) Add(x float64) {
-	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-}
-
-// AddDuration records a duration observation in seconds.
-func (s *Summary) AddDuration(d time.Duration) { s.Add(d.Seconds()) }
-
-// N returns the observation count.
-func (s *Summary) N() int64 { return s.n }
-
-// Mean returns the running mean (0 when empty).
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Min and Max return the extremes (0 when empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the maximum observation.
-func (s *Summary) Max() float64 { return s.max }
-
-// Variance returns the sample variance.
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (s *Summary) Stddev() float64 { return math.Sqrt(s.Variance()) }
-
-// String implements fmt.Stringer.
-func (s *Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.3g min=%.4g max=%.4g", s.n, s.Mean(), s.Stddev(), s.min, s.max)
-}
 
 // Histogram is a log-scale latency histogram: buckets grow geometrically
 // from Min by factor Growth, giving bounded relative error for percentile
@@ -145,9 +87,6 @@ func (h *Histogram) Mean() time.Duration {
 	return h.sum / time.Duration(h.total)
 }
 
-// Max returns the exact maximum.
-func (h *Histogram) Max() time.Duration { return h.maxSeen }
-
 // Percentile returns the approximate q-quantile (0 < q <= 1): the lower
 // edge of the bucket containing it (relative error bounded by the growth
 // factor).
@@ -173,15 +112,6 @@ func (h *Histogram) Percentile(q float64) time.Duration {
 		}
 	}
 	return h.maxSeen
-}
-
-// String implements fmt.Stringer with the standard latency quartet.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("n=%d p50=%v p95=%v p99=%v max=%v",
-		h.total, h.Percentile(0.50).Round(time.Microsecond),
-		h.Percentile(0.95).Round(time.Microsecond),
-		h.Percentile(0.99).Round(time.Microsecond),
-		h.maxSeen.Round(time.Microsecond))
 }
 
 // LinearFit is an ordinary least-squares fit y = a + b·x with R².
@@ -252,27 +182,4 @@ func Sparkline(values []float64) string {
 		b.WriteRune(blocks[idx])
 	}
 	return b.String()
-}
-
-// Percentiles is a convenience for exact percentiles over a full sample
-// (used in tests against the histogram approximation).
-func Percentiles(sample []time.Duration, qs ...float64) []time.Duration {
-	if len(sample) == 0 {
-		return make([]time.Duration, len(qs))
-	}
-	sorted := make([]time.Duration, len(sample))
-	copy(sorted, sample)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	out := make([]time.Duration, len(qs))
-	for i, q := range qs {
-		idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		out[i] = sorted[idx]
-	}
-	return out
 }

@@ -3,46 +3,11 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 )
-
-func TestSummaryBasics(t *testing.T) {
-	var s Summary
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(x)
-	}
-	if s.N() != 8 {
-		t.Fatalf("N = %d", s.N())
-	}
-	if s.Mean() != 5 {
-		t.Fatalf("Mean = %f", s.Mean())
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("min/max = %f/%f", s.Min(), s.Max())
-	}
-	// Sample variance of this classic set is 32/7.
-	want := 32.0 / 7.0
-	if math.Abs(s.Variance()-want) > 1e-9 {
-		t.Fatalf("Variance = %f, want %f", s.Variance(), want)
-	}
-}
-
-func TestSummaryEmpty(t *testing.T) {
-	var s Summary
-	if s.Mean() != 0 || s.Variance() != 0 || s.Stddev() != 0 {
-		t.Fatal("empty summary should be zero")
-	}
-}
-
-func TestSummaryAddDuration(t *testing.T) {
-	var s Summary
-	s.AddDuration(2 * time.Second)
-	if s.Mean() != 2 {
-		t.Fatalf("Mean = %f", s.Mean())
-	}
-}
 
 func TestHistogramPercentilesAgainstExact(t *testing.T) {
 	h := NewLatencyHistogram()
@@ -53,13 +18,14 @@ func TestHistogramPercentilesAgainstExact(t *testing.T) {
 		h.Add(d)
 		sample = append(sample, d)
 	}
-	exact := Percentiles(sample, 0.5, 0.95, 0.99)
-	for i, q := range []float64{0.5, 0.95, 0.99} {
+	slices.Sort(sample)
+	for _, q := range []float64{0.5, 0.95, 0.99} {
 		got := h.Percentile(q)
-		lo := time.Duration(float64(exact[i]) / 1.35)
-		hi := time.Duration(float64(exact[i]) * 1.35)
+		exact := sample[int(math.Ceil(q*float64(len(sample))))-1]
+		lo := time.Duration(float64(exact) / 1.35)
+		hi := time.Duration(float64(exact) * 1.35)
 		if got < lo || got > hi {
-			t.Fatalf("p%g = %v, exact %v (outside 35%% band)", q*100, got, exact[i])
+			t.Fatalf("p%g = %v, exact %v (outside 35%% band)", q*100, got, exact)
 		}
 	}
 	if h.N() != 20000 {
@@ -73,9 +39,6 @@ func TestHistogramMeanExact(t *testing.T) {
 	h.Add(30 * time.Millisecond)
 	if h.Mean() != 20*time.Millisecond {
 		t.Fatalf("Mean = %v", h.Mean())
-	}
-	if h.Max() != 30*time.Millisecond {
-		t.Fatalf("Max = %v", h.Max())
 	}
 }
 
@@ -129,18 +92,6 @@ func TestSparkline(t *testing.T) {
 	}
 }
 
-func TestPercentilesExact(t *testing.T) {
-	sample := []time.Duration{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	got := Percentiles(sample, 0.5, 1.0)
-	if got[0] != 5 || got[1] != 10 {
-		t.Fatalf("percentiles = %v", got)
-	}
-	empty := Percentiles(nil, 0.5)
-	if empty[0] != 0 {
-		t.Fatal("empty sample should yield zeros")
-	}
-}
-
 // Property: histogram percentiles are monotone in q.
 func TestPropertyHistogramMonotone(t *testing.T) {
 	f := func(seed int64) bool {
@@ -160,31 +111,6 @@ func TestPropertyHistogramMonotone(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Summary mean matches the arithmetic mean.
-func TestPropertySummaryMean(t *testing.T) {
-	f := func(values []float64) bool {
-		var s Summary
-		var sum float64
-		count := 0
-		for _, v := range values {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e12 {
-				continue
-			}
-			s.Add(v)
-			sum += v
-			count++
-		}
-		if count == 0 {
-			return s.N() == 0
-		}
-		want := sum / float64(count)
-		return math.Abs(s.Mean()-want) <= 1e-6*math.Max(1, math.Abs(want))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

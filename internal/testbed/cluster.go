@@ -13,7 +13,6 @@
 package testbed
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/activity"
@@ -87,9 +86,6 @@ type Node struct {
 	nextPort  int
 	nextPID   int
 }
-
-// Traced reports whether TCP_TRACE runs on this node.
-func (n *Node) Traced() bool { return n.traced }
 
 // AllocPort returns a fresh ephemeral port.
 func (n *Node) AllocPort() int {
@@ -220,9 +216,6 @@ func (c *Cluster) AddNode(cfg NodeConfig) *Node {
 	return n
 }
 
-// Node returns a registered node by name, or nil.
-func (c *Cluster) Node(name string) *Node { return c.nodes[name] }
-
 // IPToHost builds the traced-node address map the Correlator needs.
 func (c *Cluster) IPToHost() map[string]string {
 	m := make(map[string]string)
@@ -240,9 +233,4 @@ func (c *Cluster) NextMsgID() int64 {
 	id := c.nextMsgID
 	c.nextMsgID++
 	return id
-}
-
-// String implements fmt.Stringer.
-func (c *Cluster) String() string {
-	return fmt.Sprintf("cluster{nodes=%d t=%v activities=%d}", len(c.nodes), c.sim.Now(), c.collector.Count())
 }

